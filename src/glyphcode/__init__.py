@@ -7,6 +7,8 @@ errors are correctable.  Permutation keys scramble the integer-to-glyph
 mapping, and segment-level signatures localize tampering.
 """
 
+__version__ = "0.1.0"  # the one version literal; formats and pyproject.toml read it
+
 from .channel import ChannelParams, RecognitionResult, recognize_vector, simulate_recognition
 from .codebook import (
     CharacterEntry,
@@ -50,8 +52,6 @@ from .pipeline import (
     extract,
     partition_blocks,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ChannelParams",

@@ -8,23 +8,35 @@ embed each segment's content hash into that segment, either under a private
 permuted codebook (scheme 1) or as an asymmetric signature over the hash
 embedded with the public codebook (scheme 2).  Verification recomputes the
 hashes and localizes tampering to the segment level.
+
+Signing and verification reuse the message pipeline's block encoder and
+decoder.  Each call builds the letter sequence and the block partition once
+and slices them per segment, so the cost is linear in the document length.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 import sympy
 
 from .codebook import Codebook
-from .crc import encode_phi, ml_decode
-from .errors import ContractViolation, KeyMismatchError, SigningError
-from .pipeline import Block, EncodedDocument, letter_sequence, partition_blocks
-from .util import stable_seed
+from .errors import ContractViolation, KeyMismatchError, PartialDecodeError, SigningError
+from .pipeline import (
+    Block,
+    EncodedDocument,
+    LetterSequence,
+    _decode_blocks,
+    _encode_blocks,
+    chunk_message,
+    letter_sequence,
+    partition_blocks,
+)
+from .util import bits_from_bytes, stable_seed
 
 __all__ = [
     "PermutationKey",
@@ -214,6 +226,16 @@ def segment_text(
     trailing blocks (and trailing uncoded letters) join the last segment so
     every letter is covered by exactly one segment.
     """
+    return _layout(text, codebook, config, payload_bits)[2]
+
+
+def _layout(
+    text: str,
+    codebook: Codebook,
+    config: SignatureConfig,
+    payload_bits: Optional[int],
+) -> tuple[LetterSequence, list[Block], list[Segment]]:
+    """Letter sequence, block partition and segments, each computed once."""
     seq = letter_sequence(text, codebook)
     blocks = partition_blocks(seq, config.n, config.k)
     if not blocks:
@@ -221,93 +243,39 @@ def segment_text(
     need = config.digest_bits if payload_bits is None else payload_bits
     segments: list[Segment] = []
     cur: list[Block] = []
-    start = 0
+    start = bits = 0
     for block in blocks:
         cur.append(block)
-        end = max(max(b.member_indices + b.skipped_indices) for b in cur) + 1
-        letters = end - start
-        bits = sum(b.bit_width for b in cur)
-        if letters >= config.segment_min_letters and bits >= need:
+        # blocks cover consecutive letter ranges, so the newest one ends last
+        end = max(block.member_indices + block.skipped_indices) + 1
+        bits += block.bit_width
+        if end - start >= config.segment_min_letters and bits >= need:
             segments.append(Segment(len(segments), tuple(cur), start, end))
-            cur = []
-            start = end
-    if cur:
-        if not segments:
-            raise SigningError(
-                f"segment 0 holds {sum(b.bit_width for b in cur)} bits, "
-                f"payload needs {need}"
-            )
-        last = segments.pop()
-        segments.append(
-            Segment(last.index, last.blocks + tuple(cur), last.seq_start, len(seq.letters))
-        )
-    else:
-        last = segments.pop()
-        segments.append(Segment(last.index, last.blocks, last.seq_start, len(seq.letters)))
-    return segments
+            cur, start, bits = [], end, 0
+    if not segments:
+        raise SigningError(f"segment 0 holds {bits} bits, payload needs {need}")
+    last = segments.pop()
+    segments.append(
+        Segment(last.index, last.blocks + tuple(cur), last.seq_start, len(seq.letters))
+    )
+    return seq, blocks, segments
 
 
-def _digest_bits(digest: bytes) -> str:
-    return "".join(format(b, "08b") for b in digest)
+def _segment_digest(seq: LetterSequence, segment: Segment, hash_id: str) -> bytes:
+    return content_hash("".join(seq.letters[segment.seq_start : segment.seq_end]), hash_id)
 
 
-def _embed_segments(
+def _embed_payloads(
     text: str,
     codebook: Codebook,
+    layout: tuple[LetterSequence, list[Block], list[Segment]],
     payloads: Sequence[str],
-    segments: Sequence[Segment],
     key: Optional[PermutationKey],
 ) -> EncodedDocument:
-    seq = letter_sequence(text, codebook)
-    indices = [0] * len(seq.letters)
-    for payload, segment in zip(payloads, segments):
-        bits = payload.ljust(segment.bit_width, "0")
-        at = 0
-        for block in segment.blocks:
-            w = block.bit_width
-            m = int(bits[at : at + w], 2) if w else 0
-            at += w
-            for i, residue in zip(block.member_indices, encode_phi(m, block.moduli)):
-                indices[i] = residue
-    if key is not None:
-        indices = [key.forward(seq.letters[i], v) for i, v in enumerate(indices)]
-    return EncodedDocument(text, tuple(indices), codebook.font_id)
-
-
-def _segment_letters(text: str, codebook: Codebook, segment: Segment) -> str:
-    seq = letter_sequence(text, codebook)
-    return "".join(seq.letters[segment.seq_start : segment.seq_end])
-
-
-def _extract_segment_bits(
-    encoded: EncodedDocument,
-    codebook: Codebook,
-    segment: Segment,
-    key: Optional[PermutationKey],
-) -> Optional[str]:
-    """Decode one segment's blocks; None when any block stays ambiguous."""
-    seq = letter_sequence(encoded.text, codebook)
-    bits = []
-    for block in segment.blocks:
-        vector = []
-        rows = []
-        for i in block.member_indices:
-            v = encoded.glyph_indices[i]
-            cap = seq.capacities[i]
-            row = np.full(cap, 1.0 / cap)
-            if key is not None:
-                try:
-                    v = key.inverse(seq.letters[i], v)
-                except KeyMismatchError:
-                    return None
-                row = key.inverse_row(seq.letters[i], row)
-            vector.append(v)
-            rows.append(row)
-        outcome = ml_decode(vector, block.moduli, g=rows)
-        if outcome.m is None:
-            return None
-        bits.append(format(outcome.m, f"0{block.bit_width}b")[-block.bit_width :])
-    return "".join(bits)
+    """Embed one payload per segment, zero-padded to the segment's width."""
+    seq, blocks, segments = layout
+    chunks = [m for s, bits in zip(segments, payloads) for m in chunk_message(bits, s.blocks)]
+    return EncodedDocument(text, _encode_blocks(seq, blocks, chunks, key), codebook.font_id)
 
 
 def sign_scheme1(
@@ -317,18 +285,10 @@ def sign_scheme1(
     config: SignatureConfig = SignatureConfig(),
 ) -> EncodedDocument:
     """Embed each segment's content hash into that segment under a private key."""
-    segments = segment_text(text, codebook, config)
-    payloads = [
-        _digest_bits(content_hash(_segment_letters(text, codebook, s), config.hash_id))
-        for s in segments
-    ]
-    for s in segments:
-        if s.bit_width < config.digest_bits:
-            raise SigningError(
-                f"segment {s.index} holds {s.bit_width} bits, "
-                f"hash needs {config.digest_bits}"
-            )
-    return _embed_segments(text, codebook, payloads, segments, key)
+    layout = _layout(text, codebook, config, None)
+    seq, _, segments = layout
+    payloads = [bits_from_bytes(_segment_digest(seq, s, config.hash_id)) for s in segments]
+    return _embed_payloads(text, codebook, layout, payloads, key)
 
 
 def sign_scheme2(
@@ -338,17 +298,10 @@ def sign_scheme2(
     config: SignatureConfig = SignatureConfig(scheme=2),
 ) -> EncodedDocument:
     """Embed an asymmetric signature over each segment's hash, public codebook."""
-    segments = segment_text(text, codebook, config, payload_bits=signer.signature_bits)
-    payloads = []
-    for s in segments:
-        if s.bit_width < signer.signature_bits:
-            raise SigningError(
-                f"segment {s.index} holds {s.bit_width} bits, "
-                f"signature needs {signer.signature_bits}"
-            )
-        digest = content_hash(_segment_letters(text, codebook, s), config.hash_id)
-        payloads.append(signer.sign(digest))
-    return _embed_segments(text, codebook, payloads, segments, key=None)
+    layout = _layout(text, codebook, config, signer.signature_bits)
+    seq, _, segments = layout
+    payloads = [signer.sign(_segment_digest(seq, s, config.hash_id)) for s in segments]
+    return _embed_payloads(text, codebook, layout, payloads, key=None)
 
 
 def verify(
@@ -358,7 +311,12 @@ def verify(
     key: Optional[PermutationKey] = None,
     verifier: Optional["ToyRsaProvider"] = None,
 ) -> VerificationReport:
-    """Recompute per-segment hashes and compare against the embedded values."""
+    """Recompute per-segment hashes and compare against the embedded values.
+
+    A segment whose blocks cannot be decoded, or that holds a glyph index the
+    key cannot map, is reported as an ``extraction-failed`` mismatch; the
+    other segments are still checked.
+    """
     if config.scheme == 1 and key is None:
         raise ContractViolation("scheme 1 verification needs the permutation key")
     if config.scheme == 2 and verifier is None:
@@ -366,23 +324,25 @@ def verify(
     payload_bits = (
         config.digest_bits if config.scheme == 1 else verifier.signature_bits
     )
-    segments = segment_text(encoded.text, codebook, config, payload_bits=payload_bits)
+    seq, _, segments = _layout(encoded.text, codebook, config, payload_bits)
     results: list[SegmentResult] = []
     for s in segments:
-        digest = content_hash(
-            _segment_letters(encoded.text, codebook, s), config.hash_id
-        )
-        bits = _extract_segment_bits(
-            encoded, codebook, s, key if config.scheme == 1 else None
-        )
-        if bits is None:
+        digest = _segment_digest(seq, s, config.hash_id)
+        try:
+            bits, _ = _decode_blocks(
+                seq,
+                s.blocks,
+                encoded.glyph_indices,
+                key=key if config.scheme == 1 else None,
+            )
+        except PartialDecodeError:
             results.append(
                 SegmentResult(s.seq_start, s.seq_end, "mismatch", "extraction-failed")
             )
             continue
         embedded = bits[:payload_bits]
         if config.scheme == 1:
-            ok = embedded == _digest_bits(digest)[: len(embedded)]
+            ok = embedded == bits_from_bytes(digest)[: len(embedded)]
         else:
             ok = verifier.check(digest, embedded)
         results.append(

@@ -21,10 +21,6 @@ class CapacityExceededError(GlyphcodeError):
     """The message does not fit into the document's embedding capacity."""
 
 
-class UnknownCharacterError(GlyphcodeError):
-    """A document character has no codebook entry."""
-
-
 class DocumentTooSmallError(GlyphcodeError):
     """The document has zero complete coding blocks."""
 

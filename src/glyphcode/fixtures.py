@@ -11,7 +11,6 @@ reproducible from a seed.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np

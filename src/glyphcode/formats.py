@@ -3,7 +3,8 @@
 Every file starts with a header line ``# glyphcode <version> <kind> <config>``
 recording the tool version and the writer's resolved configuration.  Outline
 coordinates are serialized as 6-decimal fixed point, so a write -> read ->
-write cycle reproduces the file byte for byte.
+write cycle reproduces the file byte for byte.  Every reader raises
+FormatError, and nothing else, on an empty, truncated or malformed file.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
+from . import __version__
 from .codebook import (
     CharacterEntry,
     Codebook,
@@ -20,7 +22,7 @@ from .codebook import (
     PerturbedGlyphEntry,
 )
 from .crypto import PermutationKey
-from .errors import FormatError
+from .errors import FormatError, GlyphcodeError
 from .outline import GlyphOutline
 from .perceptual import RaterReliabilities, Response, SimilarityScores
 from .pipeline import EncodedDocument
@@ -43,7 +45,40 @@ __all__ = [
     "read_message_bits",
 ]
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
+
+
+# what parsing raises on truncated or mutated input; model classes reject
+# out-of-range values with ContractViolation, a GlyphcodeError
+_MALFORMED = (ValueError, IndexError, KeyError, TypeError, OverflowError, GlyphcodeError)
+
+
+def _reader(kind: str):
+    """Turn a parser of a ``kind`` file's body lines into ``read_*(fh)``.
+
+    The reader checks the header line and raises FormatError, and only
+    FormatError, on any malformed input: missing fields, bad numbers, or
+    values the model classes reject.
+    """
+
+    def decorate(parse):
+        def read(fh: TextIO):
+            lines = fh.read().splitlines()
+            if not lines:
+                raise FormatError(f"empty {kind} file")
+            _check_header(lines[0], kind)
+            try:
+                return parse(lines[1:])
+            except FormatError:
+                raise
+            except _MALFORMED as exc:
+                raise FormatError(f"bad {kind} file: {exc!r}") from exc
+
+        read.__name__ = read.__qualname__ = parse.__name__
+        read.__doc__ = parse.__doc__
+        return read
+
+    return decorate
 
 
 def _header(kind: str, config: str = "") -> str:
@@ -55,6 +90,13 @@ def _check_header(line: str, kind: str) -> None:
     parts = line.rstrip("\n").split()
     if len(parts) < 4 or parts[:2] != ["#", "glyphcode"] or parts[3] != kind:
         raise FormatError(f"not a glyphcode {kind} file: {line!r}")
+
+
+def _string(token: str) -> str:
+    value = json.loads(token)
+    if not isinstance(value, str):
+        raise FormatError(f"expected a JSON string, got {token!r}")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -80,38 +122,28 @@ def write_codebook(cb: Codebook, fh: TextIO, config: str = "") -> None:
 
 
 def _parse_glyph(parts: list[str]) -> PerturbedGlyphEntry:
-    try:
-        index = int(parts[1])
-        assert parts[2] == "point" and parts[5] == "accuracy" and parts[7] == "outline"
-        point = ManifoldPoint(float(parts[3]), float(parts[4]))
-        accuracy = float(parts[6])
-        coords = np.array([float(t) for t in parts[8:]]).reshape(-1, 2)
-    except (ValueError, AssertionError, IndexError) as exc:
-        raise FormatError(f"bad glyph record: {' '.join(parts[:8])!r}") from exc
-    return PerturbedGlyphEntry(index, point, GlyphOutline(coords), accuracy)
+    if parts[2] != "point" or parts[5] != "accuracy" or parts[7] != "outline":
+        raise FormatError(f"bad glyph record: {' '.join(parts[:8])!r}")
+    point = ManifoldPoint(float(parts[3]), float(parts[4]))
+    coords = np.array([float(t) for t in parts[8:]]).reshape(-1, 2)
+    return PerturbedGlyphEntry(int(parts[1]), point, GlyphOutline(coords), float(parts[6]))
 
 
-def read_codebook(fh: TextIO) -> Codebook:
-    lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError("empty codebook file")
-    _check_header(lines[0], "codebook")
-    try:
-        font_id = json.loads(lines[1].split(None, 1)[1])
-        version = json.loads(lines[2].split(None, 1)[1])
-        resample_count = int(lines[3].split()[1])
-    except (IndexError, ValueError, json.JSONDecodeError) as exc:
-        raise FormatError("bad codebook preamble") from exc
+@_reader("codebook")
+def read_codebook(lines: list[str]) -> Codebook:
+    font_id = _string(lines[0].split(None, 1)[1])
+    version = _string(lines[1].split(None, 1)[1])
+    resample_count = int(lines[2].split()[1])
     entries: dict[str, CharacterEntry] = {}
-    i = 4
+    i = 3
     while i < len(lines):
         parts = lines[i].split()
         if not parts:
             i += 1
             continue
         if parts[0] != "character":
-            raise FormatError(f"expected character record at line {i + 1}")
-        ch = json.loads(parts[1])
+            raise FormatError(f"expected character record at line {i + 2}")
+        ch = _string(parts[1])
         count = int(parts[3])
         original = _parse_glyph(lines[i + 1].split())
         glyphs = tuple(
@@ -130,23 +162,17 @@ def write_key(key: PermutationKey, fh: TextIO, config: str = "") -> None:
         fh.write(f"character {json.dumps(ch)} perm {perm}\n")
 
 
-def read_key(fh: TextIO) -> PermutationKey:
-    lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError("empty key file")
-    _check_header(lines[0], "key")
-    try:
-        key_id = json.loads(lines[1].split(None, 1)[1])
-        perms = {}
-        for line in lines[2:]:
-            if not line.strip():
-                continue
-            parts = line.split()
-            if parts[0] != "character" or parts[2] != "perm":
-                raise FormatError(f"bad key record: {line!r}")
-            perms[json.loads(parts[1])] = tuple(int(v) for v in parts[3:])
-    except (IndexError, ValueError, json.JSONDecodeError) as exc:
-        raise FormatError("bad key file") from exc
+@_reader("key")
+def read_key(lines: list[str]) -> PermutationKey:
+    key_id = _string(lines[0].split(None, 1)[1])
+    perms = {}
+    for line in lines[1:]:
+        if not line.strip():
+            continue
+        parts = line.split()
+        if parts[0] != "character" or parts[2] != "perm":
+            raise FormatError(f"bad key record: {line!r}")
+        perms[_string(parts[1])] = tuple(int(v) for v in parts[3:])
     return PermutationKey(key_id, perms)
 
 
@@ -157,17 +183,11 @@ def write_document(doc: EncodedDocument, fh: TextIO, config: str = "") -> None:
     fh.write("indices " + " ".join(str(v) for v in doc.glyph_indices) + "\n")
 
 
-def read_document(fh: TextIO) -> EncodedDocument:
-    lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError("empty document file")
-    _check_header(lines[0], "document")
-    try:
-        codebook_id = json.loads(lines[1].split(None, 1)[1])
-        text = json.loads(lines[2].split(None, 1)[1])
-        indices = tuple(int(v) for v in lines[3].split()[1:])
-    except (IndexError, ValueError, json.JSONDecodeError) as exc:
-        raise FormatError("bad document file") from exc
+@_reader("document")
+def read_document(lines: list[str]) -> EncodedDocument:
+    codebook_id = _string(lines[0].split(None, 1)[1])
+    text = _string(lines[1].split(None, 1)[1])
+    indices = tuple(int(v) for v in lines[2].split()[1:])
     return EncodedDocument(text, indices, codebook_id)
 
 
@@ -181,20 +201,9 @@ def write_trace(rows: Sequence[np.ndarray], fh: TextIO, config: str = "") -> Non
         )
 
 
-def read_trace(fh: TextIO) -> list[np.ndarray]:
-    lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError("empty trace file")
-    _check_header(lines[0], "trace")
-    rows = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            rows.append(np.array([float(v) for v in line.split()[1:]]))
-        except ValueError as exc:
-            raise FormatError(f"bad trace row: {line!r}") from exc
-    return rows
+@_reader("trace")
+def read_trace(lines: list[str]) -> list[np.ndarray]:
+    return [np.array([float(v) for v in line.split()[1:]]) for line in lines if line.strip()]
 
 
 def write_responses(responses: Sequence[Response], fh: TextIO, config: str = "") -> None:
@@ -203,20 +212,13 @@ def write_responses(responses: Sequence[Response], fh: TextIO, config: str = "")
         fh.write(json.dumps([str(r.glyph_i), str(r.glyph_j), str(r.rater), r.q]) + "\n")
 
 
-def read_responses(fh: TextIO) -> list[Response]:
-    lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError("empty responses file")
-    _check_header(lines[0], "responses")
+@_reader("responses")
+def read_responses(lines: list[str]) -> list[Response]:
     out = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
+    for line in lines:
+        if line.strip():
             gi, gj, rater, q = json.loads(line)
             out.append(Response(gi, gj, rater, int(q)))
-        except (ValueError, TypeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"bad response row: {line!r}") from exc
     return out
 
 
@@ -234,24 +236,14 @@ def write_scores(
             fh.write(f"reliability {json.dumps(str(u))} {_fmt(reliabilities.r[u])}\n")
 
 
-def read_scores(fh: TextIO) -> tuple[SimilarityScores, RaterReliabilities]:
-    lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError("empty scores file")
-    _check_header(lines[0], "scores")
-    s, r = {}, {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
+@_reader("scores")
+def read_scores(lines: list[str]) -> tuple[SimilarityScores, RaterReliabilities]:
+    tables: dict[str, dict] = {"score": {}, "reliability": {}}
+    for line in lines:
+        if line.strip():
             kind, name, value = line.split()
-            target = s if kind == "score" else r
-            if kind not in ("score", "reliability"):
-                raise ValueError(kind)
-            target[json.loads(name)] = float(value)
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise FormatError(f"bad scores row: {line!r}") from exc
-    return SimilarityScores(s), RaterReliabilities(r)
+            tables[kind][json.loads(name)] = float(value)
+    return SimilarityScores(tables["score"]), RaterReliabilities(tables["reliability"])
 
 
 def write_message_bits(bits: str, fh: TextIO, config: str = "") -> None:
@@ -259,12 +251,9 @@ def write_message_bits(bits: str, fh: TextIO, config: str = "") -> None:
     fh.write(bits + "\n")
 
 
-def read_message_bits(fh: TextIO) -> str:
-    lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError("empty message file")
-    _check_header(lines[0], "message")
-    bits = lines[1].strip() if len(lines) > 1 else ""
+@_reader("message")
+def read_message_bits(lines: list[str]) -> str:
+    bits = lines[0].strip() if lines else ""
     if any(b not in "01" for b in bits):
         raise FormatError("message payload must be a bit string")
     return bits

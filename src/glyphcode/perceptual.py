@@ -14,7 +14,7 @@ are min-max normalized to [0, 1] and thresholded to select the candidate set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np

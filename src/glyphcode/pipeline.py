@@ -7,27 +7,29 @@ and carries floor(log2 M_t) message bits.  When no coprime assignment exists
 the lowest-capacity letter is dropped from the block and the next letter is
 pulled in; dropped and trailing letters carry the index-0 glyph and no
 payload.  The block layout is a pure function of (text, codebook, n, k), so
-the extractor recomputes it instead of transmitting it.
+the extractor recomputes it instead of transmitting it.  The Monte-Carlo
+capacity estimate partitions its sampled letters with the same rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .codebook import Codebook
-from .crc import DecodeOutcome, ModuliSet, encode_phi, hamming_decode, ml_decode
+from .crc import DecodeOutcome, ModuliSet, encode_phi, ml_decode
 from .errors import (
     CapacityExceededError,
     ContractViolation,
     CorruptFrameError,
     DocumentTooSmallError,
+    KeyMismatchError,
     PartialDecodeError,
-    UnknownCharacterError,
 )
 
 __all__ = [
@@ -139,37 +141,39 @@ def _choose_moduli_cached(capacities: tuple[int, ...], k: int) -> Optional[Modul
     return choose_moduli(capacities, k)
 
 
-def partition_blocks(seq: LetterSequence, n: int = 5, k: int = 3) -> list[Block]:
-    """Greedy left-to-right block partition with the capacity-expansion rule."""
-    if not seq.letters:
-        raise ContractViolation("letter sequence is empty")
-    blocks: list[Block] = []
-    pool = list(range(len(seq.letters)))
+def _blocks(capacities: Sequence[int], n: int, k: int) -> Iterator[Block]:
+    """Greedy left-to-right block partition with the capacity-expansion rule.
+
+    Yields blocks over indices into ``capacities`` and stops once fewer than n
+    letters remain, also when that happens while a block is still expanding;
+    the remainder is uncoded.
+    """
+    total = len(capacities)
     cursor = 0
-    while True:
-        window = pool[cursor : cursor + n]
-        if len(window) < n:
-            break  # trailing letters carry no payload
+    while cursor + n <= total:
+        window = list(range(cursor, cursor + n))
         skipped: list[int] = []
         while True:
-            caps = tuple(seq.capacities[i] for i in window)
+            caps = tuple(capacities[i] for i in window)
             moduli = _choose_moduli_cached(caps, k)
             if moduli is not None:
-                blocks.append(Block(tuple(window), tuple(skipped), moduli))
-                cursor += n + len(skipped)
                 break
             # drop the (first) lowest-capacity letter, pull in the next one
             drop = min(range(n), key=lambda j: (caps[j], j))
-            skipped.append(window[drop])
-            del window[drop]
+            skipped.append(window.pop(drop))
             nxt = cursor + n + len(skipped) - 1
-            if nxt >= len(pool):
-                window = []
-                break
-            window.append(pool[nxt])
-        if not window and moduli is None:
-            break  # pool exhausted during expansion; remainder is uncoded
-    return blocks
+            if nxt >= total:
+                return
+            window.append(nxt)
+        yield Block(tuple(window), tuple(skipped), moduli)
+        cursor += n + len(skipped)
+
+
+def partition_blocks(seq: LetterSequence, n: int = 5, k: int = 3) -> list[Block]:
+    """Block partition of a document's letter sequence (see :func:`_blocks`)."""
+    if not seq.letters:
+        raise ContractViolation("letter sequence is empty")
+    return list(_blocks(seq.capacities, n, k))
 
 
 def frame_message(bits: str, total_bits: int) -> str:
@@ -219,6 +223,62 @@ def _check_text(text: str, codebook: Codebook) -> LetterSequence:
     return seq
 
 
+def _encode_blocks(
+    seq: LetterSequence, blocks: Sequence[Block], payloads: Sequence[int], key=None
+) -> tuple[int, ...]:
+    """Glyph index per letter: each block's payload as its residues, 0 for
+    uncoded letters, then mapped through the key."""
+    indices = [0] * len(seq.letters)
+    for block, m in zip(blocks, payloads):
+        for i, residue in zip(block.member_indices, encode_phi(m, block.moduli)):
+            indices[i] = residue
+    if key is not None:
+        indices = [key.forward(ch, v) for ch, v in zip(seq.letters, indices)]
+    return tuple(indices)
+
+
+def _uniform_row(capacity: int) -> np.ndarray:
+    return np.full(capacity, 1.0 / capacity)
+
+
+def _decode_blocks(
+    seq: LetterSequence,
+    blocks: Sequence[Block],
+    values: Sequence[int],
+    rows: Optional[Sequence[np.ndarray]] = None,
+    key=None,
+) -> tuple[str, list[DecodeOutcome]]:
+    """Decode each block to its ``bit_width`` bits.
+
+    ``values`` and ``rows`` give each letter's received integer and likelihood
+    row; rows are uniform when ``rows`` is None.  With ``key``, ``values`` are
+    glyph indices mapped back through the key block by block, and an index the
+    key cannot map fails its block.  Raises PartialDecodeError at the first
+    failed block.
+    """
+    outcomes: list[DecodeOutcome] = []
+    bits = []
+    for t, block in enumerate(blocks):
+        vector, g = [], []
+        for i in block.member_indices:
+            v = values[i]
+            row = rows[i] if rows is not None else _uniform_row(seq.capacities[i])
+            if key is not None:
+                try:
+                    v = key.inverse(seq.letters[i], v)
+                except KeyMismatchError as exc:
+                    raise PartialDecodeError(t) from exc
+                row = key.inverse_row(seq.letters[i], row)
+            vector.append(v)
+            g.append(row)
+        outcome = ml_decode(vector, block.moduli, g=g)
+        outcomes.append(outcome)
+        if outcome.m is None:
+            raise PartialDecodeError(t)
+        bits.append(format(outcome.m, f"0{block.bit_width}b")[-block.bit_width :])
+    return "".join(bits), outcomes
+
+
 def embed(
     text: str,
     codebook: Codebook,
@@ -238,20 +298,8 @@ def embed(
     if not blocks:
         raise DocumentTooSmallError("document has zero complete blocks")
     framed = frame_message(bits, sum(b.bit_width for b in blocks))
-    payloads = chunk_message(framed, blocks)
-    indices = [0] * len(seq.letters)
-    for block, m in zip(blocks, payloads):
-        for i, residue in zip(block.member_indices, encode_phi(m, block.moduli)):
-            indices[i] = residue
-    if key is not None:
-        indices = [
-            key.forward(seq.letters[i], v) for i, v in enumerate(indices)
-        ]
-    return EncodedDocument(text, tuple(indices), codebook.font_id)
-
-
-def _uniform_row(capacity: int) -> np.ndarray:
-    return np.full(capacity, 1.0 / capacity)
+    indices = _encode_blocks(seq, blocks, chunk_message(framed, blocks), key)
+    return EncodedDocument(text, indices, codebook.font_id)
 
 
 def extract(
@@ -267,6 +315,8 @@ def extract(
     Blocks are recomputed from the text, decoded by Hamming distance with
     maximum-likelihood resolution of ties.  Without a channel trace the
     likelihood rows are uniform, which reduces the tie-break to smallest m.
+    Every letter's glyph index and likelihood row is checked against the key
+    and the codebook before any block is decoded.
     """
     seq = _check_text(encoded.text, codebook)
     if len(encoded.glyph_indices) != len(seq.letters):
@@ -293,17 +343,8 @@ def extract(
             row = key.inverse_row(ch, row)
         rows.append(row)
 
-    report: list[DecodeOutcome] = []
-    bits = []
-    for t, block in enumerate(blocks):
-        vector = [indices[i] for i in block.member_indices]
-        g = [rows[i] for i in block.member_indices]
-        outcome = ml_decode(vector, block.moduli, g=g)
-        report.append(outcome)
-        if outcome.m is None:
-            raise PartialDecodeError(t)
-        bits.append(format(outcome.m, f"0{block.bit_width}b")[-block.bit_width :])
-    return unframe_message("".join(bits)), report
+    bits, report = _decode_blocks(seq, blocks, indices, rows)
+    return unframe_message(bits), report
 
 
 def baseline_block_bits(capacities: Sequence[int]) -> int:
@@ -340,28 +381,13 @@ def capacity_report(
         draws = rng.choice(len(chars), size=sample_blocks * (n + 4), p=weights)
         caps_by_char = {c: codebook.capacity(c) for c in chars}
         draw_caps = [caps_by_char[chars[i]] for i in draws]
-        total_bits = 0
-        letters = 0
-        at = 0
-        for _ in range(sample_blocks):
-            window = draw_caps[at : at + n]
-            at += n
-            used = n
-            while True:
-                moduli = _choose_moduli_cached(tuple(window), k)
-                if moduli is not None:
-                    break
-                if used - n > 64:
-                    raise ContractViolation(
-                        "codebook capacities cannot form coprime blocks"
-                    )
-                drop = min(range(len(window)), key=lambda j: (window[j], j))
-                del window[drop]
-                window.append(draw_caps[at % len(draw_caps)])
-                at += 1
-                used += 1
-            total_bits += moduli.payload_bound.bit_length() - 1
-            letters += used
+        # the first sample_blocks blocks, or fewer if the draws run out first
+        total_bits = letters = 0
+        for block in islice(_blocks(draw_caps, n, k), sample_blocks):
+            total_bits += block.bit_width
+            letters = block.member_indices[-1] + 1  # draws used, skipped included
+        if sample_blocks and not letters:
+            raise ContractViolation("codebook capacities cannot form coprime blocks")
     bits_per_letter = total_bits / letters if letters else 0.0
     letters_for_target = (
         math.ceil(target_bits / bits_per_letter) if bits_per_letter else math.inf

@@ -1,8 +1,8 @@
-"""Small shared helpers: stable seeding and bit-string conversions."""
+"""Small shared helpers: stable seeding and the byte-to-bit-string conversion."""
 
 import hashlib
 
-__all__ = ["stable_seed", "bits_from_bytes", "bytes_from_bits"]
+__all__ = ["stable_seed", "bits_from_bytes"]
 
 
 def stable_seed(*parts) -> int:
@@ -19,9 +19,3 @@ def bits_from_bytes(data: bytes) -> str:
     """Big-endian bit string for a byte payload."""
     return "".join(f"{b:08b}" for b in data)
 
-
-def bytes_from_bits(bits: str) -> bytes:
-    """Inverse of :func:`bits_from_bytes`; the bit length must be a multiple of 8."""
-    if len(bits) % 8 != 0:
-        raise ValueError("bit length is not a multiple of 8")
-    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))

@@ -199,3 +199,29 @@ def test_bench_reports_exact(capsys):
     assert report["exact"] is True
     assert report["letters"] == 176
     assert report["seconds"] < 0.9
+
+
+def test_malformed_files_exit_with_format_error(workspace, tmp_path):
+    lines = (workspace / "codebook.txt").read_text().splitlines()
+    truncated = tmp_path / "truncated_codebook.txt"
+    truncated.write_text("\n".join(lines[:5]) + "\n")
+    args = [
+        "capacity",
+        "--codebook", str(truncated),
+        "--text", str(workspace / "text.txt"),
+    ]
+    assert main(args) == EXIT_FORMAT
+    key = tmp_path / "key.txt"
+    key.write_text(
+        f"# glyphcode {formats.TOOL_VERSION} key\nkey_id \"k\"\n"
+        'character "a" perm 0 0 1\n'
+    )
+    args = [
+        "embed",
+        "--codebook", str(workspace / "codebook.txt"),
+        "--text", str(workspace / "text.txt"),
+        "--message", str(workspace / "message.txt"),
+        "--key", str(key),
+        "--output", str(tmp_path / "never.txt"),
+    ]
+    assert main(args) == EXIT_FORMAT

@@ -245,3 +245,47 @@ def test_key_round_trip_property(seed):
     for ch in ("e", "z"):
         for v in range(cb.capacity(ch)):
             assert key.inverse(ch, key.forward(ch, v)) == v
+
+
+@pytest.mark.parametrize("letters", [176, 704])
+def test_sign_and_verify_build_the_layout_once(sig_codebook, monkeypatch, letters):
+    """Signing and verification cost stays linear in the document length:
+    the letter sequence and the block partition are built once per call,
+    whatever the number of segments."""
+    calls = {"letter_sequence": 0, "partition_blocks": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapped = counting(name, getattr(pipeline, name))
+        monkeypatch.setattr(pipeline, name, wrapped)
+        monkeypatch.setattr(crypto, name, wrapped)
+
+    text = _sig_text(letters, seed=27)
+    key = keygen(sig_codebook, seed=12)
+    signer = ToyRsaProvider.generate(seed=3)
+    config1, config2 = SignatureConfig(), SignatureConfig(scheme=2)
+    runs = [
+        lambda: sign_scheme1(text, sig_codebook, key, config1),
+        lambda: sign_scheme2(text, sig_codebook, signer, config2),
+        lambda: verify(doc1, sig_codebook, config1, key=key),
+        lambda: verify(doc2, sig_codebook, config2, verifier=signer.public()),
+    ]
+    doc1 = doc2 = None
+    for i, run in enumerate(runs):
+        for name in calls:
+            calls[name] = 0
+        out = run()
+        if i == 0:
+            doc1 = out
+        elif i == 1:
+            doc2 = out
+        else:
+            assert out.overall == "match"
+        assert calls == {"letter_sequence": 1, "partition_blocks": 1}, (i, calls)
+    assert len(segment_text(text, sig_codebook, config1)) >= letters // 100

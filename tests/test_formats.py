@@ -1,7 +1,10 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glyphcode import fixtures, formats, pipeline
 from glyphcode.crypto import keygen
@@ -106,3 +109,107 @@ def test_format_errors():
         formats.read_message_bits(
             io.StringIO(f"# glyphcode {formats.TOOL_VERSION} message\nnot-bits\n")
         )
+
+
+def _sample_files():
+    """One well-formed file per reader, as text."""
+    cb = fixtures.fixture_codebook({"a": 3, "b": 2}, vertex_count=6, seed=1)
+    writes = {
+        "codebook": (formats.write_codebook, cb),
+        "key": (formats.write_key, keygen(cb, seed=9)),
+        "document": (
+            formats.write_document,
+            pipeline.EncodedDocument('ab "a\nb', (1, 0, 2), "cb-1"),
+        ),
+        "trace": (formats.write_trace, [np.array([0.25, 0.75]), np.array([0.1, 0.9])]),
+        "responses": (
+            formats.write_responses,
+            [Response("g1", "g2", "u", 1), Response("g2", "g3", "v", 0)],
+        ),
+        "scores": (formats.write_scores, SimilarityScores({"a": 0.5, "b": 1.0})),
+        "message_bits": (formats.write_message_bits, "10110"),
+    }
+    out = {}
+    for name, (write, obj) in writes.items():
+        buf = io.StringIO()
+        write(obj, buf)
+        out[name] = buf.getvalue()
+    return out
+
+
+SAMPLE_FILES = _sample_files()
+BAD_TOKENS = [
+    "", "x", "-1", "0", "1", "2", "7", "99999", "1e999", "nan", "-inf", "0.5",
+    '"', '"a"', "[]", "{}", "null", "true", "[1,2]", '["a","a","u",1]',
+    "character", "glyph", "original", "point", "perm", "score", "#",
+]
+
+
+@st.composite
+def _damaged_file(draw):
+    """A sample file after one to three truncations or token/line edits."""
+    name = draw(st.sampled_from(sorted(SAMPLE_FILES)))
+    lines = SAMPLE_FILES[name].split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        lines = lines or [""]
+        at = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["truncate", "token", "drop_token", "drop_line"]))
+        if kind == "truncate":
+            text = "\n".join(lines)
+            lines = text[: draw(st.integers(0, len(text)))].split("\n")
+        elif kind == "drop_line":
+            del lines[at]
+        else:
+            tokens = lines[at].split(" ")
+            j = draw(st.integers(0, len(tokens) - 1))
+            if kind == "token":
+                tokens[j] = draw(st.sampled_from(BAD_TOKENS))
+            else:
+                del tokens[j]
+            lines[at] = " ".join(tokens)
+    return name, "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_damaged_file())
+def test_readers_raise_only_format_error(case):
+    name, text = case
+    read = getattr(formats, f"read_{name}")
+    try:
+        read(io.StringIO(text))
+    except FormatError:
+        pass
+
+
+def test_malformed_fields_raise_format_error():
+    lines = SAMPLE_FILES["codebook"].split("\n")
+    header = next(i for i, line in enumerate(lines) if line.startswith("character"))
+    bad_count = lines[:]
+    bad_count[header] = bad_count[header].rsplit(" ", 1)[0] + " x"
+    for text in ("\n".join(lines[: header + 2]), "\n".join(bad_count)):
+        with pytest.raises(FormatError):
+            formats.read_codebook(io.StringIO(text))
+    key = SAMPLE_FILES["key"].replace("perm 0 ", "perm 1 ", 1)
+    assert key != SAMPLE_FILES["key"]
+    with pytest.raises(FormatError):
+        formats.read_key(io.StringIO(key))
+    # a non-string text would only fail later, inside extract
+    doc = "\n".join(
+        "text 5" if line.startswith("text ") else line
+        for line in SAMPLE_FILES["document"].split("\n")
+    )
+    with pytest.raises(FormatError):
+        formats.read_document(io.StringIO(doc))
+
+
+def test_one_version_string():
+    import glyphcode
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    root = Path(__file__).resolve().parents[1]
+    config = read_configuration(root / "pyproject.toml")
+    assert formats.TOOL_VERSION == glyphcode.__version__
+    assert config["project"]["version"] == glyphcode.__version__
+    buf = io.StringIO()
+    formats.write_message_bits("1", buf)
+    assert buf.getvalue().startswith(f"# glyphcode {glyphcode.__version__} message")

@@ -235,3 +235,17 @@ def test_baseline_block_bits():
     caps = (8, 8, 8, 8, 8)
     assert baseline_block_bits(caps) == 5 * 3 - 2 * 3
     assert baseline_block_bits((16, 4, 4, 4, 4)) == (4 + 2 * 4) - 2 * 4
+
+
+@pytest.mark.parametrize("sample_blocks", [200, 1000])
+def test_capacity_report_monte_carlo_stays_inside_the_draws(sample_blocks):
+    """A sample that runs out of draws reports the blocks it did sample:
+    no short windows, no reused draws."""
+    cb = fixtures.fixture_codebook({"a": 2, "b": 31})
+    n = 5
+    rep = pipeline.capacity_report(
+        cb, frequencies={"a": 0.8, "b": 0.2}, n=n, sample_blocks=sample_blocks
+    )
+    assert 0 < rep["letters"] <= sample_blocks * (n + 4)
+    assert rep["total_bits"] > 0
+    assert rep["bits_per_letter"] == rep["total_bits"] / rep["letters"]
