@@ -266,26 +266,20 @@ def test_sign_and_verify_build_the_layout_once(sig_codebook, monkeypatch, letter
         monkeypatch.setattr(pipeline, name, wrapped)
         monkeypatch.setattr(crypto, name, wrapped)
 
+    def once(run):
+        for name in calls:
+            calls[name] = 0
+        out = run()
+        assert calls == {"letter_sequence": 1, "partition_blocks": 1}
+        return out
+
     text = _sig_text(letters, seed=27)
     key = keygen(sig_codebook, seed=12)
     signer = ToyRsaProvider.generate(seed=3)
     config1, config2 = SignatureConfig(), SignatureConfig(scheme=2)
-    runs = [
-        lambda: sign_scheme1(text, sig_codebook, key, config1),
-        lambda: sign_scheme2(text, sig_codebook, signer, config2),
-        lambda: verify(doc1, sig_codebook, config1, key=key),
-        lambda: verify(doc2, sig_codebook, config2, verifier=signer.public()),
-    ]
-    doc1 = doc2 = None
-    for i, run in enumerate(runs):
-        for name in calls:
-            calls[name] = 0
-        out = run()
-        if i == 0:
-            doc1 = out
-        elif i == 1:
-            doc2 = out
-        else:
-            assert out.overall == "match"
-        assert calls == {"letter_sequence": 1, "partition_blocks": 1}, (i, calls)
     assert len(segment_text(text, sig_codebook, config1)) >= letters // 100
+    doc1 = once(lambda: sign_scheme1(text, sig_codebook, key, config1))
+    doc2 = once(lambda: sign_scheme2(text, sig_codebook, signer, config2))
+    assert once(lambda: verify(doc1, sig_codebook, config1, key=key)).overall == "match"
+    report = once(lambda: verify(doc2, sig_codebook, config2, verifier=signer.public()))
+    assert report.overall == "match"
