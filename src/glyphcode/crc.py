@@ -6,13 +6,17 @@ its residues against n pairwise-coprime moduli.  The n - k extra residues are
 redundancy: the code's minimum Hamming distance is n - k + 1, so Hamming
 decoding corrects up to floor((n-k)/2) wrong residues, and a per-glyph
 likelihood table resolves ties beyond that bound.
+
+Hamming decoding never tabulates the M codewords: it lists candidates by CRT
+on subsets of the received positions and holds only those candidates.  The
+module keeps no cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,21 +37,11 @@ __all__ = [
 ]
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclidean algorithm: returns (g, x, y) with a*x + b*y = g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 def _modinv(a: int, m: int) -> int:
-    g, x, _ = _egcd(a % m, m)
-    if g != 1:
-        raise ContractViolation(f"{a} has no inverse modulo {m}")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ContractViolation(f"{a} has no inverse modulo {m}") from None
 
 
 @dataclass(frozen=True)
@@ -134,41 +128,61 @@ def hamming_distance(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a != b for a, b in zip(u, v))
 
 
-@lru_cache(maxsize=256)
-def _residue_table(p: tuple[int, ...], M: int) -> np.ndarray:
-    """(M, n) table of residues of every payload value against every modulus."""
-    m = np.arange(M, dtype=np.int64)[:, None]
-    return np.mod(m, np.asarray(p, dtype=np.int64)[None, :])
-
-
 def hamming_decode(
     r: Sequence[int], moduli: ModuliSet, M: Optional[int] = None
 ) -> DecodeOutcome:
     """Decode a code vector by minimum Hamming distance over m in [0, M).
 
     Fast path: if the residues are all in range and CRT-reconstruct below M,
-    the vector is a valid codeword (distance 0).  Otherwise a brute-force scan
-    finds the minimizer; a non-unique minimum is reported as ambiguous-fail
-    with every tied candidate recorded.
+    the vector is a valid codeword (distance 0).  Otherwise the nearest
+    payloads are found by subset CRT (Goldreich, Ron & Sudan, "Chinese
+    Remaindering with Errors"): a payload at distance d agrees with the vector
+    on n - d in-range positions, so CRT on every s-subset of in-range
+    positions, stepped by the subset's product below M, lists every payload
+    within distance n - s.  Subsets start at size k, where each yields at most
+    one payload below the payload bound, and shrink only while they yield no
+    candidate at all; size 0 lists all of [0, M).  Within the unique-decoding
+    radius floor((n-k)/2) the first candidate found is the answer.  Nothing is
+    tabulated or cached.  A non-unique minimum is reported as ambiguous-fail
+    with every tied candidate recorded, in ascending order.
     """
     p = moduli.p
-    if len(r) != len(p):
+    n = len(p)
+    if len(r) != n:
         raise ContractViolation("code vector length does not match moduli")
+    bound = moduli.payload_bound
     if M is None:
-        M = moduli.payload_bound
+        M = bound
     r = tuple(int(x) for x in r)
-    if all(0 <= ri < pi for ri, pi in zip(r, p)):
+    live = [j for j in range(n) if 0 <= r[j] < p[j]]
+    if len(live) == n:
         m_tilde = crt_reconstruct(r, moduli)
         if m_tilde < M:
             return DecodeOutcome("exact", m_tilde, 0, 1, (m_tilde,))
-    table = _residue_table(p, M)
-    dist = (table != np.asarray(r, dtype=np.int64)[None, :]).sum(axis=1)
-    dmin = int(dist.min())
-    winners = np.flatnonzero(dist == dmin)
+    # any other payload below the bound is at least n - k + 1 from a codeword
+    radius = (n - moduli.k) // 2 if M <= bound else -1
+    dist: dict[int, int] = {}
+    for size in range(min(moduli.k, len(live)), -1, -1):
+        for subset in combinations(live, size):
+            m0, step = (r[subset[0]], p[subset[0]]) if subset else (0, 1)
+            for j in subset[1:]:  # Garner: lift m0 mod step to mod step * p_j
+                pj = p[j]
+                m0 += step * ((r[j] - m0) * pow(step, -1, pj) % pj)
+                step *= pj
+            for m in range(m0, M, step):
+                if m in dist:
+                    continue
+                d = sum(m % pj != rj for pj, rj in zip(p, r))
+                if d <= radius:
+                    return DecodeOutcome("corrected", m, d, 1, (m,))
+                dist[m] = d
+        if dist:  # each candidate agrees on its subset, so lies within n - size
+            break
+    dmin = min(dist.values())
+    winners = tuple(sorted(m for m, d in dist.items() if d == dmin))
     if len(winners) == 1:
-        return DecodeOutcome("corrected", int(winners[0]), dmin, 1, (int(winners[0]),))
-    cands = tuple(int(w) for w in winners)
-    return DecodeOutcome("ambiguous-fail", None, dmin, len(cands), cands)
+        return DecodeOutcome("corrected", winners[0], dmin, 1, winners)
+    return DecodeOutcome("ambiguous-fail", None, dmin, len(winners), winners)
 
 
 def ml_decode(
@@ -185,7 +199,17 @@ def ml_decode(
     normalized likelihood of the candidate's glyph; the best candidate wins,
     smallest m on equal scores.  Likelihoods are combined in log space.
     """
-    base = hamming_decode(r, moduli, M)
+    return _resolve_tie(hamming_decode(r, moduli, M), r, moduli, g)
+
+
+def _resolve_tie(
+    base: DecodeOutcome,
+    r: Sequence[int],
+    moduli: ModuliSet,
+    g: Optional[Sequence[np.ndarray]],
+) -> DecodeOutcome:
+    """The maximum-likelihood step of :func:`ml_decode` on a Hamming outcome;
+    ``g`` is read only when ``base`` is an ambiguous-fail."""
     if base.status != "ambiguous-fail":
         return base
     if g is None:
@@ -193,16 +217,18 @@ def ml_decode(
     p = moduli.p
     if len(g) != len(p):
         raise ContractViolation("likelihood table length does not match moduli")
-    rows = []
+    rows, sums = [], []
     for j, row in enumerate(g):
         row = np.asarray(row, dtype=float)
         if row.ndim != 1 or row.shape[0] < p[j]:
             raise ContractViolation(
                 f"likelihood row {j} must cover at least {p[j]} glyphs"
             )
-        if (row < 0).any() or row.sum() <= 0:
+        total = row.sum()
+        if (row < 0).any() or total <= 0:
             raise ContractViolation(f"likelihood row {j} must be non-negative with positive sum")
         rows.append(row)
+        sums.append(total)
     r = tuple(int(x) for x in r)
     best_m = None
     best_score = -math.inf
@@ -213,11 +239,10 @@ def ml_decode(
             if cj == rj:
                 continue
             num = rows[j][cj]
-            den = rows[j].sum()
             if num <= 0.0:
                 score = -math.inf
                 break
-            score += math.log(num) - math.log(den)
+            score += math.log(num) - math.log(sums[j])
         if score > best_score:
             best_score = score
             best_m = m
@@ -233,7 +258,8 @@ def min_distance(moduli: ModuliSet, chunk: int = 512) -> int:
     M = moduli.payload_bound
     if M < 2:
         raise ContractViolation("need at least two codewords")
-    table = _residue_table(moduli.p, M)
+    m = np.arange(M, dtype=np.int64)[:, None]
+    table = np.mod(m, np.asarray(moduli.p, dtype=np.int64)[None, :])
     best = moduli.n
     for start in range(0, M, chunk):
         block = table[start : start + chunk]

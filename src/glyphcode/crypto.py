@@ -326,6 +326,7 @@ def verify(
     )
     seq, _, segments = _layout(encoded.text, codebook, config, payload_bits)
     results: list[SegmentResult] = []
+    checked: set[str] = set()  # letters whose key width is checked
     for s in segments:
         digest = _segment_digest(seq, s, config.hash_id)
         try:
@@ -334,6 +335,7 @@ def verify(
                 s.blocks,
                 encoded.glyph_indices,
                 key=key if config.scheme == 1 else None,
+                checked=checked,
             )
         except PartialDecodeError:
             results.append(

@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .codebook import Codebook
-from .crc import DecodeOutcome, ModuliSet, encode_phi, ml_decode
+from .crc import DecodeOutcome, ModuliSet, _resolve_tie, encode_phi, hamming_decode
 from .errors import (
     CapacityExceededError,
     ContractViolation,
@@ -101,8 +101,10 @@ def choose_moduli(capacities: Sequence[int], k: int) -> Optional[ModuliSet]:
 
     Maximizes the product of the k smallest p_i; candidates are explored in
     descending value order so the first assignment reaching the optimum is the
-    lexicographically largest, which is the tie-break.  Returns None when no
-    assignment with every p_i >= 2 exists.
+    lexicographically largest, which is the tie-break.  A partial assignment
+    is bounded by giving each later position the largest value coprime to the
+    values chosen so far; a subtree where some later position has none left
+    is skipped.  Returns None when no assignment with every p_i >= 2 exists.
     """
     caps = [int(c) for c in capacities]
     n = len(caps)
@@ -114,29 +116,40 @@ def choose_moduli(capacities: Sequence[int], k: int) -> Optional[ModuliSet]:
     best: Optional[tuple[int, ...]] = None
     chosen: list[int] = []
 
-    def dfs(i: int) -> None:
+    def dfs(i: int, used: int) -> None:
+        """Extend ``chosen``, whose values multiply to ``used``."""
         nonlocal best_obj, best
-        # optimistic bound: remaining positions take their full capacity
-        bound = _kmin_product(chosen + caps[i:], k)
-        if bound <= best_obj:
-            return
-        if i == n:
-            best_obj = bound
+        if i == n:  # reached only when it beats best_obj
+            best_obj = _kmin_product(chosen, k)
             best = tuple(chosen)
             return
+        rest = []  # the largest value each later position could still take
+        for c in caps[i + 1 :]:
+            while math.gcd(c, used) != 1:
+                c -= 1
+            if c < 2:
+                return
+            rest.append(c)
         for v in range(caps[i], 1, -1):
-            if all(math.gcd(v, c) == 1 for c in chosen):
-                chosen.append(v)
-                dfs(i + 1)
-                chosen.pop()
+            if math.gcd(v, used) != 1:
+                continue
+            # optimistic bound: it cannot grow as v falls, so no smaller v can
+            # beat best_obj either
+            if _kmin_product(chosen + [v] + rest, k) <= best_obj:
+                break
+            chosen.append(v)
+            dfs(i + 1, used * v)
+            chosen.pop()
 
-    dfs(0)
+    dfs(0, 1)
     if best is None:
         return None
     return ModuliSet(best, k)
 
 
-@lru_cache(maxsize=200000)
+# holds every tuple of a 5-level codebook at n=5 (5**5 = 3125); wider fonts
+# mostly meet new tuples, which the search handles in well under a millisecond
+@lru_cache(maxsize=4096)
 def _choose_moduli_cached(capacities: tuple[int, ...], k: int) -> Optional[ModuliSet]:
     return choose_moduli(capacities, k)
 
@@ -241,37 +254,60 @@ def _uniform_row(capacity: int) -> np.ndarray:
     return np.full(capacity, 1.0 / capacity)
 
 
+def _check_key_width(key, character: str, capacity: int, checked: set[str]) -> None:
+    """Raise the key's KeyMismatchError when its permutation for ``character``
+    does not cover the letter's ``capacity`` glyphs; ``checked`` holds the
+    characters already checked, so each is checked once."""
+    if character not in checked:
+        key.inverse_row(character, _uniform_row(capacity))
+        checked.add(character)
+
+
 def _decode_blocks(
     seq: LetterSequence,
     blocks: Sequence[Block],
     values: Sequence[int],
-    rows: Optional[Sequence[np.ndarray]] = None,
+    row: Optional[Callable[[int], np.ndarray]] = None,
     key=None,
+    checked: Optional[set[str]] = None,
 ) -> tuple[str, list[DecodeOutcome]]:
     """Decode each block to its ``bit_width`` bits.
 
-    ``values`` and ``rows`` give each letter's received integer and likelihood
-    row; rows are uniform when ``rows`` is None.  With ``key``, ``values`` are
-    glyph indices mapped back through the key block by block, and an index the
-    key cannot map fails its block.  Raises PartialDecodeError at the first
+    ``values`` gives each letter's received integer and ``row(i)`` letter i's
+    likelihood row in the same order; rows are uniform when ``row`` is None.
+    Rows are read only on a Hamming tie, so they are built for those blocks
+    alone.  With ``key``, ``values`` are glyph indices mapped back through the
+    key block by block, and an index the key cannot map fails its block (a
+    uniform row needs no mapping); its width is checked once per character,
+    and callers may share ``checked`` across calls.  A block that reaches past
+    the end of ``values`` fails.  Raises PartialDecodeError at the first
     failed block.
     """
     outcomes: list[DecodeOutcome] = []
     bits = []
+    checked = set() if checked is None else checked
     for t, block in enumerate(blocks):
-        vector, g = [], []
-        for i in block.member_indices:
+        members = block.member_indices
+        if members[-1] >= len(values):  # members ascend
+            raise PartialDecodeError(t)
+        vector = []
+        for i in members:
             v = values[i]
-            row = rows[i] if rows is not None else _uniform_row(seq.capacities[i])
             if key is not None:
+                ch = seq.letters[i]
                 try:
-                    v = key.inverse(seq.letters[i], v)
+                    v = key.inverse(ch, v)
                 except KeyMismatchError as exc:
                     raise PartialDecodeError(t) from exc
-                row = key.inverse_row(seq.letters[i], row)
+                _check_key_width(key, ch, seq.capacities[i], checked)
             vector.append(v)
-            g.append(row)
-        outcome = ml_decode(vector, block.moduli, g=g)
+        outcome = hamming_decode(vector, block.moduli)
+        if outcome.status == "ambiguous-fail":
+            g = [
+                row(i) if row is not None else _uniform_row(seq.capacities[i])
+                for i in members
+            ]
+            outcome = _resolve_tie(outcome, vector, block.moduli, g)
         outcomes.append(outcome)
         if outcome.m is None:
             raise PartialDecodeError(t)
@@ -314,9 +350,11 @@ def extract(
 
     Blocks are recomputed from the text, decoded by Hamming distance with
     maximum-likelihood resolution of ties.  Without a channel trace the
-    likelihood rows are uniform, which reduces the tie-break to smallest m.
-    Every letter's glyph index and likelihood row is checked against the key
-    and the codebook before any block is decoded.
+    likelihood rows are uniform, so a tie goes to the candidate whose
+    mismatched letters have the smallest product of glyph counts, then to the
+    smallest m.  Every letter's glyph index and likelihood row is checked
+    against the key and the codebook before any block is decoded; rows are
+    built only for blocks whose Hamming decode ties.
     """
     seq = _check_text(encoded.text, codebook)
     if len(encoded.glyph_indices) != len(seq.letters):
@@ -328,22 +366,24 @@ def extract(
         raise ContractViolation("likelihood table does not match the letter count")
 
     indices = list(encoded.glyph_indices)
-    rows: list[np.ndarray] = []
-    for i, ch in enumerate(seq.letters):
-        cap = seq.capacities[i]
-        row = (
-            np.asarray(likelihoods[i], dtype=float)
-            if likelihoods is not None
-            else _uniform_row(cap)
-        )
-        if row.shape != (cap,):
-            raise ContractViolation(f"likelihood row {i} has wrong length")
-        if key is not None:
-            indices[i] = key.inverse(ch, indices[i])
-            row = key.inverse_row(ch, row)
-        rows.append(row)
+    if likelihoods is not None or key is not None:
+        checked: set[str] = set()
+        for i, ch in enumerate(seq.letters):
+            cap = seq.capacities[i]
+            if likelihoods is not None:
+                if np.asarray(likelihoods[i], dtype=float).shape != (cap,):
+                    raise ContractViolation(f"likelihood row {i} has wrong length")
+            if key is not None:
+                indices[i] = key.inverse(ch, indices[i])
+                _check_key_width(key, ch, cap, checked)
 
-    bits, report = _decode_blocks(seq, blocks, indices, rows)
+    def row(i: int) -> np.ndarray:
+        r = np.asarray(likelihoods[i], dtype=float)
+        return r if key is None else key.inverse_row(seq.letters[i], r)
+
+    bits, report = _decode_blocks(
+        seq, blocks, indices, row if likelihoods is not None else None
+    )
     return unframe_message(bits), report
 
 

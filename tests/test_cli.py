@@ -162,6 +162,28 @@ def test_sign_verify_cli(workspace, capsys):
     assert main(args) == EXIT_DECODE
 
 
+def test_verify_short_document_exits_with_decode_error(workspace, tmp_path, capsys):
+    text = tmp_path / "long.txt"
+    text.write_text(fixtures.random_text(264, seed=21))
+    cb_path = tmp_path / "sig_codebook.txt"
+    with open(cb_path, "w") as fh:
+        formats.write_codebook(fixtures.signature_codebook(), fh)
+    key_path = tmp_path / "sig_key.txt"
+    assert main(["keygen", "--codebook", str(cb_path), "--output", str(key_path)]) == EXIT_OK
+    signed = tmp_path / "signed.txt"
+    args = ["sign", "--codebook", str(cb_path), "--text", str(text), "--key", str(key_path)]
+    assert main(args + ["--output", str(signed)]) == EXIT_OK
+    lines = signed.read_text().splitlines()
+    assert lines[-1].startswith("indices ")
+    lines[-1] = " ".join(lines[-1].split()[:101])  # keep 100 indices
+    signed.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    args = ["verify", "--codebook", str(cb_path), "--document", str(signed), "--key", str(key_path)]
+    assert main(args) == EXIT_DECODE
+    out = capsys.readouterr().out
+    assert "overall: mismatch" in out and "extraction-failed" in out
+
+
 def test_exit_codes(workspace, tmp_path):
     # usage: unknown subcommand
     assert main(["no-such-command"]) == EXIT_USAGE

@@ -1,7 +1,9 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import brute_hamming, scan_hamming_decode
 
 from glyphcode.crc import (
     DecodeOutcome,
@@ -16,6 +18,7 @@ from glyphcode.crc import (
     ml_decode,
 )
 from glyphcode.errors import ContractViolation
+from glyphcode.pipeline import choose_moduli
 
 P5 = ModuliSet((2, 3, 5, 7, 11), 3)
 
@@ -78,15 +81,6 @@ def test_hamming_decode_single_error():
     assert out.status == "corrected" and out.m == 17 and out.min_hamming == 1
 
 
-def brute_hamming(r, moduli, M):
-    best = {}
-    for m in range(M):
-        d = hamming_distance(encode_phi(m, moduli), r)
-        best.setdefault(d, []).append(m)
-    dmin = min(best)
-    return dmin, best[dmin]
-
-
 def test_hamming_decode_matches_bruteforce():
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -99,6 +93,96 @@ def test_hamming_decode_matches_bruteforce():
         else:
             assert out.status == "ambiguous-fail"
             assert out.candidates == tuple(winners)
+
+
+# the differential test's moduli: n = 2, 4 and 5 with k = 1, 2 and 3, from the
+# channel regime (2, 3, 5, 29, 31) to wide capacities
+DIFF_MODULI = [
+    ModuliSet((5, 7), 1),
+    ModuliSet((7, 9, 11, 13), 1),
+    ModuliSet((3, 4, 5, 7), 2),
+    ModuliSet((5, 7, 8, 9), 3),
+    ModuliSet((2, 3, 5, 7, 11), 2),
+    ModuliSet((2, 3, 5, 29, 31), 3),
+    ModuliSet((29, 31, 37, 41, 43), 3),
+]
+
+
+def _noisy(rng, moduli, m):
+    """Residues of m with 0..n positions redrawn, one in ten out of range."""
+    r = [m % p for p in moduli.p]
+    for j in rng.permutation(moduli.n)[: int(rng.integers(moduli.n + 1))]:
+        if rng.random() < 0.1:
+            r[j] = moduli.p[j] + int(rng.integers(3))
+        else:
+            r[j] = int(rng.integers(moduli.p[j]))
+    return r
+
+
+def _tie(rng, moduli, M):
+    """Residues split evenly between two payloads below M that share one
+    residue, so both lie at the same distance more often than not."""
+    p = moduli.p
+    a = int(rng.integers(M))
+    j0 = int(rng.integers(moduli.n))
+    same = [b for b in range(a % p[j0], M, p[j0]) if b != a]
+    b = int(rng.choice(same)) if same else int(rng.integers(M))
+    r = [a % pj for pj in p]
+    rest = [int(j) for j in rng.permutation(moduli.n) if j != j0]
+    for j in rest[: len(rest) // 2]:
+        r[j] = b % p[j]
+    if len(rest) % 2:
+        r[rest[-1]] = int(rng.integers(p[rest[-1]]))
+    return r
+
+
+def test_hamming_decode_matches_scan_oracle():
+    """Subset CRT returns exactly what the full scan returns: status, payload,
+    distance and the whole ascending tie set, also for a caller-supplied M
+    below, above and beyond the moduli's product."""
+    rng = np.random.default_rng(3)
+    ties = dict.fromkeys(DIFF_MODULI, 0)
+    for moduli in DIFF_MODULI:
+        bound = moduli.payload_bound
+        Ms = [None, max(1, bound // 3)]
+        if moduli.total_product <= 10_000:
+            Ms += [3 * bound + 1, moduli.total_product + bound]
+        for M in Ms:
+            top = bound if M is None else M
+            for trial in range(150):
+                if trial % 3 == 0:
+                    r = _tie(rng, moduli, top)
+                else:
+                    r = _noisy(rng, moduli, int(rng.integers(top)))
+                got = hamming_decode(r, moduli, M)
+                assert got == scan_hamming_decode(r, moduli, M), (moduli, M, r)
+                ties[moduli] += got.status == "ambiguous-fail"
+    assert min(ties.values()) >= 100, ties
+
+
+def test_decode_memory_is_bounded():
+    """Decoding over 300 distinct wide moduli sets allocates no per-set table."""
+    rng = np.random.default_rng(5)
+    sets = {}
+    while len(sets) < 300:
+        moduli = choose_moduli(tuple(int(c) for c in rng.integers(36, 46, size=5)), 3)
+        sets.setdefault(moduli.p, moduli)
+    vectors = []
+    for moduli in sets.values():
+        m = int(rng.integers(moduli.payload_bound))
+        r = list(encode_phi(m, moduli))
+        j = int(rng.integers(moduli.n))
+        r[j] = (r[j] + 1) % moduli.p[j]
+        vectors.append((m, r, moduli))
+    tracemalloc.start()
+    try:
+        for m, r, moduli in vectors:
+            out = hamming_decode(r, moduli)
+            assert out.status == "corrected" and out.m == m
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def find_two_error_tie():

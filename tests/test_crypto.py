@@ -84,6 +84,46 @@ def test_key_validation_and_mismatch(codebook):
         key.inverse_row("a", np.ones(3))
 
 
+def test_key_wider_than_the_codebook_is_refused(codebook, sig_codebook):
+    """A key whose permutations cover more glyphs than a letter has is refused
+    by extract and verify, although clean blocks never read a likelihood row."""
+    def wide(cb):
+        return PermutationKey(
+            "wide", {ch: tuple(range(cb.capacity(ch) + 1)) for ch in cb.characters()}
+        )
+
+    text = fixtures.random_text(90, seed=10)
+    doc = pipeline.embed(text, codebook, "1011", key=identity_key(codebook))
+    with pytest.raises(KeyMismatchError, match="likelihood row length"):
+        pipeline.extract(doc, codebook, key=wide(codebook))
+    signed = sign_scheme1(_sig_text(176, seed=20), sig_codebook, identity_key(sig_codebook))
+    with pytest.raises(KeyMismatchError, match="likelihood row length"):
+        verify(signed, sig_codebook, SignatureConfig(), key=wide(sig_codebook))
+
+
+def test_clean_keyed_decode_builds_no_likelihood_rows(codebook, sig_codebook, monkeypatch):
+    """Rows are read only on a Hamming tie; a clean document has none, so the
+    key maps at most one row per distinct letter (its width check)."""
+    calls = []
+    inverse_row = PermutationKey.inverse_row
+
+    def counting(self, character, row):
+        calls.append(character)
+        return inverse_row(self, character, row)
+
+    monkeypatch.setattr(PermutationKey, "inverse_row", counting)
+    text = fixtures.random_text(600, seed=11)
+    key = keygen(codebook, seed=3)
+    doc = pipeline.embed(text, codebook, "1101", key=key)
+    assert pipeline.extract(doc, codebook, key=key)[0] == "1101"
+    assert len(calls) == len(set(calls)) <= len(codebook.characters())
+    calls.clear()
+    sig_key = keygen(sig_codebook, seed=4)
+    signed = sign_scheme1(_sig_text(600, seed=12), sig_codebook, sig_key)
+    assert verify(signed, sig_codebook, SignatureConfig(), key=sig_key).overall == "match"
+    assert len(calls) == len(set(calls)) <= len(sig_codebook.characters())
+
+
 def test_key_space_examples():
     def cb(caps):
         entries = {
@@ -156,6 +196,25 @@ def test_verify_localizes_tampering(sig_codebook):
     statuses = [s.status for s in report.per_segment]
     assert statuses == ["match", "mismatch", "match"]
     assert report.overall == "mismatch"
+
+
+def test_verify_reports_a_short_index_stream(sig_codebook):
+    """A document with fewer glyph indices than letters fails extraction in
+    the segments that reach past its end; the segments before still verify."""
+    text = _sig_text(264, seed=21)
+    key = keygen(sig_codebook, seed=8)
+    config = SignatureConfig()
+    doc = sign_scheme1(text, sig_codebook, key, config)
+    segments = segment_text(text, sig_codebook, config)
+    cut = 100
+    assert segments[0].seq_end <= cut < segments[1].seq_end
+    short = crypto.EncodedDocument(text, doc.glyph_indices[:cut], doc.codebook_id)
+    report = verify(short, sig_codebook, config, key=key)
+    assert [(s.status, s.note) for s in report.per_segment] == [
+        ("match", ""),
+        ("mismatch", "extraction-failed"),
+        ("mismatch", "extraction-failed"),
+    ]
 
 
 def test_verify_wrong_key_fails_everywhere(sig_codebook):

@@ -1,9 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dfs_choose_moduli, oracle_choose
 
 from glyphcode import fixtures, pipeline
 from glyphcode.errors import (
@@ -24,30 +23,6 @@ from glyphcode.pipeline import (
     partition_blocks,
     unframe_message,
 )
-
-
-def oracle_choose(capacities, k):
-    """Plain exhaustive coprime search without the pruning bound."""
-    n = len(capacities)
-    best = None
-    best_obj = 0
-
-    def rec(i, chosen):
-        nonlocal best, best_obj
-        if i == n:
-            obj = math.prod(sorted(chosen)[:k])
-            if obj > best_obj:
-                best_obj = obj
-                best = tuple(chosen)
-            return
-        for v in range(capacities[i], 1, -1):
-            if all(math.gcd(v, c) == 1 for c in chosen):
-                chosen.append(v)
-                rec(i + 1, chosen)
-                chosen.pop()
-
-    rec(0, [])
-    return best_obj, best
 
 
 def test_choose_moduli_examples():
@@ -71,6 +46,20 @@ def test_choose_moduli_matches_oracle_random():
             assert m.payload_bound == obj
             # first-found in descending order = lexicographically largest
             assert m.p == witness
+
+
+def test_choose_moduli_matches_dfs_oracle():
+    """The pruned search returns exactly the assignment of the DFS that tries
+    every value after its bound fails: capacities 1-45, n 2-6, every k."""
+    rng = np.random.default_rng(1)
+    cases = 0
+    for _ in range(80):
+        n = int(rng.integers(2, 7))
+        caps = tuple(int(c) for c in rng.integers(1, 46, size=n))
+        for k in range(1, n):
+            assert choose_moduli(caps, k) == dfs_choose_moduli(caps, k), (caps, k)
+            cases += 1
+    assert cases > 250
 
 
 def test_choose_moduli_validation():
