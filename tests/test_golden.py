@@ -6,16 +6,26 @@ the text on extraction, so any change to these values breaks documents that
 were written before it.  Each document is pinned by the SHA-256 of its
 ``formats.write_document`` output, or by the exception type when signing
 refuses the input.
+
+The channel is pinned the same way: the error-injection vectors and
+likelihood tables of criterion 4, the noisy documents and traces that
+``glyphcode simulate`` writes, a constructed codebook and the output of the
+embed/extract demo.  Same seeds must give the same files.
 """
 
+import contextlib
 import functools
 import hashlib
 import io
+import runpy
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from glyphcode import fixtures, formats, pipeline
+from glyphcode import channel, cli, fixtures, formats, pipeline
+from glyphcode.crc import encode_phi
 from glyphcode.crypto import (
     EncodedDocument,
     SignatureConfig,
@@ -348,3 +358,90 @@ def test_capacity_reports_pinned():
         "text": pipeline.capacity_report(cb, text=fixtures.random_text(403, seed=5)),
     }
     assert got == CAPACITY
+
+
+def _criterion_4_injections(trials):
+    """SHA-256 of the vectors and of the likelihood tables that the first
+    ``trials`` criterion-4 trials draw from ``inject_errors``."""
+    entries, moduli = fixtures.redundant_block_entries()
+    rng = np.random.default_rng(4)
+    vectors, tables = hashlib.sha256(), hashlib.sha256()
+    for t in range(trials):
+        cw = encode_phi(int(rng.integers(moduli.payload_bound)), moduli)
+        vector, table = channel.inject_errors(cw, entries, 2, channel.ChannelParams(seed=1000 * t + 1))
+        vectors.update(repr(vector).encode())
+        for row in table:
+            tables.update(np.asarray(row, dtype=float).tobytes())
+    return vectors.hexdigest(), tables.hexdigest()
+
+
+def test_criterion_4_injections_pinned():
+    assert _criterion_4_injections(50) == (
+        "755e0454cb161e48573d8875c618cf13abff8374e312199568bac024138c32d5",
+        "f42083bad214fb561a3c25169221c50f67f1264e081afa669493988b5bed4466",
+    )
+
+
+def _file_digest(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# (errors, blocks): (noisy document digest, trace digest)
+SIMULATED = {
+    (1, 0): ("694837008f329391ecf686591e83a96def98a9cc6bd921807479efdb11562294",
+             "70ff86d0edbf482d3d8030885efcd4e0f802af1feef507c3c684b3653fc80472"),
+    (1, 2): ("82a9899d2c6ba8da80fe0d5ed95b25db2d934bac46bce21ee9551cbef73dbaa9",
+             "a02e9c1e2d31811d8ea75c64269fa51cb6c580c00f55ece8e7ee1af6b23a7cf2"),
+    (2, 0): ("4da95c6b490e9a23b9d030b603ff8110a48cda0f9ac6b5337df628971e4b01da",
+             "09b2ad0f879e313cbc4ba34ec25524441fc7b848e357d29391676110b3f2763f"),
+    (2, 2): ("f3cec1764ab790ad99bdd532ef3944ad20404f0320bb460085067218e106026a",
+             "64d077eb18c152a8a7790b1f3e6b019f2dec5b202ff2b15ffcb5627b7c712095"),
+}
+
+
+@pytest.mark.parametrize("errors,blocks", [(1, 0), (1, 2), (2, 0), (2, 2)])
+def test_simulated_documents_pinned(errors, blocks, tmp_path, monkeypatch):
+    # relative paths, because the CLI writes its arguments into each header
+    monkeypatch.chdir(tmp_path)
+    Path("text.txt").write_text(fixtures.random_text(120, seed=42))
+    with open("message.txt", "w") as fh:
+        formats.write_message_bits("1101001110001011", fh)
+    assert cli.main(["codebook-build", "--output", "cb.txt"]) == cli.EXIT_OK
+    embed = ["embed", "--codebook", "cb.txt", "--text", "text.txt", "--message", "message.txt"]
+    assert cli.main(embed + ["--output", "doc.txt"]) == cli.EXIT_OK
+    args = [
+        "--seed", "3", "simulate", "--codebook", "cb.txt", "--document", "doc.txt",
+        "--errors", str(errors), "--blocks", str(blocks),
+        "--output", "noisy.txt", "--trace", "trace.txt",
+    ]
+    assert cli.main(args) == cli.EXIT_OK
+    got = (_file_digest("noisy.txt"), _file_digest("trace.txt"))
+    assert got == SIMULATED[(errors, blocks)]
+
+
+# sigma: digest of the written codebook
+CONSTRUCTED = {
+    "0.008": "75a1cb0ae977944f9b0a17b05d6d551eec3d11ee48219692f08ae6820eed65ce",
+    "0.02": "a9075b62ad4641cefdf32ef04deca8ccce4dbde5900902bb2acf039fcffa0344",
+}
+
+
+@pytest.mark.parametrize("sigma", ["0.008", "0.02"])
+def test_constructed_codebooks_pinned(sigma, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = [
+        "codebook-build", "--mode", "construct", "--characters", "ab",
+        "--candidates", "6", "--sigma", sigma, "--output", "cb.txt",
+    ]
+    assert cli.main(args) == cli.EXIT_OK
+    assert _file_digest("cb.txt") == CONSTRUCTED[sigma]
+
+
+DEMO_02 = Path(__file__).resolve().parents[1] / "demos" / "02_embed_extract.py"
+
+
+def test_embed_extract_demo_output_pinned():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMO_02), run_name="__main__")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == "ee5935498d7d0417cec3f41d877303b239e5ef111931c04318912ee8219aaa1a"
