@@ -6,8 +6,6 @@ demo embeds a message, pushes two blocks through the noisy recognition
 channel, and shows the extractor correcting the injected misreads.
 """
 
-import numpy as np
-
 from glyphcode import channel, fixtures, pipeline
 
 codebook = fixtures.channel_codebook()
@@ -31,19 +29,8 @@ recovered, outcomes = pipeline.extract(doc, codebook)
 print(f"\nclean extraction: {recovered} (match: {recovered == message})")
 
 # run the first two blocks through the channel with one misread each
-seq = pipeline.letter_sequence(text, codebook)
-blocks = pipeline.partition_blocks(seq)
-indices = list(doc.glyph_indices)
-rows = [np.full(c, 1.0 / c) for c in seq.capacities]
-for t, block in enumerate(blocks[:2]):
-    entries = [codebook.entry(seq.letters[i]) for i in block.member_indices]
-    vector = [indices[i] for i in block.member_indices]
-    params = channel.ChannelParams(seed=100 + t)
-    observed, table = channel.inject_errors(vector, entries, 1, params)
-    for i, v, row in zip(block.member_indices, observed, table):
-        indices[i] = v
-        rows[i] = row
-noisy = pipeline.EncodedDocument(text, tuple(indices), doc.codebook_id)
+params = [channel.ChannelParams(seed=100 + t) for t in range(2)]
+noisy, rows = channel.simulate_document(doc, codebook, 1, params)
 
 recovered, outcomes = pipeline.extract(noisy, codebook, likelihoods=rows)
 print(f"\nnoisy extraction: {recovered} (match: {recovered == message})")

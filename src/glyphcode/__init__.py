@@ -42,7 +42,7 @@ from .crypto import (
     verify,
 )
 from .errors import GlyphcodeError
-from .outline import GlyphOutline, outline_distance, resample_outline, scale_to_bbox
+from .outline import GlyphOutline, outline_distance, resample_outline
 from .perceptual import Response, SimilarityScores, fit, select_candidates
 from .pipeline import (
     EncodedDocument,
@@ -87,7 +87,6 @@ __all__ = [
     "GlyphOutline",
     "outline_distance",
     "resample_outline",
-    "scale_to_bbox",
     "Response",
     "SimilarityScores",
     "fit",

@@ -11,13 +11,14 @@ is what maximum-likelihood decoding consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codebook import CharacterEntry
+from .codebook import CharacterEntry, Codebook
 from .errors import ContractViolation
-from .outline import GlyphOutline
+from .outline import GlyphOutline, OutlineStack
+from .pipeline import EncodedDocument, letter_sequence, partition_blocks
 from .util import stable_seed
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "accuracy_oracle",
     "per_glyph_accuracy",
     "inject_errors",
+    "simulate_document",
     "make_codebook_oracles",
     "DEFAULT_SIGMA",
 ]
@@ -74,47 +76,6 @@ def _probabilities(distances: np.ndarray, softmax: bool) -> np.ndarray:
     return probs / probs.sum()
 
 
-# stacked-outline cache for the vectorized distance path, keyed by content
-_STACK_CACHE: dict[tuple[bytes, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _stacked(outlines: Sequence[GlyphOutline]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    key = tuple(o.vertices.tobytes() for o in outlines)
-    hit = _STACK_CACHE.get(key)
-    if hit is None:
-        u = np.stack([o.vertices for o in outlines])  # (N, V, 2)
-        lo = u.min(axis=1, keepdims=True)
-        span = u.max(axis=1, keepdims=True) - lo
-        hit = (u, lo, span)
-        if len(_STACK_CACHE) > 512:
-            _STACK_CACHE.clear()
-        _STACK_CACHE[key] = hit
-    return hit
-
-
-def _distances(f: GlyphOutline, outlines: Sequence[GlyphOutline]) -> np.ndarray:
-    """Vectorized :func:`outline_distance` of ``f`` against many outlines."""
-    for o in outlines:
-        if o.vertex_count != f.vertex_count:
-            raise ContractViolation("vertex count mismatch")
-    u, lo, span = _stacked(outlines)
-    lo_f = f.vertices.min(axis=0)
-    span_f = f.vertices.max(axis=0) - lo_f
-    scale = np.where(span > 0, span_f / np.where(span > 0, span, 1.0), 1.0)
-    scaled = (u - lo) * scale + lo_f
-    d = np.sqrt(np.square(f.vertices[None] - scaled).sum(axis=(1, 2)))
-    # identical outlines must register distance 0 exactly so an exact match
-    # takes the full probability mass; the rescale above can leave ~1e-16
-    d[d < 1e-9] = 0.0
-    return d
-
-
-def _classify(f: GlyphOutline, outlines: Sequence[GlyphOutline], softmax: bool) -> RecognitionResult:
-    d = _distances(f, outlines)
-    probs = _probabilities(d, softmax)
-    return RecognitionResult(probs, int(np.argmin(d)))
-
-
 def recognize_vector(f: GlyphOutline, entry: CharacterEntry, softmax: bool = False) -> RecognitionResult:
     """Recognize an observed outline as one of a letter's perturbed glyphs.
 
@@ -122,7 +83,8 @@ def recognize_vector(f: GlyphOutline, entry: CharacterEntry, softmax: bool = Fal
     ties); probabilities are the normalized inverse distances, with an exact
     match taking the full mass.
     """
-    return _classify(f, [g.outline for g in entry.glyphs], softmax)
+    d = entry.outline_stack.distances(f)
+    return RecognitionResult(_probabilities(d, softmax), int(np.argmin(d)))
 
 
 def _noisy(outline: GlyphOutline, sigma: float, seed: int) -> GlyphOutline:
@@ -150,37 +112,23 @@ def simulate_recognition(
     return replace(res, true_index=true_index)
 
 
-def _subset_key(outlines: Sequence[GlyphOutline]) -> int:
-    # Content-derived, so renumbering glyph ids does not change the noise.
-    return stable_seed(*(o.vertices.tobytes() for o in outlines))
-
-
-def _subset_trial(
-    outlines: Sequence[GlyphOutline],
-    which: int,
-    params: ChannelParams,
-    trial: int,
-) -> int:
-    f = _noisy(
-        outlines[which],
-        params.sigma,
-        stable_seed(params.seed, "oracle", _subset_key(outlines), which, trial),
-    )
-    return int(np.argmin(_distances(f, outlines)))
-
-
 def per_glyph_accuracy(
     outlines: Sequence[GlyphOutline], params: ChannelParams
 ) -> np.ndarray:
     """Empirical per-glyph classification accuracy within a glyph subset."""
     if len(outlines) < 2:
         raise ContractViolation("need at least two glyphs")
+    stack = OutlineStack(outlines)
+    # content-derived, so renumbering glyph ids does not change the noise
+    subset_key = stable_seed(*(o.vertices.tobytes() for o in outlines))
     per = max(1, params.trials // len(outlines))
     accs = np.empty(len(outlines))
-    for which in range(len(outlines)):
-        hits = sum(
-            _subset_trial(outlines, which, params, t) == which for t in range(per)
-        )
+    for which, outline in enumerate(outlines):
+        hits = 0
+        for t in range(per):
+            seed = stable_seed(params.seed, "oracle", subset_key, which, t)
+            f = _noisy(outline, params.sigma, seed)
+            hits += int(np.argmin(stack.distances(f))) == which
         accs[which] = hits / per
     return accs
 
@@ -230,9 +178,10 @@ def inject_errors(
     table: list[np.ndarray] = []
     for j, (true, entry) in enumerate(zip(codeword, entries)):
         want_error = j in error_at
+        first = simulate_recognition(true, entry, params, trial=stable_seed("inject", j, 0))
         res = None
         for attempt in range(max_attempts):
-            cand = simulate_recognition(
+            cand = first if attempt == 0 else simulate_recognition(
                 true, entry, params, trial=stable_seed("inject", j, attempt)
             )
             if (cand.argmax_index != true) == want_error:
@@ -241,10 +190,9 @@ def inject_errors(
         if res is None:
             if want_error:
                 # noise too small to confuse: force the runner-up glyph
-                res = simulate_recognition(true, entry, params, trial=stable_seed("inject", j, 0))
-                order = np.argsort(-res.probabilities, kind="stable")
+                order = np.argsort(-first.probabilities, kind="stable")
                 runner_up = int(order[1]) if int(order[0]) == true else int(order[0])
-                res = RecognitionResult(res.probabilities, runner_up, true)
+                res = RecognitionResult(first.probabilities, runner_up, true)
             else:
                 probs = np.zeros(entry.capacity)
                 probs[true] = 1.0
@@ -252,3 +200,31 @@ def inject_errors(
         vector.append(res.argmax_index)
         table.append(res.probabilities)
     return tuple(vector), table
+
+
+def simulate_document(
+    doc: EncodedDocument,
+    codebook: Codebook,
+    errors: int,
+    block_params: Iterable[ChannelParams],
+    n: int = 5,
+    k: int = 3,
+) -> tuple[EncodedDocument, list[np.ndarray]]:
+    """Pass a document through the channel: block t gets ``errors`` misreads
+    from :func:`inject_errors` under the t-th of ``block_params``, and blocks
+    past its end keep their glyphs.  Returns the noisy document and one
+    likelihood row per letter, uniform outside the corrupted blocks."""
+    seq = letter_sequence(doc.text, codebook)
+    if len(doc.glyph_indices) != len(seq.letters):
+        raise ContractViolation("glyph index stream does not match the letter count")
+    indices = list(doc.glyph_indices)
+    rows = [np.full(c, 1.0 / c) for c in seq.capacities]
+    for block, params in zip(partition_blocks(seq, n, k), block_params):
+        members = block.member_indices
+        vector = [indices[i] for i in members]
+        entries = [codebook.entry(seq.letters[i]) for i in members]
+        observed, table = inject_errors(vector, entries, errors, params)
+        for i, v, row in zip(members, observed, table):
+            indices[i] = v
+            rows[i] = row
+    return EncodedDocument(doc.text, tuple(indices), doc.codebook_id), rows

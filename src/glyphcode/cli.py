@@ -11,6 +11,7 @@ All randomness flows from --seed (default 0); outputs are deterministic given
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -20,6 +21,7 @@ import numpy as np
 from . import channel, codebook, crypto, fixtures, formats, perceptual, pipeline
 from .errors import (
     CapacityExceededError,
+    ContractViolation,
     CorruptFrameError,
     DocumentTooSmallError,
     FormatError,
@@ -144,27 +146,18 @@ def cmd_extract(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.blocks < 0:
+        raise ContractViolation("--blocks must be non-negative")
     cb = _read_codebook(args.codebook)
     with open(args.document) as fh:
         doc = formats.read_document(fh)
-    seq = pipeline.letter_sequence(doc.text, cb)
-    blocks = pipeline.partition_blocks(seq, args.n, args.k)
-    params = channel.ChannelParams(sigma=args.sigma, seed=args.seed)
-    indices = list(doc.glyph_indices)
-    rows = [np.full(c, 1.0 / c) for c in seq.capacities]
-    for t, block in enumerate(blocks[: args.blocks] if args.blocks else blocks):
-        entries = [cb.entry(seq.letters[i]) for i in block.member_indices]
-        vector = [indices[i] for i in block.member_indices]
-        block_params = channel.ChannelParams(
-            sigma=args.sigma, seed=args.seed + 1000 * t + 1
-        )
-        observed, table = channel.inject_errors(
-            vector, entries, args.errors, block_params
-        )
-        for i, v, row in zip(block.member_indices, observed, table):
-            indices[i] = v
-            rows[i] = row
-    out = pipeline.EncodedDocument(doc.text, tuple(indices), doc.codebook_id)
+    seeds = (args.seed + 1000 * t + 1 for t in itertools.count())
+    block_params = (channel.ChannelParams(sigma=args.sigma, seed=s) for s in seeds)
+    if args.blocks:
+        block_params = itertools.islice(block_params, args.blocks)
+    out, rows = channel.simulate_document(
+        doc, cb, args.errors, block_params, n=args.n, k=args.k
+    )
     with open(args.output, "w") as fh:
         formats.write_document(out, fh, _argv_config(args))
     with open(args.trace, "w") as fh:

@@ -14,12 +14,13 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, NonConvergenceError
-from .outline import GlyphOutline, resample_outline
+from .outline import GlyphOutline, OutlineStack, resample_outline
 
 
 def _conform(outline: GlyphOutline, count: int) -> GlyphOutline:
@@ -87,6 +88,11 @@ class CharacterEntry:
     @property
     def capacity(self) -> int:
         return len(self.glyphs)
+
+    @cached_property
+    def outline_stack(self) -> OutlineStack:
+        """The glyph outlines, stacked on first use for recognition."""
+        return OutlineStack([g.outline for g in self.glyphs])
 
 
 @dataclass(frozen=True)

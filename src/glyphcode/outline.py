@@ -9,12 +9,13 @@ resampling, so that vertex-wise distances are well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, DegenerateGeometryError
 
-__all__ = ["GlyphOutline", "resample_outline", "outline_distance", "scale_to_bbox"]
+__all__ = ["GlyphOutline", "OutlineStack", "resample_outline", "outline_distance"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,27 +72,46 @@ def resample_outline(outline: GlyphOutline, target_count: int) -> GlyphOutline:
     return GlyphOutline(pts)
 
 
-def scale_to_bbox(outline: GlyphOutline, reference: GlyphOutline) -> GlyphOutline:
-    """Affinely map ``outline``'s bounding box onto ``reference``'s."""
-    lo_s, hi_s = outline.bounding_box()
-    lo_r, hi_r = reference.bounding_box()
-    span_s = hi_s - lo_s
-    span_r = hi_r - lo_r
-    # A degenerate axis (zero extent) keeps unit scale on that axis.
-    scale = np.where(span_s > 0, span_r / np.where(span_s > 0, span_s, 1.0), 1.0)
-    return GlyphOutline((outline.vertices - lo_s) * scale + lo_r)
+class OutlineStack:
+    """Outlines of one vertex count, stacked once for vectorized distances."""
+
+    def __init__(self, outlines: Sequence[GlyphOutline]):
+        counts = {o.vertex_count for o in outlines}
+        if len(counts) != 1:
+            raise ContractViolation(
+                f"stacked outlines need one vertex count, got {sorted(counts)}"
+            )
+        (self.vertex_count,) = counts
+        u = np.stack([o.vertices for o in outlines])  # (N, V, 2)
+        lo = u.min(axis=1, keepdims=True)
+        self._centered = u - lo
+        self._span = u.max(axis=1, keepdims=True) - lo
+
+    def distances(self, f: GlyphOutline) -> np.ndarray:
+        """:func:`outline_distance` of ``f`` against every stacked outline."""
+        if f.vertex_count != self.vertex_count:
+            raise ContractViolation(
+                f"vertex count mismatch: {f.vertex_count} vs {self.vertex_count}"
+            )
+        lo_f = f.vertices.min(axis=0)
+        span_f = f.vertices.max(axis=0) - lo_f
+        span = self._span
+        # a degenerate axis (zero extent) keeps unit scale on that axis
+        scale = np.where(span > 0, span_f / np.where(span > 0, span, 1.0), 1.0)
+        scaled = self._centered * scale + lo_f
+        d = np.sqrt(np.square(f.vertices[None] - scaled).sum(axis=(1, 2)))
+        # identical outlines must register distance 0 exactly so an exact match
+        # takes the full probability mass; the rescale above can leave ~1e-16
+        d[d < 1e-9] = 0.0
+        return d
 
 
 def outline_distance(f: GlyphOutline, u: GlyphOutline) -> float:
     """Vertex-wise L2 distance between ``f`` and ``u``.
 
-    ``u`` is first scaled so its bounding box matches ``f``'s, then the L2
-    norm over corresponding vertex pairs is returned.  Zero iff the outlines
-    coincide after scaling; uniform scaling of ``u`` therefore cancels.
+    ``u`` is first scaled so its bounding box matches ``f``'s (an axis of
+    zero extent keeps unit scale), then the L2 norm over corresponding vertex
+    pairs is returned.  Zero iff the outlines coincide after scaling; uniform
+    scaling of ``u`` therefore cancels.
     """
-    if f.vertex_count != u.vertex_count:
-        raise ContractViolation(
-            f"vertex count mismatch: {f.vertex_count} vs {u.vertex_count}"
-        )
-    scaled = scale_to_bbox(u, f)
-    return float(np.linalg.norm(f.vertices - scaled.vertices))
+    return float(OutlineStack([u]).distances(f)[0])

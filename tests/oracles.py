@@ -1,10 +1,13 @@
-"""Brute-force oracles for the Chinese Remainder code's two searches.
+"""Brute-force oracles for the Chinese Remainder code's two searches and
+for the outline distance.
 
 ``scan_hamming_decode`` is the decoder that compared a vector with every
 codeword, and ``dfs_choose_moduli`` the moduli search that tried every
 smaller value after its bound had failed; both are kept here, with the
 plainer ``brute_hamming`` and ``oracle_choose``, so the fast searches in
 ``glyphcode.crc`` and ``glyphcode.pipeline`` can be checked against them.
+``scale_to_bbox`` and ``scalar_outline_distance`` are the one-pair outline
+distance that the stacked ``glyphcode.outline.OutlineStack`` replaced.
 """
 
 import math
@@ -19,6 +22,7 @@ from glyphcode.crc import (
     hamming_distance,
 )
 from glyphcode.errors import ContractViolation
+from glyphcode.outline import GlyphOutline
 
 
 def _residue_table(p, M):
@@ -130,3 +134,29 @@ def oracle_choose(capacities, k):
 
     rec(0, [])
     return best_obj, best
+
+
+def scale_to_bbox(outline, reference):
+    """Affinely map ``outline``'s bounding box onto ``reference``'s."""
+    lo_s, hi_s = outline.bounding_box()
+    lo_r, hi_r = reference.bounding_box()
+    span_s = hi_s - lo_s
+    span_r = hi_r - lo_r
+    # A degenerate axis (zero extent) keeps unit scale on that axis.
+    scale = np.where(span_s > 0, span_r / np.where(span_s > 0, span_s, 1.0), 1.0)
+    return GlyphOutline((outline.vertices - lo_s) * scale + lo_r)
+
+
+def scalar_outline_distance(f, u):
+    """Vertex-wise L2 distance between ``f`` and ``u``.
+
+    ``u`` is first scaled so its bounding box matches ``f``'s, then the L2
+    norm over corresponding vertex pairs is returned.  Zero iff the outlines
+    coincide after scaling; uniform scaling of ``u`` therefore cancels.
+    """
+    if f.vertex_count != u.vertex_count:
+        raise ContractViolation(
+            f"vertex count mismatch: {f.vertex_count} vs {u.vertex_count}"
+        )
+    scaled = scale_to_bbox(u, f)
+    return float(np.linalg.norm(f.vertices - scaled.vertices))

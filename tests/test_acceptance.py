@@ -4,6 +4,7 @@ Each criterion computes its verdict first, prints a single summary line, then
 asserts, so a failing run still reports every criterion it reached.
 """
 
+import itertools
 import math
 import time
 
@@ -236,24 +237,15 @@ def test_criterion_08_end_to_end_round_trip():
         {"v": 2, "w": 3, "x": 5, "y": 29, "z": 31}, font_id="chain-redundant"
     )
     text = ("vwxyz " * 12).strip()
-    seq = pipeline.letter_sequence(text, noisy_cb)
-    blocks = partition_blocks(seq)
     noisy_trials = 250
     noisy_ok = 0
     for t in range(noisy_trials):
         bits = "".join(rng.choice(["0", "1"], size=8))
         doc = pipeline.embed(text, noisy_cb, bits)
-        indices = list(doc.glyph_indices)
-        rows = [np.full(c, 1.0 / c) for c in seq.capacities]
-        for b, block in enumerate(blocks):
-            entries = [noisy_cb.entry(seq.letters[i]) for i in block.member_indices]
-            vector = [indices[i] for i in block.member_indices]
-            params = channel.ChannelParams(seed=stable_seed(8, "noise", t, b))
-            observed, table = channel.inject_errors(vector, entries, 2, params)
-            for i, v, row in zip(block.member_indices, observed, table):
-                indices[i] = v
-                rows[i] = row
-        noisy_doc = pipeline.EncodedDocument(text, tuple(indices), doc.codebook_id)
+        block_params = (
+            channel.ChannelParams(seed=stable_seed(8, "noise", t, b)) for b in itertools.count()
+        )
+        noisy_doc, rows = channel.simulate_document(doc, noisy_cb, 2, block_params)
         recovered, _ = pipeline.extract(noisy_doc, noisy_cb, likelihoods=rows)
         noisy_ok += recovered == bits
     noisy_rate = noisy_ok / noisy_trials

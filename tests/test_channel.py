@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import scalar_outline_distance
 
-from glyphcode import channel, fixtures
+from glyphcode import channel, fixtures, pipeline
 from glyphcode.codebook import CharacterEntry, ManifoldPoint, PerturbedGlyphEntry
 from glyphcode.crc import hamming_distance
 from glyphcode.errors import ContractViolation
-from glyphcode.outline import GlyphOutline, outline_distance
+from glyphcode.outline import GlyphOutline, resample_outline
 
 
 @pytest.fixture(scope="module")
@@ -34,10 +37,10 @@ def test_recognize_equidistant_tiebreak():
 
 
 def test_recognition_matches_scalar_distance(entry):
-    # vectorized path must agree with the per-pair distance function
+    # vectorized path must agree with the per-pair distance oracle
     f = GlyphOutline(entry.glyphs[2].outline.vertices + 0.003)
     res = channel.recognize_vector(f, entry)
-    d = np.array([outline_distance(f, g.outline) for g in entry.glyphs])
+    d = np.array([scalar_outline_distance(f, g.outline) for g in entry.glyphs])
     assert res.argmax_index == int(np.argmin(d))
     expect = (1.0 / d) / (1.0 / d).sum()
     assert np.allclose(res.probabilities, expect)
@@ -100,3 +103,79 @@ def test_channel_params_validation():
         channel.ChannelParams(sigma=-1.0)
     with pytest.raises(ContractViolation):
         channel.ChannelParams(trials=0)
+
+
+def test_recognition_refuses_mixed_vertex_counts(entry):
+    glyphs = (
+        entry.glyphs[0],
+        PerturbedGlyphEntry(1, ManifoldPoint(1, 0), resample_outline(entry.glyphs[1].outline, 32), 1.0),
+    )
+    mixed = CharacterEntry("m", glyphs[0], glyphs)
+    with pytest.raises(ContractViolation):
+        channel.recognize_vector(entry.glyphs[0].outline, mixed)
+
+
+def test_recognition_memory_is_bounded():
+    """Recognizing against 600 throwaway entries keeps no per-entry state."""
+    tracemalloc.start()
+    try:
+        for seed in range(600):
+            e = fixtures.chain_entry("a", 8, vertex_count=256, seed=seed)
+            res = channel.recognize_vector(e.glyphs[5].outline, e)
+            assert res.argmax_index == 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_inject_errors_forces_runner_up_without_noise(entry):
+    # noise-free observations are never misread, so every error is forced to
+    # the most likely glyph other than the true one: the lowest other index
+    codeword = (0, 1, 2, 3, 4)
+    params = channel.ChannelParams(sigma=0.0, seed=11)
+    vec, table = channel.inject_errors(codeword, [entry] * 5, 2, params)
+    wrong = [j for j in range(5) if vec[j] != codeword[j]]
+    assert len(wrong) == 2
+    for j in wrong:
+        assert vec[j] == (1 if codeword[j] == 0 else 0)
+    for j, row in enumerate(table):
+        assert np.array_equal(row, np.eye(5)[codeword[j]])
+
+
+@pytest.fixture(scope="module")
+def document():
+    cb = fixtures.channel_codebook()
+    text = fixtures.random_text(120, seed=42)
+    return cb, pipeline.embed(text, cb, "1101001110001011")
+
+
+def test_simulate_document_corrupts_only_the_given_blocks(document):
+    cb, doc = document
+    seq = pipeline.letter_sequence(doc.text, cb)
+    blocks = pipeline.partition_blocks(seq)
+    params = [channel.ChannelParams(seed=7), channel.ChannelParams(seed=8)]
+    noisy, rows = channel.simulate_document(doc, cb, 1, params)
+    assert noisy.text == doc.text and noisy.codebook_id == doc.codebook_id
+    assert len(rows) == len(seq.letters)
+    touched = {i for b in blocks[:2] for i in b.member_indices}
+    for b, p in zip(blocks[:2], params):
+        vector = [doc.glyph_indices[i] for i in b.member_indices]
+        entries = [cb.entry(seq.letters[i]) for i in b.member_indices]
+        observed, table = channel.inject_errors(vector, entries, 1, p)
+        assert [noisy.glyph_indices[i] for i in b.member_indices] == list(observed)
+        for i, row in zip(b.member_indices, table):
+            assert np.array_equal(rows[i], row)
+    for i, cap in enumerate(seq.capacities):
+        if i not in touched:
+            assert noisy.glyph_indices[i] == doc.glyph_indices[i]
+            assert np.array_equal(rows[i], np.full(cap, 1.0 / cap))
+    recovered, _ = pipeline.extract(noisy, cb, likelihoods=rows)
+    assert recovered == "1101001110001011"
+
+
+def test_simulate_document_refuses_a_short_index_stream(document):
+    cb, doc = document
+    short = pipeline.EncodedDocument(doc.text, doc.glyph_indices[:50], doc.codebook_id)
+    with pytest.raises(ContractViolation, match="glyph index stream does not match the letter count"):
+        channel.simulate_document(short, cb, 1, [channel.ChannelParams()])

@@ -119,6 +119,57 @@ def test_simulate_then_extract_corrects(workspace, capsys):
         assert formats.read_message_bits(fh) == "1101001110001011"
 
 
+def _embedded(workspace, tmp_path):
+    doc = tmp_path / "doc.txt"
+    args = [
+        "embed",
+        "--codebook", str(workspace / "codebook.txt"),
+        "--text", str(workspace / "text.txt"),
+        "--message", str(workspace / "message.txt"),
+        "--output", str(doc),
+    ]
+    assert main(args) == EXIT_OK
+    return doc
+
+
+def _simulate_args(workspace, document, tmp_path, *extra):
+    return [
+        "simulate",
+        "--codebook", str(workspace / "codebook.txt"),
+        "--document", str(document),
+        "--output", str(tmp_path / "noisy.txt"),
+        "--trace", str(tmp_path / "trace.txt"),
+        *extra,
+    ]
+
+
+def test_simulate_refuses_negative_block_count(workspace, tmp_path):
+    doc = _embedded(workspace, tmp_path)
+    assert main(_simulate_args(workspace, doc, tmp_path, "--blocks", "-1")) == EXIT_USAGE
+    assert not (tmp_path / "noisy.txt").exists()
+    assert main(_simulate_args(workspace, doc, tmp_path, "--blocks", "1")) == EXIT_OK
+
+
+def test_simulate_short_document_exits_like_extract(workspace, tmp_path, capsys):
+    doc = _embedded(workspace, tmp_path)
+    lines = doc.read_text().splitlines()
+    assert lines[-1].startswith("indices ")
+    lines[-1] = " ".join(lines[-1].split()[:51])  # keep 50 indices
+    doc.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    extract = [
+        "extract",
+        "--codebook", str(workspace / "codebook.txt"),
+        "--document", str(doc),
+        "--output", str(tmp_path / "bits.txt"),
+    ]
+    assert main(extract) == EXIT_USAGE
+    extract_err = capsys.readouterr().err
+    assert main(_simulate_args(workspace, doc, tmp_path)) == EXIT_USAGE
+    assert capsys.readouterr().err == extract_err
+    assert "glyph index stream does not match the letter count" in extract_err
+
+
 def test_capacity_json(workspace, capsys):
     args = [
         "capacity",

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import scalar_outline_distance, scale_to_bbox
 
 from glyphcode.errors import ContractViolation, DegenerateGeometryError
 from glyphcode.outline import (
     GlyphOutline,
+    OutlineStack,
     outline_distance,
     resample_outline,
-    scale_to_bbox,
 )
 
 SQUARE = GlyphOutline(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
@@ -74,6 +75,51 @@ def test_scale_to_bbox_degenerate_axis():
     assert scaled.vertices[:, 0].max() == pytest.approx(1.0)
     # zero-extent y axis keeps unit scale
     assert np.allclose(np.diff(scaled.vertices[:, 1]), 0.0)
+    # the same rule inside the distance: x is stretched onto f's extent and y
+    # is only shifted, so the one vertex off f's baseline is 1 away
+    f = GlyphOutline(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 1.0]]))
+    assert outline_distance(f, flat) == pytest.approx(1.0)
+    assert outline_distance(f, flat) == pytest.approx(scalar_outline_distance(f, flat))
+
+
+def _random_stack_cases(rng):
+    """Random outlines with the cases the bounding-box rescale special-cases:
+    zero-extent axes, uniformly scaled copies and exact matches."""
+    for _ in range(60):
+        v = int(rng.integers(3, 12))
+        base = rng.uniform(-1.0, 1.0, size=(v, 2))
+        flat = base.copy()
+        flat[:, int(rng.integers(2))] = 0.25
+        noisy = [base + rng.normal(0.0, 0.05, size=(v, 2)) for _ in range(3)]
+        outlines = [base, base * rng.uniform(0.1, 10.0), base.copy(), flat] + noisy
+        rng.shuffle(outlines)
+        f = outlines[int(rng.integers(len(outlines)))]
+        if rng.random() < 0.5:
+            f = f + rng.normal(0.0, 0.01, size=(v, 2))
+        yield GlyphOutline(f), [GlyphOutline(u) for u in outlines]
+
+
+def test_stacked_distance_matches_scalar_oracle():
+    rng = np.random.default_rng(12)
+    zeros = 0
+    for f, outlines in _random_stack_cases(rng):
+        got = OutlineStack(outlines).distances(f)
+        want = np.array([scalar_outline_distance(f, u) for u in outlines])
+        exact = want < 1e-9
+        zeros += int(exact.sum())
+        assert np.array_equal(got == 0.0, exact)
+        assert np.allclose(got[~exact], want[~exact], rtol=1e-12, atol=0.0)
+        assert [outline_distance(f, u) for u in outlines] == list(got)
+    assert zeros >= 30  # about half the cases observe an outline exactly
+
+
+def test_stack_refuses_mixed_vertex_counts():
+    with pytest.raises(ContractViolation):
+        OutlineStack([SQUARE, resample_outline(SQUARE, 8)])
+    with pytest.raises(ContractViolation):
+        OutlineStack([])
+    with pytest.raises(ContractViolation):
+        OutlineStack([SQUARE]).distances(resample_outline(SQUARE, 8))
 
 
 @settings(max_examples=30, deadline=None)
