@@ -11,6 +11,10 @@ The channel is pinned the same way: the error-injection vectors and
 likelihood tables of criterion 4, the noisy documents and traces that
 ``glyphcode simulate`` writes, a constructed codebook and the output of the
 embed/extract demo.  Same seeds must give the same files.
+
+Offline font preparation is pinned too: the exact perceptual fits of the
+criterion-10 responses and of two font-preparation response sets, and the
+per-glyph oracle accuracies of a few glyph subsets.
 """
 
 import contextlib
@@ -24,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glyphcode import channel, cli, fixtures, formats, pipeline
+from glyphcode import channel, cli, fixtures, formats, perceptual, pipeline
 from glyphcode.crc import encode_phi
 from glyphcode.crypto import (
     EncodedDocument,
@@ -445,3 +449,81 @@ def test_embed_extract_demo_output_pinned():
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(DEMO_02), run_name="__main__")
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == "ee5935498d7d0417cec3f41d877303b239e5ef111931c04318912ee8219aaa1a"
+
+
+def _criterion_10_responses():
+    rng = np.random.default_rng(10)
+    order = rng.permutation(20)
+    planted_s = {f"g{i:02d}": float(order[i] / 19.0) for i in range(20)}
+    planted_r = {f"u{i:03d}": float(rng.normal(-8.0, 1.0)) for i in range(200)}
+    return perceptual.synth_responses(planted_s, planted_r, questions_per_rater=16, seed=10)
+
+
+def _chain_responses(seed):
+    """A font-preparation response set: 12 chain glyphs, 200 raters near -8."""
+    rng = np.random.default_rng(seed)
+    offsets = [0.0] + sorted((np.arange(1, 12) * 0.5 + rng.uniform(-0.1, 0.1, 11)).tolist())
+    planted_s = {g: 1.0 - o / offsets[-1] for g, o in enumerate(offsets)}
+    planted_r = {f"u{u:03d}": float(rng.normal(-8.0, 1.0)) for u in range(200)}
+    return perceptual.synth_responses(planted_s, planted_r, 16, int(rng.integers(2**31)))
+
+
+def _fit_pin(responses, config=perceptual.FitConfig()):
+    """The fit's info dict, and the SHA-256 of the exact repr of its scores,
+    reliabilities and info."""
+    scores, rels, info = perceptual.fit(responses, config)
+    digest = hashlib.sha256(repr((scores, rels, info)).encode()).hexdigest()
+    return info, digest
+
+
+# name: (info, SHA-256 of repr((scores, reliabilities, info)))
+FITS = {
+    "criterion_10": ({"iterations": 1472, "objective": 781.076012803923, "disconnected_components": []},
+                     "4efa5b905dd290dd21821614c15c55618dfccff66523e05cb2268059d7f15e3b"),
+    "chain_14": ({"iterations": 2000, "objective": 706.6091310512293, "disconnected_components": []},
+                 "f22f15bce3c873eb35f234a86a30df434578d11b77b3d9c65480ba7150b4de41"),
+    "chain_31": ({"iterations": 2000, "objective": 723.0008563388174, "disconnected_components": []},
+                 "daf7cf49c69dba9e9650104a0f8b83880b9a7d4ef55f67832d2f25ee0607fe77"),
+}
+
+
+def test_perceptual_fits_pinned():
+    got = {
+        "criterion_10": _fit_pin(_criterion_10_responses(), perceptual.FitConfig(max_iterations=5000)),
+        "chain_14": _fit_pin(_chain_responses(14)),
+        "chain_31": _fit_pin(_chain_responses(31)),
+    }
+    assert got == FITS
+
+
+def _accuracy_subsets():
+    entry = _codebook("lowercase").entry("a")
+    outlines = [g.outline for g in entry.glyphs]
+    wide = fixtures.chain_outlines("q", 6, vertex_count=256)
+    return {
+        "all_13": (outlines, channel.ChannelParams()),
+        "pair_seed_7": (outlines[3:5], channel.ChannelParams(seed=7, trials=1000)),
+        "odd_sigma_04": (outlines[::3], channel.ChannelParams(sigma=0.04, seed=3, trials=37)),
+        "wide_256": (wide, channel.ChannelParams(sigma=0.005, seed=9, trials=120)),
+        "sigma_0_twin": ([outlines[0], outlines[0], outlines[1]], channel.ChannelParams(sigma=0.0)),
+    }
+
+
+# subset: per_glyph_accuracy(...).tolist()
+ACCURACIES = {
+    "all_13": [1.0, 0.9333333333333333, 1.0, 0.9333333333333333, 1.0, 1.0, 1.0,
+               0.9333333333333333, 1.0, 0.9333333333333333, 1.0, 0.9333333333333333, 1.0],
+    "pair_seed_7": [0.998, 0.992],
+    "odd_sigma_04": [0.5714285714285714, 0.8571428571428571, 0.7142857142857143,
+                     0.8571428571428571, 1.0],
+    "wide_256": [0.95, 1.0, 1.0, 1.0, 0.95, 1.0],
+    "sigma_0_twin": [1.0, 0.0, 1.0],
+}
+
+
+def test_per_glyph_accuracy_pinned():
+    got = {
+        name: channel.per_glyph_accuracy(outlines, params).tolist()
+        for name, (outlines, params) in _accuracy_subsets().items()
+    }
+    assert got == ACCURACIES
