@@ -4,8 +4,7 @@ Recognition of a clean vector outline is nearest-neighbor in outline space;
 the simulated channel perturbs the true glyph's vertices with isotropic
 Gaussian noise before recognition, standing in for rasterization and photo
 degradation.  The probability vector over a letter's glyphs (normalized
-inverse distance, or optionally a softmax over negative squared distances)
-is what maximum-likelihood decoding consumes.
+inverse distance) is what maximum-likelihood decoding consumes.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ class ChannelParams:
     sigma: float = DEFAULT_SIGMA
     seed: int = 0
     trials: int = 200
-    softmax: bool = False  # sharper posterior variant of the likelihood law
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -60,23 +58,18 @@ class RecognitionResult:
     true_index: int | None = None
 
 
-def _probabilities(distances: np.ndarray, softmax: bool) -> np.ndarray:
+def _probabilities(distances: np.ndarray) -> np.ndarray:
     d = np.asarray(distances, dtype=float)
     exact = d <= 0.0
     if exact.any():
         probs = np.zeros_like(d)
         probs[int(np.argmax(exact))] = 1.0  # smallest index on ties
         return probs
-    if softmax:
-        z = -np.square(d)
-        z -= z.max()
-        probs = np.exp(z)
-    else:
-        probs = 1.0 / d
+    probs = 1.0 / d
     return probs / probs.sum()
 
 
-def recognize_vector(f: GlyphOutline, entry: CharacterEntry, softmax: bool = False) -> RecognitionResult:
+def recognize_vector(f: GlyphOutline, entry: CharacterEntry) -> RecognitionResult:
     """Recognize an observed outline as one of a letter's perturbed glyphs.
 
     The glyph with minimum outline distance wins (smallest index on exact
@@ -84,7 +77,7 @@ def recognize_vector(f: GlyphOutline, entry: CharacterEntry, softmax: bool = Fal
     match taking the full mass.
     """
     d = entry.outline_stack.distances(f)
-    return RecognitionResult(_probabilities(d, softmax), int(np.argmin(d)))
+    return RecognitionResult(_probabilities(d), int(np.argmin(d)))
 
 
 def _noisy(outline: GlyphOutline, sigma: float, seed: int) -> GlyphOutline:
@@ -108,7 +101,7 @@ def simulate_recognition(
         params.sigma,
         stable_seed(params.seed, "obs", true_index, trial),
     )
-    res = recognize_vector(f, entry, params.softmax)
+    res = recognize_vector(f, entry)
     return replace(res, true_index=true_index)
 
 
@@ -124,12 +117,20 @@ def per_glyph_accuracy(
     per = max(1, params.trials // len(outlines))
     accs = np.empty(len(outlines))
     for which, outline in enumerate(outlines):
-        hits = 0
-        for t in range(per):
-            seed = stable_seed(params.seed, "oracle", subset_key, which, t)
-            f = _noisy(outline, params.sigma, seed)
-            hits += int(np.argmin(stack.distances(f))) == which
-        accs[which] = hits / per
+        shape = outline.vertices.shape
+        # each trial keeps its own seeded draw; the trials are recognized at once
+        if params.sigma == 0.0:
+            observed = np.broadcast_to(outline.vertices, (per, *shape))
+        else:
+            observed = np.empty((per, *shape))
+            for t in range(per):
+                seed = stable_seed(params.seed, "oracle", subset_key, which, t)
+                observed[t] = np.random.default_rng(seed).normal(0.0, params.sigma, shape)
+            observed += outline.vertices
+            if not np.isfinite(observed).all():
+                raise ContractViolation("outline vertices must be finite")
+        hits = np.argmin(stack.batch_distances(observed), axis=1) == which
+        accs[which] = int(hits.sum()) / per
     return accs
 
 

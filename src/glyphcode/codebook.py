@@ -21,12 +21,6 @@ import numpy as np
 
 from .errors import ContractViolation, NonConvergenceError
 from .outline import GlyphOutline, OutlineStack, resample_outline
-
-
-def _conform(outline: GlyphOutline, count: int) -> GlyphOutline:
-    # resampling an already-conforming outline would shift vertices slightly
-    # (arc-length resampling is not a projection), breaking idempotence
-    return outline if outline.vertex_count == count else resample_outline(outline, count)
 from .util import stable_seed
 
 logger = logging.getLogger(__name__)
@@ -254,6 +248,12 @@ def confusion_test(
         if acc < threshold:
             confused.add(frozenset((a, b)))
     return confused
+
+
+def _conform(outline: GlyphOutline, count: int) -> GlyphOutline:
+    # resampling an already-conforming outline would shift vertices slightly
+    # (arc-length resampling is not a projection), breaking idempotence
+    return outline if outline.vertex_count == count else resample_outline(outline, count)
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,13 @@ def read_codebook(lines: list[str]) -> Codebook:
         glyphs = tuple(
             _parse_glyph(lines[i + 2 + j].split()) for j in range(count)
         )
+        # recognition stacks a letter's outlines, so they must share one count
+        for g in (original, *glyphs):
+            if g.outline.vertex_count != resample_count:
+                raise FormatError(
+                    f"character {ch!r} has a {g.outline.vertex_count}-vertex outline, "
+                    f"but resample_count is {resample_count}"
+                )
         entries[ch] = CharacterEntry(ch, original, glyphs)
         i += 2 + count
     return Codebook(font_id, entries, version, resample_count)

@@ -85,21 +85,33 @@ class OutlineStack:
         u = np.stack([o.vertices for o in outlines])  # (N, V, 2)
         lo = u.min(axis=1, keepdims=True)
         self._centered = u - lo
-        self._span = u.max(axis=1, keepdims=True) - lo
+        span = u.max(axis=1, keepdims=True) - lo
+        # a degenerate axis (zero extent) keeps unit scale on that axis
+        self._live = span > 0
+        self._divisor = np.where(self._live, span, 1.0)
 
     def distances(self, f: GlyphOutline) -> np.ndarray:
         """:func:`outline_distance` of ``f`` against every stacked outline."""
-        if f.vertex_count != self.vertex_count:
+        return self.batch_distances(f.vertices[None])[0]
+
+    def batch_distances(self, observed: np.ndarray) -> np.ndarray:
+        """Distances of B observed vertex arrays, shaped (B, V, 2), against
+        every stacked outline: a (B, N) array whose row b is
+        ``distances(GlyphOutline(observed[b]))``."""
+        if observed.shape[1] != self.vertex_count:
             raise ContractViolation(
-                f"vertex count mismatch: {f.vertex_count} vs {self.vertex_count}"
+                f"vertex count mismatch: {observed.shape[1]} vs {self.vertex_count}"
             )
-        lo_f = f.vertices.min(axis=0)
-        span_f = f.vertices.max(axis=0) - lo_f
-        span = self._span
-        # a degenerate axis (zero extent) keeps unit scale on that axis
-        scale = np.where(span > 0, span_f / np.where(span > 0, span, 1.0), 1.0)
-        scaled = self._centered * scale + lo_f
-        d = np.sqrt(np.square(f.vertices[None] - scaled).sum(axis=(1, 2)))
+        f = observed[:, None]  # (B, 1, V, 2)
+        lo_f = f.min(axis=2, keepdims=True)
+        span_f = f.max(axis=2, keepdims=True) - lo_f
+        scale = np.where(self._live, span_f / self._divisor, 1.0)
+        # in place: this (B, N, V, 2) array is the only one of its size
+        d = self._centered * scale
+        d += lo_f
+        np.subtract(f, d, out=d)
+        np.square(d, out=d)
+        d = np.sqrt(d.sum(axis=(2, 3)))
         # identical outlines must register distance 0 exactly so an exact match
         # takes the full probability mass; the rescale above can leave ~1e-16
         d[d < 1e-9] = 0.0

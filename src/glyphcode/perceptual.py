@@ -9,6 +9,12 @@ implemented exactly as printed, with the rater reliability r_u absorbing the
 sign.  Scores and reliabilities minimize the negative log-likelihood by
 full-batch gradient descent with a backtracking line search, then the scores
 are min-max normalized to [0, 1] and thresholded to select the candidate set.
+
+The objective is evaluated in one pass per step: one exp serves both the
+log-likelihood and the sigmoid in its gradient, and one bincount scatters both
+glyphs of every response in response order.  Every value stays bit for bit
+that of the printed form evaluated term by term (log-sigmoid and sigmoid
+separately, gradients by np.add.at), which tests/oracles.py keeps.
 """
 
 from __future__ import annotations
@@ -82,10 +88,6 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
 
 
-def _log_sigmoid(z):
-    return np.where(z >= 0, -np.log1p(np.exp(-z)), z - np.log1p(np.exp(z)))
-
-
 def objective_and_gradients(
     s: np.ndarray,
     r: np.ndarray,
@@ -97,21 +99,37 @@ def objective_and_gradients(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Negative log-likelihood plus quadratic gauge penalty, with analytic
     gradients in the scores and reliabilities."""
-    z = r[idx_u] * (s[idx_i] - s[idx_j])
-    # log p(q=1) = log sigmoid(-z), log p(q=0) = log sigmoid(z)
-    loglik = np.where(q == 1, _log_sigmoid(-z), _log_sigmoid(z))
-    value = -float(loglik.sum())
-    value += regularization * (float(s @ s) + float(r @ r))
-    # d(-loglik)/dz = sigmoid(z) - (1 - q)
-    dz = _sigmoid(z) - (1 - q)
-    gs = np.zeros_like(s)
-    np.add.at(gs, idx_i, dz * r[idx_u])
-    np.add.at(gs, idx_j, -dz * r[idx_u])
-    gr = np.zeros_like(r)
-    np.add.at(gr, idx_u, dz * (s[idx_i] - s[idx_j]))
-    gs += 2 * regularization * s
-    gr += 2 * regularization * r
-    return value, gs, gr
+    return _objective(idx_i, idx_j, idx_u, q, regularization)(s, r)
+
+
+def _objective(idx_i, idx_j, idx_u, q, regularization):
+    """The objective over one response set, with its per-response constants
+    built once: ``(s, r) -> (value, gs, gr)``."""
+    idx_ij = np.concatenate([idx_i, idx_j])
+    sign = 1 - 2 * q  # log p(q) = log sigmoid(sign * z)
+    miss = 1 - q
+
+    def evaluate(s, r):
+        ru = r[idx_u]
+        diff = s[idx_i] - s[idx_j]
+        z = ru * diff
+        # log sigmoid(x) = min(x, 0) - log1p(exp(-|x|)), and |sign * z| = |z|,
+        # so one exp serves the likelihood and the sigmoid below
+        e = np.exp(-np.abs(z))
+        loglik = np.minimum(sign * z, 0) - np.log1p(e)
+        value = -float(loglik.sum())
+        value += regularization * (float(s @ s) + float(r @ r))
+        # d(-loglik)/dz = sigmoid(z) - (1 - q)
+        dz = np.where(z >= 0, 1.0, e) / (1.0 + e) - miss
+        w = dz * ru
+        # one bincount over both endpoints adds in np.add.at's order
+        gs = np.bincount(idx_ij, np.concatenate([w, -w]), len(s))
+        gr = np.bincount(idx_u, dz * diff, len(r))
+        gs += 2 * regularization * s
+        gr += 2 * regularization * r
+        return value, gs, gr
+
+    return evaluate
 
 
 def _connected_components(n_glyphs: int, idx_i: np.ndarray, idx_j: np.ndarray) -> list[set[int]]:
@@ -160,9 +178,8 @@ def fit(
     s = np.full(len(glyphs), 0.5)
     r = np.full(len(raters), -1.0)
 
-    value, gs, gr = objective_and_gradients(
-        s, r, idx_i, idx_j, idx_u, q, config.regularization
-    )
+    objective = _objective(idx_i, idx_j, idx_u, q, config.regularization)
+    value, gs, gr = objective(s, r)
     step = config.initial_step
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
@@ -173,9 +190,7 @@ def fit(
         while step > 1e-18:
             s_new = s - step * gs
             r_new = r - step * gr
-            v_new, gs_new, gr_new = objective_and_gradients(
-                s_new, r_new, idx_i, idx_j, idx_u, q, config.regularization
-            )
+            v_new, gs_new, gr_new = objective(s_new, r_new)
             if v_new <= value - 1e-4 * step * grad_norm_sq:
                 accepted = True
                 break

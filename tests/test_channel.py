@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import scalar_outline_distance
+from oracles import scalar_outline_distance, trial_loop_per_glyph_accuracy
 
 from glyphcode import channel, fixtures, pipeline
 from glyphcode.codebook import CharacterEntry, ManifoldPoint, PerturbedGlyphEntry
@@ -83,6 +83,51 @@ def test_accuracy_monotone_in_sigma(entry):
     ]
     assert accs[0] >= accs[1] >= accs[2]
 
+
+
+def _accuracy_subsets(rng):
+    """Random glyph subsets of the fixture codebook, some with a repeated
+    glyph, at random noise levels (sigma 0 included), trial counts and seeds."""
+    cb = fixtures.channel_codebook()
+    for case in range(72):
+        entry = cb.entry(sorted(cb.entries)[int(rng.integers(len(cb.entries)))])
+        outlines = [g.outline for g in entry.glyphs]
+        size = int(rng.integers(2, min(6, len(outlines)) + 1))
+        picks = rng.choice(len(outlines), size=size, replace=case % 4 == 0)
+        sigma = float(rng.choice([0.0, 0.004, 0.008, 0.02, 0.05]))
+        params = channel.ChannelParams(
+            sigma=sigma, seed=int(rng.integers(1000)), trials=int(rng.integers(1, 120))
+        )
+        yield [outlines[int(i)] for i in picks], params
+
+
+def test_per_glyph_accuracy_matches_trial_loop_oracle():
+    rng = np.random.default_rng(14)
+    misread = 0
+    for outlines, params in _accuracy_subsets(rng):
+        got = channel.per_glyph_accuracy(outlines, params)
+        assert np.array_equal(got, trial_loop_per_glyph_accuracy(outlines, params))
+        misread += int((got < 1.0).any())
+    assert misread >= 20
+    outlines = fixtures.chain_outlines("w", 3)
+    for run in (channel.per_glyph_accuracy, trial_loop_per_glyph_accuracy):
+        with pytest.raises(ContractViolation, match="finite"):
+            run(outlines, channel.ChannelParams(sigma=np.inf))
+
+
+@pytest.mark.parametrize("glyphs", [2, 20])
+def test_oracle_trial_memory_is_bounded(glyphs):
+    """A batch of trials holds about ``trials`` observations whatever the
+    subset size, so 1000 trials on 256-vertex outlines stay near 4 MB."""
+    outlines = fixtures.chain_outlines("m", glyphs, vertex_count=256)
+    params = channel.ChannelParams(trials=1000)
+    tracemalloc.start()
+    try:
+        channel.per_glyph_accuracy(outlines, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 def test_inject_errors_counts(entry):
     entries = [entry] * 5

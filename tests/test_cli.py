@@ -170,6 +170,25 @@ def test_simulate_short_document_exits_like_extract(workspace, tmp_path, capsys)
     assert "glyph index stream does not match the letter count" in extract_err
 
 
+
+def test_codebook_with_a_short_outline_exits_with_format_error(workspace, tmp_path):
+    doc = _embedded(workspace, tmp_path)
+    lines = (workspace / "codebook.txt").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("glyph "))
+    lines[at] = lines[at].rsplit(" ", 2)[0]  # one vertex fewer than resample_count
+    short = tmp_path / "short_codebook.txt"
+    short.write_text("\n".join(lines) + "\n")
+    simulate = _simulate_args(workspace, doc, tmp_path)
+    simulate[simulate.index("--codebook") + 1] = str(short)
+    assert main(simulate) == EXIT_FORMAT
+    extract = [
+        "extract",
+        "--codebook", str(short),
+        "--document", str(doc),
+        "--output", str(tmp_path / "bits.txt"),
+    ]
+    assert main(extract) == EXIT_FORMAT
+
 def test_capacity_json(workspace, capsys):
     args = [
         "capacity",

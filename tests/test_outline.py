@@ -113,6 +113,24 @@ def test_stacked_distance_matches_scalar_oracle():
     assert zeros >= 30  # about half the cases observe an outline exactly
 
 
+
+def test_batch_distances_match_single_distances():
+    rng = np.random.default_rng(13)
+    zeros = 0
+    for f, outlines in _random_stack_cases(rng):
+        stack = OutlineStack(outlines)
+        # the stacked outlines themselves (exact matches, a zero-extent axis),
+        # f, and noisy copies of each
+        batch = outlines + [f] + [
+            GlyphOutline(o.vertices + rng.normal(0.0, 0.02, o.vertices.shape)) for o in outlines
+        ]
+        got = stack.batch_distances(np.stack([o.vertices for o in batch]))
+        want = np.stack([stack.distances(o) for o in batch])
+        assert got.shape == (len(batch), len(outlines))
+        assert np.array_equal(got, want)
+        zeros += int((got == 0.0).sum())
+    assert zeros >= 60 * 7
+
 def test_stack_refuses_mixed_vertex_counts():
     with pytest.raises(ContractViolation):
         OutlineStack([SQUARE, resample_outline(SQUARE, 8)])
@@ -120,6 +138,8 @@ def test_stack_refuses_mixed_vertex_counts():
         OutlineStack([])
     with pytest.raises(ContractViolation):
         OutlineStack([SQUARE]).distances(resample_outline(SQUARE, 8))
+    with pytest.raises(ContractViolation):
+        OutlineStack([SQUARE]).batch_distances(np.zeros((3, 8, 2)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import printed_fit, printed_objective_and_gradients
 
 from glyphcode.errors import ContractViolation
 from glyphcode.perceptual import (
@@ -126,3 +127,72 @@ def test_fit_monotone_objective():
     _, _, short = fit(resp, FitConfig(max_iterations=20))
     _, _, longer = fit(resp, FitConfig(max_iterations=400))
     assert longer["objective"] <= short["objective"] + 1e-12
+
+
+def _printed(*args):
+    # the printed form overflows exp in the branch np.where discards
+    with np.errstate(over="ignore", invalid="ignore"):
+        return printed_objective_and_gradients(*args)
+
+
+def _objective_cases(rng):
+    """Random response sets, and the edge cases of the one-pass form: exp
+    underflow (|z| > 745), z == 0, all answers equal, one rater and a
+    disconnected comparison graph."""
+    for case in range(120):
+        n_g, n_u = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        n = int(rng.integers(1, 80))
+        idx_i = rng.integers(0, n_g, n)
+        idx_j = (idx_i + 1 + rng.integers(0, n_g - 1, n)) % n_g
+        idx_u = rng.integers(0, n_u, n)
+        q = rng.integers(0, 2, n).astype(float)
+        s = rng.normal(0.5, 0.5, n_g)
+        r = rng.normal(-4.0, 4.0, n_u)
+        kind = case % 6
+        if kind == 1:
+            r = rng.choice([-1.0, 1.0], n_u) * rng.uniform(800.0, 5000.0, n_u)
+            s = rng.choice([0.0, 1.0, 2.0], n_g)
+        elif kind == 2:
+            s[:] = 0.5  # every z is 0
+            r[0] = 0.0
+        elif kind == 3:
+            q[:] = float(case % 12 == 3)
+        elif kind == 4:
+            idx_u[:] = 0
+        elif kind == 5 and n_g >= 4:
+            # glyphs {0, 1} and {2, 3, ...} are never compared
+            idx_j = np.where(idx_i < 2, 1 - idx_i, 2 + (idx_i - 1) % (n_g - 2))
+        yield s, r, idx_i, idx_j, idx_u, q
+
+
+def test_objective_matches_printed_oracle():
+    rng = np.random.default_rng(5)
+    underflow = 0
+    for s, r, idx_i, idx_j, idx_u, q in _objective_cases(rng):
+        for reg in (0.0, 1e-6):
+            args = (s, r, idx_i, idx_j, idx_u, q, reg)
+            value, gs, gr = objective_and_gradients(*args)
+            want_value, want_gs, want_gr = _printed(*args)
+            assert value == want_value
+            assert np.array_equal(gs, want_gs) and np.array_equal(gr, want_gr)
+        underflow += int((np.abs(r[idx_u] * (s[idx_i] - s[idx_j])) > 745).any())
+    assert underflow >= 10
+
+
+def _response_sets(rng):
+    for seed in range(8):
+        planted_s = {f"g{i}": float(rng.uniform(0, 1)) for i in range(int(rng.integers(2, 8)))}
+        planted_r = {f"u{i}": float(rng.normal(-6.0, 2.0)) for i in range(int(rng.integers(1, 12)))}
+        yield synth_responses(planted_s, planted_r, 12, seed=seed)
+    yield [Response("A", "B", "u", 1)] * 5  # one rater, every answer the same
+    yield [Response("A", "B", f"u{i}", 0) for i in range(4)]
+    yield [Response("a", "b", "u", 1), Response("c", "d", "u", 0), Response("d", "e", "v", 1)]
+
+
+def test_fit_matches_printed_oracle():
+    rng = np.random.default_rng(6)
+    for responses in _response_sets(rng):
+        for config in (FitConfig(), FitConfig(max_iterations=7, regularization=0.0)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = printed_fit(responses, config)
+            assert fit(responses, config) == want
