@@ -9,7 +9,7 @@ inverse distance) is what maximum-likelihood decoding consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +37,10 @@ __all__ = [
 # above 0.90 while leaving enough confusions to exercise error correction.
 DEFAULT_SIGMA = 0.008
 
+# observations drawn per position before the channel stops retrying and
+# forces the outcome
+_ATTEMPTS = 32
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -45,8 +49,8 @@ class ChannelParams:
     trials: int = 200
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ContractViolation("sigma must be non-negative")
+        if not (0.0 <= self.sigma < np.inf):
+            raise ContractViolation("sigma must be finite and non-negative")
         if self.trials < 1:
             raise ContractViolation("trials must be positive")
 
@@ -80,11 +84,30 @@ def recognize_vector(f: GlyphOutline, entry: CharacterEntry) -> RecognitionResul
     return RecognitionResult(_probabilities(d), int(np.argmin(d)))
 
 
-def _noisy(outline: GlyphOutline, sigma: float, seed: int) -> GlyphOutline:
+def _observations(vertices: np.ndarray, sigma: float, seeds: Sequence[int]) -> np.ndarray:
+    """An outline seen once per seed through the noise: a (len(seeds), V, 2)
+    array whose row t adds a draw from ``default_rng(seeds[t])`` to
+    ``vertices``, so each observation keeps its own seeded draw."""
+    shape = vertices.shape
     if sigma == 0.0:
-        return outline
-    rng = np.random.default_rng(seed)
-    return GlyphOutline(outline.vertices + rng.normal(0.0, sigma, outline.vertices.shape))
+        return np.broadcast_to(vertices, (len(seeds), *shape))
+    observed = np.empty((len(seeds), *shape))
+    for t, seed in enumerate(seeds):
+        observed[t] = np.random.default_rng(seed).normal(0.0, sigma, shape)
+    observed += vertices
+    if not np.isfinite(observed).all():
+        raise ContractViolation("outline vertices must be finite")
+    return observed
+
+
+def _observed_distances(
+    true_index: int, entry: CharacterEntry, params: ChannelParams, trials: Sequence[int]
+) -> np.ndarray:
+    """Distances of the true glyph, observed once per trial, to each glyph:
+    a (len(trials), capacity) array."""
+    seeds = [stable_seed(params.seed, "obs", true_index, trial) for trial in trials]
+    observed = _observations(entry.glyphs[true_index].outline.vertices, params.sigma, seeds)
+    return entry.outline_stack.batch_distances(observed)
 
 
 def simulate_recognition(
@@ -96,13 +119,8 @@ def simulate_recognition(
     """One pass through the noisy channel: perturb the true glyph, recognize it."""
     if not (0 <= true_index < entry.capacity):
         raise ContractViolation("true_index out of range")
-    f = _noisy(
-        entry.glyphs[true_index].outline,
-        params.sigma,
-        stable_seed(params.seed, "obs", true_index, trial),
-    )
-    res = recognize_vector(f, entry)
-    return replace(res, true_index=true_index)
+    d = _observed_distances(true_index, entry, params, [trial])[0]
+    return RecognitionResult(_probabilities(d), int(np.argmin(d)), true_index)
 
 
 def per_glyph_accuracy(
@@ -117,18 +135,8 @@ def per_glyph_accuracy(
     per = max(1, params.trials // len(outlines))
     accs = np.empty(len(outlines))
     for which, outline in enumerate(outlines):
-        shape = outline.vertices.shape
-        # each trial keeps its own seeded draw; the trials are recognized at once
-        if params.sigma == 0.0:
-            observed = np.broadcast_to(outline.vertices, (per, *shape))
-        else:
-            observed = np.empty((per, *shape))
-            for t in range(per):
-                seed = stable_seed(params.seed, "oracle", subset_key, which, t)
-                observed[t] = np.random.default_rng(seed).normal(0.0, params.sigma, shape)
-            observed += outline.vertices
-            if not np.isfinite(observed).all():
-                raise ContractViolation("outline vertices must be finite")
+        seeds = [stable_seed(params.seed, "oracle", subset_key, which, t) for t in range(per)]
+        observed = _observations(outline.vertices, params.sigma, seeds)
         hits = np.argmin(stack.batch_distances(observed), axis=1) == which
         accs[which] = int(hits.sum()) / per
     return accs
@@ -158,15 +166,17 @@ def inject_errors(
     entries: Sequence[CharacterEntry],
     count: int,
     params: ChannelParams,
-    max_attempts: int = 32,
 ) -> tuple[tuple[int, ...], list[np.ndarray]]:
     """Corrupt exactly ``count`` positions of a codeword through the channel.
 
-    Error positions are drawn without replacement; each is re-simulated until
-    the channel misrecognizes the glyph (forced to the second-most-likely
-    glyph if the noise never confuses it).  Non-error positions keep their
-    true glyph.  The returned likelihood table comes from the same simulated
-    observations.
+    Error positions are drawn without replacement.  Each position is observed
+    once; if that observation does not give the wanted outcome (a misread at
+    an error position, the true glyph elsewhere), up to 31 retries are drawn,
+    each from its own seed, and recognized as one batch, and the first that
+    does is kept.  If none does, an error position is forced to the
+    second-most-likely glyph of the first observation and any other position
+    keeps its true glyph with certainty.  The returned likelihood table comes
+    from the same simulated observations.
     """
     n = len(codeword)
     if len(entries) != n:
@@ -178,28 +188,32 @@ def inject_errors(
     vector: list[int] = []
     table: list[np.ndarray] = []
     for j, (true, entry) in enumerate(zip(codeword, entries)):
+        if not (0 <= true < entry.capacity):
+            raise ContractViolation("true_index out of range")
         want_error = j in error_at
-        first = simulate_recognition(true, entry, params, trial=stable_seed("inject", j, 0))
-        res = None
-        for attempt in range(max_attempts):
-            cand = first if attempt == 0 else simulate_recognition(
-                true, entry, params, trial=stable_seed("inject", j, attempt)
-            )
-            if (cand.argmax_index != true) == want_error:
-                res = cand
-                break
-        if res is None:
-            if want_error:
-                # noise too small to confuse: force the runner-up glyph
-                order = np.argsort(-first.probabilities, kind="stable")
-                runner_up = int(order[1]) if int(order[0]) == true else int(order[0])
-                res = RecognitionResult(first.probabilities, runner_up, true)
-            else:
-                probs = np.zeros(entry.capacity)
-                probs[true] = 1.0
-                res = RecognitionResult(probs, true, true)
-        vector.append(res.argmax_index)
-        table.append(res.probabilities)
+        first = _observed_distances(true, entry, params, [stable_seed("inject", j, 0)])[0]
+        kept = first if (int(np.argmin(first)) != true) == want_error else None
+        # without noise every retry repeats the first observation
+        if kept is None and params.sigma > 0.0:
+            trials = [stable_seed("inject", j, attempt) for attempt in range(1, _ATTEMPTS)]
+            d = _observed_distances(true, entry, params, trials)
+            (hits,) = np.nonzero((np.argmin(d, axis=1) != true) == want_error)
+            if hits.size:
+                kept = d[hits[0]]
+        if kept is not None:
+            vector.append(int(np.argmin(kept)))
+            table.append(_probabilities(kept))
+        elif want_error:
+            # noise too small to confuse: force the runner-up glyph
+            probs = _probabilities(first)
+            order = np.argsort(-probs, kind="stable")
+            vector.append(int(order[1]) if int(order[0]) == true else int(order[0]))
+            table.append(probs)
+        else:
+            probs = np.zeros(entry.capacity)
+            probs[true] = 1.0
+            vector.append(true)
+            table.append(probs)
     return tuple(vector), table
 
 

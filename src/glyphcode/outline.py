@@ -83,9 +83,9 @@ class OutlineStack:
             )
         (self.vertex_count,) = counts
         u = np.stack([o.vertices for o in outlines])  # (N, V, 2)
-        lo = u.min(axis=1, keepdims=True)
-        self._centered = u - lo
-        span = u.max(axis=1, keepdims=True) - lo
+        lo = u.min(axis=1)
+        self._centered = u - lo[:, None]
+        span = u.max(axis=1) - lo  # (N, 2)
         # a degenerate axis (zero extent) keeps unit scale on that axis
         self._live = span > 0
         self._divisor = np.where(self._live, span, 1.0)
@@ -97,21 +97,28 @@ class OutlineStack:
     def batch_distances(self, observed: np.ndarray) -> np.ndarray:
         """Distances of B observed vertex arrays, shaped (B, V, 2), against
         every stacked outline: a (B, N) array whose row b is
-        ``distances(GlyphOutline(observed[b]))``."""
+        ``distances(GlyphOutline(observed[b]))``.  A distance that overflows
+        to inf or NaN (vertices near the float range) is refused."""
         if observed.shape[1] != self.vertex_count:
             raise ContractViolation(
                 f"vertex count mismatch: {observed.shape[1]} vs {self.vertex_count}"
             )
-        f = observed[:, None]  # (B, 1, V, 2)
-        lo_f = f.min(axis=2, keepdims=True)
-        span_f = f.max(axis=2, keepdims=True) - lo_f
-        scale = np.where(self._live, span_f / self._divisor, 1.0)
-        # in place: this (B, N, V, 2) array is the only one of its size
-        d = self._centered * scale
-        d += lo_f
-        np.subtract(f, d, out=d)
-        np.square(d, out=d)
-        d = np.sqrt(d.sum(axis=(2, 3)))
+        lo_f = observed.min(axis=1)  # (B, 2)
+        span_f = observed.max(axis=1) - lo_f
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.where(self._live, span_f[:, None] / self._divisor, 1.0)  # (B, N, 2)
+            # the rescale runs per coordinate on strided views, so no ufunc
+            # loops over the length-2 axis; this (B, N, V, 2) array is the
+            # only one of its size and is reused in place
+            d = np.empty((len(observed), *self._centered.shape))
+            for a in range(2):
+                np.multiply(self._centered[..., a], scale[:, :, None, a], out=d[..., a])
+                d[..., a] += lo_f[:, None, None, a]
+            np.subtract(observed[:, None], d, out=d)
+            np.square(d, out=d)
+            d = np.sqrt(d.sum(axis=(2, 3)))
+        if not np.isfinite(d).all():
+            raise ContractViolation("outline distance overflowed; vertices are out of range")
         # identical outlines must register distance 0 exactly so an exact match
         # takes the full probability mass; the rescale above can leave ~1e-16
         d[d < 1e-9] = 0.0

@@ -14,9 +14,16 @@ objective as printed, with its separate log-sigmoid and sigmoid passes and
 ``np.add.at`` scatters, and the fit that called it; ``trial_loop_per_glyph_accuracy``
 recognizes one noisy observation at a time.  The one-pass objective and the
 batched oracle trials must match them exactly.
+
+``BroadcastStack`` is the outline stack whose rescale broadcast over the
+length-2 coordinate axis, and ``attempt_loop_inject_errors`` the channel that
+recognized each of a position's up to 32 attempts on its own, through
+``attempt_loop_simulate_recognition`` and ``attempt_loop_recognize_vector``.
+The per-coordinate kernel and the batched retries must match them exactly.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from glyphcode.crc import (
     encode_phi,
     hamming_distance,
 )
+from glyphcode.channel import RecognitionResult, _probabilities
 from glyphcode.errors import ContractViolation
 from glyphcode.outline import GlyphOutline, OutlineStack
 from glyphcode.perceptual import (
@@ -310,3 +318,110 @@ def trial_loop_per_glyph_accuracy(outlines, params):
             hits += int(np.argmin(stack.distances(f))) == which
         accs[which] = hits / per
     return accs
+
+
+class BroadcastStack:
+    """Outlines of one vertex count, stacked once for vectorized distances."""
+
+    def __init__(self, outlines):
+        counts = {o.vertex_count for o in outlines}
+        if len(counts) != 1:
+            raise ContractViolation(
+                f"stacked outlines need one vertex count, got {sorted(counts)}"
+            )
+        (self.vertex_count,) = counts
+        u = np.stack([o.vertices for o in outlines])  # (N, V, 2)
+        lo = u.min(axis=1, keepdims=True)
+        self._centered = u - lo
+        span = u.max(axis=1, keepdims=True) - lo
+        # a degenerate axis (zero extent) keeps unit scale on that axis
+        self._live = span > 0
+        self._divisor = np.where(self._live, span, 1.0)
+
+    def distances(self, f):
+        return self.batch_distances(f.vertices[None])[0]
+
+    def batch_distances(self, observed):
+        if observed.shape[1] != self.vertex_count:
+            raise ContractViolation(
+                f"vertex count mismatch: {observed.shape[1]} vs {self.vertex_count}"
+            )
+        f = observed[:, None]  # (B, 1, V, 2)
+        lo_f = f.min(axis=2, keepdims=True)
+        span_f = f.max(axis=2, keepdims=True) - lo_f
+        scale = np.where(self._live, span_f / self._divisor, 1.0)
+        # in place: this (B, N, V, 2) array is the only one of its size
+        d = self._centered * scale
+        d += lo_f
+        np.subtract(f, d, out=d)
+        np.square(d, out=d)
+        d = np.sqrt(d.sum(axis=(2, 3)))
+        # identical outlines must register distance 0 exactly so an exact match
+        # takes the full probability mass; the rescale above can leave ~1e-16
+        d[d < 1e-9] = 0.0
+        return d
+
+
+def attempt_loop_recognize_vector(f, entry):
+    d = BroadcastStack([g.outline for g in entry.glyphs]).distances(f)
+    return RecognitionResult(_probabilities(d), int(np.argmin(d)))
+
+
+def attempt_loop_simulate_recognition(true_index, entry, params, trial=0):
+    if not (0 <= true_index < entry.capacity):
+        raise ContractViolation("true_index out of range")
+    f = _noisy(
+        entry.glyphs[true_index].outline,
+        params.sigma,
+        stable_seed(params.seed, "obs", true_index, trial),
+    )
+    res = attempt_loop_recognize_vector(f, entry)
+    return replace(res, true_index=true_index)
+
+
+def attempt_loop_inject_errors(codeword, entries, count, params, max_attempts=32, kept=None):
+    """Corrupt exactly ``count`` positions of a codeword through the channel.
+
+    Error positions are drawn without replacement; each is re-simulated until
+    the channel misrecognizes the glyph (forced to the second-most-likely
+    glyph if the noise never confuses it).  Non-error positions keep their
+    true glyph.  ``kept``, if given, receives per position the attempt whose
+    observation was kept, or None where the outcome was forced.
+    """
+    n = len(codeword)
+    if len(entries) != n:
+        raise ContractViolation("entry list length does not match codeword")
+    if not (0 <= count <= n):
+        raise ContractViolation("count must be in [0, n]")
+    rng = np.random.default_rng(stable_seed(params.seed, "positions", tuple(codeword)))
+    error_at = set(rng.choice(n, size=count, replace=False).tolist()) if count else set()
+    vector = []
+    table = []
+    for j, (true, entry) in enumerate(zip(codeword, entries)):
+        want_error = j in error_at
+        first = attempt_loop_simulate_recognition(
+            true, entry, params, trial=stable_seed("inject", j, 0)
+        )
+        res = None
+        for attempt in range(max_attempts):
+            cand = first if attempt == 0 else attempt_loop_simulate_recognition(
+                true, entry, params, trial=stable_seed("inject", j, attempt)
+            )
+            if (cand.argmax_index != true) == want_error:
+                res = cand
+                break
+        if kept is not None:
+            kept.append(None if res is None else attempt)
+        if res is None:
+            if want_error:
+                # noise too small to confuse: force the runner-up glyph
+                order = np.argsort(-first.probabilities, kind="stable")
+                runner_up = int(order[1]) if int(order[0]) == true else int(order[0])
+                res = RecognitionResult(first.probabilities, runner_up, true)
+            else:
+                probs = np.zeros(entry.capacity)
+                probs[true] = 1.0
+                res = RecognitionResult(probs, true, true)
+        vector.append(res.argmax_index)
+        table.append(res.probabilities)
+    return tuple(vector), table

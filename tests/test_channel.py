@@ -2,13 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import scalar_outline_distance, trial_loop_per_glyph_accuracy
+from oracles import (
+    attempt_loop_inject_errors,
+    scalar_outline_distance,
+    trial_loop_per_glyph_accuracy,
+)
 
 from glyphcode import channel, fixtures, pipeline
 from glyphcode.codebook import CharacterEntry, ManifoldPoint, PerturbedGlyphEntry
 from glyphcode.crc import hamming_distance
 from glyphcode.errors import ContractViolation
-from glyphcode.outline import GlyphOutline, resample_outline
+from glyphcode.outline import GlyphOutline, OutlineStack, resample_outline
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +152,24 @@ def test_channel_params_validation():
         channel.ChannelParams(sigma=-1.0)
     with pytest.raises(ContractViolation):
         channel.ChannelParams(trials=0)
+    for sigma in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ContractViolation, match="finite"):
+            channel.ChannelParams(sigma=sigma)
+
+
+def test_overflowing_sigma_is_refused(entry):
+    """At sigma 1e306 the observations stay finite but their distances
+    overflow; the channel refuses them instead of warning and taking an
+    argmin over inf or NaN."""
+    params = channel.ChannelParams(sigma=1e306)
+    outlines = [g.outline for g in entry.glyphs]
+    with pytest.raises(ContractViolation, match="overflow"):
+        channel.per_glyph_accuracy(outlines, params)
+    with pytest.raises(ContractViolation, match="overflow"):
+        channel.inject_errors((0, 1, 2, 3, 4), [entry] * 5, 2, params)
+    noise = np.random.default_rng(0).normal(0.0, 1e306, outlines[0].vertices.shape)
+    with pytest.raises(ContractViolation, match="overflow"):
+        channel.recognize_vector(GlyphOutline(outlines[0].vertices + noise), entry)
 
 
 def test_recognition_refuses_mixed_vertex_counts(entry):
@@ -224,3 +246,96 @@ def test_simulate_document_refuses_a_short_index_stream(document):
     short = pipeline.EncodedDocument(doc.text, doc.glyph_indices[:50], doc.codebook_id)
     with pytest.raises(ContractViolation, match="glyph index stream does not match the letter count"):
         channel.simulate_document(short, cb, 1, [channel.ChannelParams()])
+
+
+def _fixture_blocks(rng, cases):
+    """Random codewords over fixture codebooks with capacities 2-40, at every
+    error count and at noise levels from none to one that misreads almost
+    every glyph."""
+    caps = {ch: int(c) for ch, c in zip("abcdefghij", rng.integers(2, 41, size=10))}
+    caps.update(p=2, q=3, r=40)
+    entries = list(fixtures.fixture_codebook(caps).entries.values())
+    for case in range(cases):
+        n = int(rng.integers(1, 7))
+        block = [entries[int(i)] for i in rng.integers(len(entries), size=n)]
+        codeword = tuple(int(rng.integers(e.capacity)) for e in block)
+        count = case % (n + 1)
+        sigma = (0.0, 1e-3, channel.DEFAULT_SIGMA, 0.05, 1.0)[case % 5]
+        yield codeword, block, count, channel.ChannelParams(sigma=sigma, seed=int(rng.integers(10**6)))
+
+
+def test_inject_errors_matches_attempt_loop_oracle():
+    rng = np.random.default_rng(16)
+    kept = []
+    for codeword, block, count, params in _fixture_blocks(rng, 100):
+        vector, table = channel.inject_errors(codeword, block, count, params)
+        want_vector, want_table = attempt_loop_inject_errors(codeword, block, count, params, kept=kept)
+        assert vector == want_vector
+        assert len(table) == len(want_table)
+        assert all(np.array_equal(a, b) for a, b in zip(table, want_table))
+    # the first observation kept, a later attempt kept, and forced outcomes
+    assert kept.count(0) >= 50
+    assert sum(a is not None and a > 0 for a in kept) >= 20
+    assert kept.count(None) >= 20
+
+
+def test_inject_errors_refuses_like_attempt_loop_oracle():
+    entries = list(fixtures.fixture_codebook({"a": 3, "b": 7}).entries.values())
+    params = channel.ChannelParams(seed=3)
+    bad = [
+        ((0, 1), entries[:1], 1),  # entry list too short
+        ((0, 1), entries, 3),  # count above n
+        ((0, 1), entries, -1),
+        ((0, 7), entries, 1),  # glyph index past the capacity
+        ((-1, 2), entries, 0),
+    ]
+    for codeword, block, count in bad:
+        with pytest.raises(ContractViolation) as got:
+            channel.inject_errors(codeword, block, count, params)
+        with pytest.raises(ContractViolation) as want:
+            attempt_loop_inject_errors(codeword, block, count, params)
+        assert str(got.value) == str(want.value)
+
+
+def test_inject_errors_recognizes_retries_in_one_batch(monkeypatch):
+    """Per position: one distance call for the first observation, at most one
+    for all its retries, and probabilities for the kept row only."""
+    calls = {"distances": 0, "probabilities": 0}
+    batch_distances = OutlineStack.batch_distances
+    probabilities = channel._probabilities
+
+    def counted_distances(self, observed):
+        calls["distances"] += 1
+        return batch_distances(self, observed)
+
+    def counted_probabilities(d):
+        calls["probabilities"] += 1
+        return probabilities(d)
+
+    monkeypatch.setattr(OutlineStack, "batch_distances", counted_distances)
+    monkeypatch.setattr(channel, "_probabilities", counted_probabilities)
+    rng = np.random.default_rng(17)
+    retried = 0
+    for codeword, block, count, params in _fixture_blocks(rng, 40):
+        calls.update(distances=0, probabilities=0)
+        channel.inject_errors(codeword, block, count, params)
+        assert calls["distances"] <= 2 * len(codeword)
+        assert calls["probabilities"] <= len(codeword)
+        retried += calls["distances"] > len(codeword)
+    assert retried >= 10
+
+
+def test_inject_errors_memory_is_bounded():
+    """A position's retries hold at most 31 x 40 x 256 x 2 floats (about
+    5 MB) at capacity 40 with 256-vertex outlines."""
+    entry = fixtures.chain_entry("m", 40, vertex_count=256)
+    entry.outline_stack  # stacked once, outside the measured peak
+    params = channel.ChannelParams(sigma=1e-3, seed=2)
+    tracemalloc.start()
+    try:
+        vector, _ = channel.inject_errors((0, 10, 20, 30, 39), [entry] * 5, 5, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hamming_distance(vector, (0, 10, 20, 30, 39)) == 5
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"

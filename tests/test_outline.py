@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import scalar_outline_distance, scale_to_bbox
+from oracles import BroadcastStack, scalar_outline_distance, scale_to_bbox
 
 from glyphcode.errors import ContractViolation, DegenerateGeometryError
 from glyphcode.outline import (
@@ -130,6 +130,44 @@ def test_batch_distances_match_single_distances():
         assert np.array_equal(got, want)
         zeros += int((got == 0.0).sum())
     assert zeros >= 60 * 7
+
+def test_per_coordinate_kernel_matches_broadcast_oracle():
+    """The per-coordinate rescale gives the broadcast kernel's distances bit
+    for bit, past V = 64 too, where each sum runs over more than 128 values
+    and numpy's pairwise summation splits it."""
+    rng = np.random.default_rng(15)
+    zeros = long = 0
+    for case in range(300):
+        v = int(rng.integers(3, 301)) if case % 2 else int(rng.integers(3, 40))
+        unit = float(rng.choice([1e-3, 1.0, 1e3]))
+        base = rng.uniform(-1.0, 1.0, size=(v, 2)) * unit
+        outlines = [base + rng.normal(0.0, 0.02 * unit, size=(v, 2)) for _ in range(rng.integers(1, 32))]
+        outlines.append(base * rng.uniform(0.1, 10.0))
+        flat = base.copy()
+        flat[:, int(rng.integers(2))] = 0.25 * unit
+        outlines.append(flat)
+        rng.shuffle(outlines)
+        stack = [GlyphOutline(u) for u in outlines]
+        picks = rng.integers(len(outlines), size=int(rng.integers(1, 32)))
+        observed = np.stack([outlines[int(i)] for i in picks])
+        noisy = rng.random(len(picks)) < 0.6
+        observed[noisy] += rng.normal(0.0, 0.01 * unit, size=observed[noisy].shape)
+        got = OutlineStack(stack).batch_distances(observed)
+        assert np.array_equal(got, BroadcastStack(stack).batch_distances(observed))
+        zeros += int((got == 0.0).sum())
+        long += v > 64
+    assert zeros >= 100 and long >= 100
+
+
+def test_overflowing_distance_is_refused():
+    # squares past the float range: no RuntimeWarning escapes and no argmin
+    # is taken over inf or NaN
+    huge = GlyphOutline(SQUARE.vertices * np.array([[1e306], [-2e306], [3e306], [0.0]]))
+    with pytest.raises(ContractViolation, match="overflow"):
+        OutlineStack([SQUARE, resample_outline(SQUARE, 4)]).distances(huge)
+    with pytest.raises(ContractViolation, match="overflow"):
+        OutlineStack([SQUARE]).batch_distances(np.stack([SQUARE.vertices, huge.vertices]))
+
 
 def test_stack_refuses_mixed_vertex_counts():
     with pytest.raises(ContractViolation):
