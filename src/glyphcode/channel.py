@@ -105,6 +105,8 @@ def _observed_distances(
 ) -> np.ndarray:
     """Distances of the true glyph, observed once per trial, to each glyph:
     a (len(trials), capacity) array."""
+    if not (0 <= true_index < entry.capacity):
+        raise ContractViolation("true_index out of range")
     seeds = [stable_seed(params.seed, "obs", true_index, trial) for trial in trials]
     observed = _observations(entry.glyphs[true_index].outline.vertices, params.sigma, seeds)
     return entry.outline_stack.batch_distances(observed)
@@ -117,8 +119,6 @@ def simulate_recognition(
     trial: int = 0,
 ) -> RecognitionResult:
     """One pass through the noisy channel: perturb the true glyph, recognize it."""
-    if not (0 <= true_index < entry.capacity):
-        raise ContractViolation("true_index out of range")
     d = _observed_distances(true_index, entry, params, [trial])[0]
     return RecognitionResult(_probabilities(d), int(np.argmin(d)), true_index)
 
@@ -188,8 +188,6 @@ def inject_errors(
     vector: list[int] = []
     table: list[np.ndarray] = []
     for j, (true, entry) in enumerate(zip(codeword, entries)):
-        if not (0 <= true < entry.capacity):
-            raise ContractViolation("true_index out of range")
         want_error = j in error_at
         first = _observed_distances(true, entry, params, [stable_seed("inject", j, 0)])[0]
         kept = first if (int(np.argmin(first)) != true) == want_error else None
