@@ -9,7 +9,8 @@ likelihood table resolves ties beyond that bound.
 
 Hamming decoding never tabulates the M codewords: it lists candidates by CRT
 on subsets of the received positions and holds only those candidates.  The
-module keeps no cache.
+module keeps no cache; each ``ModuliSet`` derives its payload bound once, when
+it is made.
 """
 
 from __future__ import annotations
@@ -37,19 +38,17 @@ __all__ = [
 ]
 
 
-def _modinv(a: int, m: int) -> int:
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise ContractViolation(f"{a} has no inverse modulo {m}") from None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModuliSet:
-    """Ordered pairwise-coprime moduli with k payload positions."""
+    """Ordered pairwise-coprime moduli with k payload positions.
+
+    ``payload_bound`` (M, the product of the k smallest moduli) is derived
+    once, when the set is made, and kept in a slot.
+    """
 
     p: tuple[int, ...]
     k: int
+    payload_bound: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = tuple(int(x) for x in self.p)
@@ -64,15 +63,11 @@ class ModuliSet:
                     raise ContractViolation(
                         f"moduli {p[i]} and {p[j]} are not coprime"
                     )
+        object.__setattr__(self, "payload_bound", math.prod(sorted(p)[: self.k]))
 
     @property
     def n(self) -> int:
         return len(self.p)
-
-    @property
-    def payload_bound(self) -> int:
-        """M: product of the k smallest moduli."""
-        return math.prod(sorted(self.p)[: self.k])
 
     @property
     def total_product(self) -> int:
@@ -97,20 +92,32 @@ class DecodeOutcome:
         )
 
 
+def _lift(
+    r: Sequence[int], p: Sequence[int], positions: Sequence[int]
+) -> tuple[int, int]:
+    """Garner's CRT over ``positions``: (m0, step) with step the product of
+    their moduli and m0 < step the unique value with m0 mod p_j = r_j there.
+    The residues must be in range; no positions give (0, 1)."""
+    if not positions:
+        return 0, 1
+    m0, step = r[positions[0]], p[positions[0]]
+    for j in positions[1:]:  # lift m0 mod step to mod step * p_j
+        pj = p[j]
+        m0 += step * ((r[j] - m0) * pow(step, -1, pj) % pj)
+        step *= pj
+    return m0, step
+
+
 def crt_reconstruct(r: Sequence[int], moduli: ModuliSet) -> int:
-    """Unique m in [0, P) with m mod p_i = r_i, via extended-Euclid inverses."""
+    """Unique m in [0, P) with m mod p_i = r_i, by Garner's lifting with
+    ``pow`` inverses."""
     p = moduli.p
     if len(r) != len(p):
         raise ContractViolation("residue count does not match moduli count")
     for ri, pi in zip(r, p):
         if not (0 <= ri < pi):
             raise ContractViolation(f"residue {ri} out of range for modulus {pi}")
-    P = moduli.total_product
-    total = 0
-    for ri, pi in zip(r, p):
-        Pi = P // pi
-        total += ri * _modinv(Pi, pi) * Pi
-    return total % P
+    return _lift(r, p, range(len(p)))[0]
 
 
 def encode_phi(m: int, moduli: ModuliSet) -> tuple[int, ...]:
@@ -118,7 +125,7 @@ def encode_phi(m: int, moduli: ModuliSet) -> tuple[int, ...]:
     M = moduli.payload_bound
     if not (0 <= m < M):
         raise ContractViolation(f"payload {m} outside [0, {M})")
-    return tuple(m % pi for pi in moduli.p)
+    return tuple([m % pi for pi in moduli.p])
 
 
 def hamming_distance(u: Sequence[int], v: Sequence[int]) -> int:
@@ -143,7 +150,8 @@ def hamming_decode(
     one payload below the payload bound, and shrink only while they yield no
     candidate at all; size 0 lists all of [0, M).  Within the unique-decoding
     radius floor((n-k)/2) the first candidate found is the answer.  Nothing is
-    tabulated or cached.  A non-unique minimum is reported as ambiguous-fail
+    tabulated; the payload bound is the one the moduli set derived when it was
+    made.  A non-unique minimum is reported as ambiguous-fail
     with every tied candidate recorded, in ascending order.
     """
     p = moduli.p
@@ -153,10 +161,10 @@ def hamming_decode(
     bound = moduli.payload_bound
     if M is None:
         M = bound
-    r = tuple(int(x) for x in r)
+    r = tuple(map(int, r))
     live = [j for j in range(n) if 0 <= r[j] < p[j]]
     if len(live) == n:
-        m_tilde = crt_reconstruct(r, moduli)
+        m_tilde = _lift(r, p, live)[0]
         if m_tilde < M:
             return DecodeOutcome("exact", m_tilde, 0, 1, (m_tilde,))
     # any other payload below the bound is at least n - k + 1 from a codeword
@@ -164,11 +172,7 @@ def hamming_decode(
     dist: dict[int, int] = {}
     for size in range(min(moduli.k, len(live)), -1, -1):
         for subset in combinations(live, size):
-            m0, step = (r[subset[0]], p[subset[0]]) if subset else (0, 1)
-            for j in subset[1:]:  # Garner: lift m0 mod step to mod step * p_j
-                pj = p[j]
-                m0 += step * ((r[j] - m0) * pow(step, -1, pj) % pj)
-                step *= pj
+            m0, step = _lift(r, p, subset)
             for m in range(m0, M, step):
                 if m in dist:
                     continue
@@ -217,32 +221,39 @@ def _resolve_tie(
     p = moduli.p
     if len(g) != len(p):
         raise ContractViolation("likelihood table length does not match moduli")
-    rows, sums = [], []
+    rows, log_sums = [], []
     for j, row in enumerate(g):
         row = np.asarray(row, dtype=float)
         if row.ndim != 1 or row.shape[0] < p[j]:
             raise ContractViolation(
                 f"likelihood row {j} must cover at least {p[j]} glyphs"
             )
+        # min propagates NaN and the sum is inf when an entry is, so a row
+        # passes only when it is finite and non-negative with positive sum
         total = row.sum()
-        if (row < 0).any() or total <= 0:
-            raise ContractViolation(f"likelihood row {j} must be non-negative with positive sum")
+        if not (row.min() >= 0 and 0 < total < math.inf):
+            raise ContractViolation(
+                f"likelihood row {j} must be finite and non-negative with positive sum"
+            )
         rows.append(row)
-        sums.append(total)
-    r = tuple(int(x) for x in r)
+        log_sums.append(math.log(total))
+    r = tuple(map(int, r))
+    M = moduli.payload_bound
     best_m = None
     best_score = -math.inf
-    for m in base.candidates:
-        cw = encode_phi(m, moduli)
+    for m in base.candidates:  # ascending, never negative
+        if m >= M:  # the payloads encode_phi refuses
+            raise ContractViolation(f"payload {m} outside [0, {M})")
         score = 0.0
-        for j, (cj, rj) in enumerate(zip(cw, r)):
+        for pj, rj, row, log_sum in zip(p, r, rows, log_sums):
+            cj = m % pj
             if cj == rj:
                 continue
-            num = rows[j][cj]
+            num = row[cj]
             if num <= 0.0:
                 score = -math.inf
                 break
-            score += math.log(num) - math.log(sums[j])
+            score += math.log(num) - log_sum
         if score > best_score:
             best_score = score
             best_m = m

@@ -30,6 +30,7 @@ from .pipeline import (
     Block,
     EncodedDocument,
     LetterSequence,
+    _capacities,
     _decode_blocks,
     _encode_blocks,
     chunk_message,
@@ -58,15 +59,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PermutationKey:
-    """Per-character bijection over glyph indices."""
+    """Per-character bijection over glyph indices.
+
+    Integer i of character ``ch`` is stored as glyph ``perms[ch][i]``.  The key
+    maps through per-character tables built once, when it is made: a forward
+    table (integer -> glyph index), an inverse table (glyph index -> integer)
+    and the permutation as an index array for likelihood rows.  The tables are
+    read, so ``perms`` must not change after the key is made.
+    """
 
     key_id: str
     perms: dict[str, tuple[int, ...]]
 
     def __post_init__(self):
+        forward, inverse, rows = {}, {}, {}
         for ch, perm in self.perms.items():
             if sorted(perm) != list(range(len(perm))):
                 raise ContractViolation(f"mapping for {ch!r} is not a permutation")
+            forward[ch] = dict(enumerate(perm))
+            inverse[ch] = {g: i for i, g in enumerate(perm)}
+            rows[ch] = np.asarray(perm, dtype=np.intp)
+        object.__setattr__(self, "_forward", forward)
+        object.__setattr__(self, "_inverse", inverse)
+        object.__setattr__(self, "_rows", rows)
 
     def _perm(self, character: str) -> tuple[int, ...]:
         try:
@@ -88,7 +103,29 @@ class PermutationKey:
             raise KeyMismatchError(
                 f"glyph index {value} out of range for character {character!r}"
             )
-        return perm.index(value)
+        return self._inverse[character][value]
+
+    def forward_letters(self, letters: Sequence[str], values: Sequence[int]) -> list[int]:
+        """:meth:`forward` over a letter sequence, raising its error at the
+        first letter it refuses."""
+        table = self._forward
+        try:
+            return [table[ch][v] for ch, v in zip(letters, values)]
+        except KeyError:
+            pass
+        return [self.forward(ch, v) for ch, v in zip(letters, values)]
+
+    def inverse_letters(
+        self, letters: Sequence[str], values: Sequence[int], widths: dict[str, int]
+    ) -> list[Optional[int]]:
+        """:meth:`inverse` over a letter sequence, with None at each letter it
+        refuses and at each letter whose permutation does not cover exactly
+        ``widths[letter]`` glyphs."""
+        table = {ch: t for ch, t in self._inverse.items() if len(t) == widths.get(ch)}
+        try:
+            return [table[ch][v] for ch, v in zip(letters, values)]
+        except KeyError:
+            return [table.get(ch, {}).get(v) for ch, v in zip(letters, values)]
 
     def inverse_row(self, character: str, row: np.ndarray) -> np.ndarray:
         """Reorder a per-glyph likelihood row into embedded-integer order."""
@@ -98,7 +135,7 @@ class PermutationKey:
             raise KeyMismatchError(
                 f"likelihood row length {row.shape} does not match key for {character!r}"
             )
-        return row[np.asarray(perm)]
+        return row[self._rows[character]]
 
     def inverted(self) -> "PermutationKey":
         perms = {}
@@ -246,8 +283,9 @@ def _layout(
     start = bits = 0
     for block in blocks:
         cur.append(block)
-        # blocks cover consecutive letter ranges, so the newest one ends last
-        end = max(block.member_indices + block.skipped_indices) + 1
+        # blocks cover consecutive letter ranges, and a block's last member is
+        # the last letter it pulled in, so it ends the newest block
+        end = block.member_indices[-1] + 1
         bits += block.bit_width
         if end - start >= config.segment_min_letters and bits >= need:
             segments.append(Segment(len(segments), tuple(cur), start, end))
@@ -325,17 +363,21 @@ def verify(
         config.digest_bits if config.scheme == 1 else verifier.signature_bits
     )
     seq, _, segments = _layout(encoded.text, codebook, config, payload_bits)
+    glyphs = encoded.glyph_indices
+    values = glyphs
+    if config.scheme == 1:
+        # mapped once for every segment
+        values = key.inverse_letters(seq.letters, glyphs, _capacities(codebook))
     results: list[SegmentResult] = []
-    checked: set[str] = set()  # letters whose key width is checked
     for s in segments:
         digest = _segment_digest(seq, s, config.hash_id)
         try:
             bits, _ = _decode_blocks(
                 seq,
                 s.blocks,
-                encoded.glyph_indices,
+                values,
                 key=key if config.scheme == 1 else None,
-                checked=checked,
+                glyphs=glyphs,
             )
         except PartialDecodeError:
             results.append(

@@ -22,7 +22,7 @@ from .codebook import (
     PerturbedGlyphEntry,
 )
 from .crypto import PermutationKey
-from .errors import FormatError, GlyphcodeError
+from .errors import ContractViolation, FormatError, GlyphcodeError
 from .outline import GlyphOutline
 from .perceptual import RaterReliabilities, Response, SimilarityScores
 from .pipeline import EncodedDocument
@@ -199,10 +199,16 @@ def read_document(lines: list[str]) -> EncodedDocument:
 
 
 def write_trace(rows: Sequence[np.ndarray], fh: TextIO, config: str = "") -> None:
-    """Channel trace: one line per coded letter with argmax and probabilities."""
+    """Channel trace: one line per coded letter with argmax and probabilities.
+
+    Raises ContractViolation, before writing anything, on a non-finite
+    likelihood, which :func:`read_trace` would refuse."""
+    rows = [np.asarray(row, dtype=float) for row in rows]
+    for i, row in enumerate(rows):
+        if not np.isfinite(row).all():
+            raise ContractViolation(f"trace row {i} holds a non-finite likelihood")
     fh.write(_header("trace", config))
     for row in rows:
-        row = np.asarray(row, dtype=float)
         fh.write(
             f"{int(np.argmax(row))} " + " ".join(repr(float(v)) for v in row) + "\n"
         )
@@ -210,7 +216,11 @@ def write_trace(rows: Sequence[np.ndarray], fh: TextIO, config: str = "") -> Non
 
 @_reader("trace")
 def read_trace(lines: list[str]) -> list[np.ndarray]:
-    return [np.array([float(v) for v in line.split()[1:]]) for line in lines if line.strip()]
+    rows = [np.array([float(v) for v in line.split()[1:]]) for line in lines if line.strip()]
+    for i, row in enumerate(rows):
+        if not np.isfinite(row).all():  # float() reads nan and inf
+            raise FormatError(f"trace row {i} holds a non-finite likelihood")
+    return rows
 
 
 def write_responses(responses: Sequence[Response], fh: TextIO, config: str = "") -> None:

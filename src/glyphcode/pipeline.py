@@ -72,7 +72,7 @@ class Block:
 
     @property
     def bit_width(self) -> int:
-        return self.payload_bound.bit_length() - 1  # floor(log2 M_t)
+        return self.moduli.payload_bound.bit_length() - 1  # floor(log2 M_t)
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,18 @@ class EncodedDocument:
     codebook_id: str
 
 
+def _capacities(codebook: Codebook) -> dict[str, int]:
+    """Each codebook character's glyph count."""
+    return {ch: entry.capacity for ch, entry in codebook.entries.items()}
+
+
 def letter_sequence(text: str, codebook: Codebook) -> LetterSequence:
-    letters, caps, positions = [], [], []
-    for pos, ch in enumerate(text):
-        if ch in codebook.entries:
-            letters.append(ch)
-            caps.append(codebook.capacity(ch))
-            positions.append(pos)
-    return LetterSequence(tuple(letters), tuple(caps), tuple(positions))
+    caps = _capacities(codebook)
+    positions = [pos for pos, ch in enumerate(text) if ch in caps]
+    letters = [text[pos] for pos in positions]
+    return LetterSequence(
+        tuple(letters), tuple([caps[ch] for ch in letters]), tuple(positions)
+    )
 
 
 def _kmin_product(values: Sequence[int], k: int) -> int:
@@ -164,20 +168,19 @@ def _blocks(capacities: Sequence[int], n: int, k: int) -> Iterator[Block]:
     total = len(capacities)
     cursor = 0
     while cursor + n <= total:
-        window = list(range(cursor, cursor + n))
+        window = range(cursor, cursor + n)
+        caps = tuple(capacities[cursor : cursor + n])
         skipped: list[int] = []
-        while True:
-            caps = tuple(capacities[i] for i in window)
-            moduli = _choose_moduli_cached(caps, k)
-            if moduli is not None:
-                break
+        while (moduli := _choose_moduli_cached(caps, k)) is None:
             # drop the (first) lowest-capacity letter, pull in the next one
             drop = min(range(n), key=lambda j: (caps[j], j))
+            window = list(window)
             skipped.append(window.pop(drop))
             nxt = cursor + n + len(skipped) - 1
             if nxt >= total:
                 return
             window.append(nxt)
+            caps = tuple(capacities[i] for i in window)
         yield Block(tuple(window), tuple(skipped), moduli)
         cursor += n + len(skipped)
 
@@ -246,7 +249,7 @@ def _encode_blocks(
         for i, residue in zip(block.member_indices, encode_phi(m, block.moduli)):
             indices[i] = residue
     if key is not None:
-        indices = [key.forward(ch, v) for ch, v in zip(seq.letters, indices)]
+        indices = key.forward_letters(seq.letters, indices)
     return tuple(indices)
 
 
@@ -254,53 +257,51 @@ def _uniform_row(capacity: int) -> np.ndarray:
     return np.full(capacity, 1.0 / capacity)
 
 
-def _check_key_width(key, character: str, capacity: int, checked: set[str]) -> None:
-    """Raise the key's KeyMismatchError when its permutation for ``character``
-    does not cover the letter's ``capacity`` glyphs; ``checked`` holds the
-    characters already checked, so each is checked once."""
-    if character not in checked:
-        key.inverse_row(character, _uniform_row(capacity))
-        checked.add(character)
+def _refuse(
+    key, seq: LetterSequence, glyphs: Sequence[int], i: int, block: Optional[int] = None
+) -> None:
+    """Raise the error for letter i, whose glyph index ``key.inverse_letters``
+    mapped to None: the key's KeyMismatchError for the index
+    (PartialDecodeError(block) when ``block`` is given), else its
+    KeyMismatchError for the letter's capacity."""
+    ch = seq.letters[i]
+    try:
+        key.inverse(ch, glyphs[i])
+    except KeyMismatchError as exc:
+        if block is None:
+            raise
+        raise PartialDecodeError(block) from exc
+    key.inverse_row(ch, _uniform_row(seq.capacities[i]))
 
 
 def _decode_blocks(
     seq: LetterSequence,
     blocks: Sequence[Block],
-    values: Sequence[int],
+    values: Sequence[Optional[int]],
     row: Optional[Callable[[int], np.ndarray]] = None,
     key=None,
-    checked: Optional[set[str]] = None,
+    glyphs: Sequence[int] = (),
 ) -> tuple[str, list[DecodeOutcome]]:
     """Decode each block to its ``bit_width`` bits.
 
     ``values`` gives each letter's received integer and ``row(i)`` letter i's
     likelihood row in the same order; rows are uniform when ``row`` is None.
     Rows are read only on a Hamming tie, so they are built for those blocks
-    alone.  With ``key``, ``values`` are glyph indices mapped back through the
-    key block by block, and an index the key cannot map fails its block (a
-    uniform row needs no mapping); its width is checked once per character,
-    and callers may share ``checked`` across calls.  A block that reaches past
-    the end of ``values`` fails.  Raises PartialDecodeError at the first
-    failed block.
+    alone.  With ``key``, ``values`` are the glyph indices ``glyphs`` mapped
+    back by ``key.inverse_letters``, and a letter it refused fails its block
+    (a uniform row needs no mapping), or raises the key's KeyMismatchError
+    when the key's width is wrong.  A block that reaches past the end of
+    ``values`` fails.  Raises PartialDecodeError at the first failed block.
     """
     outcomes: list[DecodeOutcome] = []
     bits = []
-    checked = set() if checked is None else checked
     for t, block in enumerate(blocks):
         members = block.member_indices
         if members[-1] >= len(values):  # members ascend
             raise PartialDecodeError(t)
-        vector = []
-        for i in members:
-            v = values[i]
-            if key is not None:
-                ch = seq.letters[i]
-                try:
-                    v = key.inverse(ch, v)
-                except KeyMismatchError as exc:
-                    raise PartialDecodeError(t) from exc
-                _check_key_width(key, ch, seq.capacities[i], checked)
-            vector.append(v)
+        vector = [values[i] for i in members]
+        if key is not None and None in vector:
+            _refuse(key, seq, glyphs, members[vector.index(None)], t)
         outcome = hamming_decode(vector, block.moduli)
         if outcome.status == "ambiguous-fail":
             g = [
@@ -311,7 +312,8 @@ def _decode_blocks(
         outcomes.append(outcome)
         if outcome.m is None:
             raise PartialDecodeError(t)
-        bits.append(format(outcome.m, f"0{block.bit_width}b")[-block.bit_width :])
+        width = block.bit_width
+        bits.append(format(outcome.m, f"0{width}b")[-width:])
     return "".join(bits), outcomes
 
 
@@ -365,17 +367,20 @@ def extract(
     if likelihoods is not None and len(likelihoods) != len(seq.letters):
         raise ContractViolation("likelihood table does not match the letter count")
 
-    indices = list(encoded.glyph_indices)
-    if likelihoods is not None or key is not None:
-        checked: set[str] = set()
-        for i, ch in enumerate(seq.letters):
-            cap = seq.capacities[i]
-            if likelihoods is not None:
-                if np.asarray(likelihoods[i], dtype=float).shape != (cap,):
-                    raise ContractViolation(f"likelihood row {i} has wrong length")
-            if key is not None:
-                indices[i] = key.inverse(ch, indices[i])
-                _check_key_width(key, ch, cap, checked)
+    indices = encoded.glyph_indices
+    refused = len(seq.letters)  # the first letter the key refuses, if any
+    if key is not None:
+        indices = key.inverse_letters(
+            seq.letters, encoded.glyph_indices, _capacities(codebook)
+        )
+        if None in indices:
+            refused = indices.index(None)
+    if likelihoods is not None:  # each row is checked before its letter's key
+        for i, cap in enumerate(seq.capacities[: refused + 1]):
+            if np.asarray(likelihoods[i], dtype=float).shape != (cap,):
+                raise ContractViolation(f"likelihood row {i} has wrong length")
+    if refused < len(seq.letters):
+        _refuse(key, seq, encoded.glyph_indices, refused)
 
     def row(i: int) -> np.ndarray:
         r = np.asarray(likelihoods[i], dtype=float)

@@ -20,6 +20,15 @@ length-2 coordinate axis, and ``attempt_loop_inject_errors`` the channel that
 recognized each of a position's up to 32 attempts on its own, through
 ``attempt_loop_simulate_recognition`` and ``attempt_loop_recognize_vector``.
 The per-coordinate kernel and the batched retries must match them exactly.
+
+``inverse_sum_crt_reconstruct`` is CRT as a sum over the positions, and
+``candidate_loop_resolve_tie`` the tie step that encoded every candidate with
+``encode_phi``.  ``IndexKey`` is the permutation key that mapped one letter at
+a time and inverted by ``tuple.index``; ``loop_letter_sequence``,
+``loop_blocks`` and the ``loop_*`` embed, extract, sign and verify built on
+them are the per-letter layout, codec and key paths.  The table-driven paths
+in ``glyphcode.crc``, ``glyphcode.pipeline`` and ``glyphcode.crypto`` must
+match them exactly, errors included.
 """
 
 import math
@@ -30,12 +39,20 @@ import numpy as np
 from glyphcode.crc import (
     DecodeOutcome,
     ModuliSet,
-    crt_reconstruct,
     encode_phi,
+    hamming_decode,
     hamming_distance,
 )
 from glyphcode.channel import RecognitionResult, _probabilities
-from glyphcode.errors import ContractViolation
+from glyphcode.crypto import Segment, SegmentResult, VerificationReport, _segment_digest
+from glyphcode.errors import (
+    ContractViolation,
+    DocumentTooSmallError,
+    GlyphcodeError,
+    KeyMismatchError,
+    PartialDecodeError,
+    SigningError,
+)
 from glyphcode.outline import GlyphOutline, OutlineStack
 from glyphcode.perceptual import (
     FitConfig,
@@ -43,7 +60,16 @@ from glyphcode.perceptual import (
     SimilarityScores,
     _connected_components,
 )
-from glyphcode.util import stable_seed
+from glyphcode.pipeline import (
+    Block,
+    EncodedDocument,
+    LetterSequence,
+    _choose_moduli_cached,
+    chunk_message,
+    frame_message,
+    unframe_message,
+)
+from glyphcode.util import bits_from_bytes, stable_seed
 
 
 def _residue_table(p, M):
@@ -67,7 +93,7 @@ def scan_hamming_decode(r, moduli, M=None):
         M = moduli.payload_bound
     r = tuple(int(x) for x in r)
     if all(0 <= ri < pi for ri, pi in zip(r, p)):
-        m_tilde = crt_reconstruct(r, moduli)
+        m_tilde = inverse_sum_crt_reconstruct(r, moduli)
         if m_tilde < M:
             return DecodeOutcome("exact", m_tilde, 0, 1, (m_tilde,))
     table = _residue_table(p, M)
@@ -425,3 +451,333 @@ def attempt_loop_inject_errors(codeword, entries, count, params, max_attempts=32
         vector.append(res.argmax_index)
         table.append(res.probabilities)
     return tuple(vector), table
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call returns, or the type and message of the library error it
+    raises and of the error that caused that one."""
+    try:
+        return "returned", fn(*args, **kwargs)
+    except GlyphcodeError as exc:
+        cause = exc.__cause__
+        return type(exc), str(exc), type(cause), str(cause)
+
+
+def _modinv(a, m):
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ContractViolation(f"{a} has no inverse modulo {m}") from None
+
+
+def inverse_sum_crt_reconstruct(r, moduli):
+    """Unique m in [0, P) with m mod p_i = r_i, as the sum of r_i (P/p_i)
+    ((P/p_i)^-1 mod p_i) over the positions."""
+    p = moduli.p
+    if len(r) != len(p):
+        raise ContractViolation("residue count does not match moduli count")
+    for ri, pi in zip(r, p):
+        if not (0 <= ri < pi):
+            raise ContractViolation(f"residue {ri} out of range for modulus {pi}")
+    P = moduli.total_product
+    total = 0
+    for ri, pi in zip(r, p):
+        Pi = P // pi
+        total += ri * _modinv(Pi, pi) * Pi
+    return total % P
+
+
+def candidate_loop_resolve_tie(base, r, moduli, g):
+    """The maximum-likelihood step of :func:`ml_decode` on a Hamming outcome;
+    ``g`` is read only when ``base`` is an ambiguous-fail."""
+    if base.status != "ambiguous-fail":
+        return base
+    if g is None:
+        raise ContractViolation("ambiguous code vector requires a likelihood table")
+    p = moduli.p
+    if len(g) != len(p):
+        raise ContractViolation("likelihood table length does not match moduli")
+    rows, sums = [], []
+    for j, row in enumerate(g):
+        row = np.asarray(row, dtype=float)
+        if row.ndim != 1 or row.shape[0] < p[j]:
+            raise ContractViolation(
+                f"likelihood row {j} must cover at least {p[j]} glyphs"
+            )
+        total = row.sum()
+        if (row < 0).any() or total <= 0:
+            raise ContractViolation(f"likelihood row {j} must be non-negative with positive sum")
+        rows.append(row)
+        sums.append(total)
+    r = tuple(int(x) for x in r)
+    best_m = None
+    best_score = -math.inf
+    for m in base.candidates:
+        cw = encode_phi(m, moduli)
+        score = 0.0
+        for j, (cj, rj) in enumerate(zip(cw, r)):
+            if cj == rj:
+                continue
+            num = rows[j][cj]
+            if num <= 0.0:
+                score = -math.inf
+                break
+            score += math.log(num) - math.log(sums[j])
+        if score > best_score:
+            best_score = score
+            best_m = m
+    if best_m is None or best_score == -math.inf:
+        return base
+    return DecodeOutcome(
+        "corrected-ml", best_m, base.min_hamming, base.candidate_count, base.candidates
+    )
+
+
+class IndexKey:
+    """A permutation key's ``perms``, mapped one letter at a time."""
+
+    def __init__(self, key):
+        self.perms = key.perms
+
+    def _perm(self, character):
+        try:
+            return self.perms[character]
+        except KeyError:
+            raise KeyMismatchError(f"key has no entry for character {character!r}")
+
+    def forward(self, character, value):
+        perm = self._perm(character)
+        if not (0 <= value < len(perm)):
+            raise KeyMismatchError(
+                f"integer {value} out of range for character {character!r}"
+            )
+        return perm[value]
+
+    def inverse(self, character, value):
+        perm = self._perm(character)
+        if not (0 <= value < len(perm)):
+            raise KeyMismatchError(
+                f"glyph index {value} out of range for character {character!r}"
+            )
+        return perm.index(value)
+
+    def inverse_row(self, character, row):
+        """Reorder a per-glyph likelihood row into embedded-integer order."""
+        perm = self._perm(character)
+        row = np.asarray(row, dtype=float)
+        if row.shape != (len(perm),):
+            raise KeyMismatchError(
+                f"likelihood row length {row.shape} does not match key for {character!r}"
+            )
+        return row[np.asarray(perm)]
+
+
+def loop_letter_sequence(text, codebook):
+    letters, caps, positions = [], [], []
+    for pos, ch in enumerate(text):
+        if ch in codebook.entries:
+            letters.append(ch)
+            caps.append(codebook.capacity(ch))
+            positions.append(pos)
+    return LetterSequence(tuple(letters), tuple(caps), tuple(positions))
+
+
+def loop_blocks(capacities, n, k):
+    """Greedy left-to-right block partition with the capacity-expansion rule."""
+    total = len(capacities)
+    cursor = 0
+    while cursor + n <= total:
+        window = list(range(cursor, cursor + n))
+        skipped = []
+        while True:
+            caps = tuple(capacities[i] for i in window)
+            moduli = _choose_moduli_cached(caps, k)
+            if moduli is not None:
+                break
+            # drop the (first) lowest-capacity letter, pull in the next one
+            drop = min(range(n), key=lambda j: (caps[j], j))
+            skipped.append(window.pop(drop))
+            nxt = cursor + n + len(skipped) - 1
+            if nxt >= total:
+                return
+            window.append(nxt)
+        yield Block(tuple(window), tuple(skipped), moduli)
+        cursor += n + len(skipped)
+
+
+def loop_partition_blocks(seq, n=5, k=3):
+    if not seq.letters:
+        raise ContractViolation("letter sequence is empty")
+    return list(loop_blocks(seq.capacities, n, k))
+
+
+def _loop_check_text(text, codebook):
+    seq = loop_letter_sequence(text, codebook)
+    if not seq.letters:
+        raise DocumentTooSmallError("document contains no codebook letters")
+    return seq
+
+
+def loop_encode_blocks(seq, blocks, payloads, key=None):
+    indices = [0] * len(seq.letters)
+    for block, m in zip(blocks, payloads):
+        for i, residue in zip(block.member_indices, encode_phi(m, block.moduli)):
+            indices[i] = residue
+    if key is not None:
+        indices = [key.forward(ch, v) for ch, v in zip(seq.letters, indices)]
+    return tuple(indices)
+
+
+def _uniform_row(capacity):
+    return np.full(capacity, 1.0 / capacity)
+
+
+def _check_key_width(key, character, capacity, checked):
+    if character not in checked:
+        key.inverse_row(character, _uniform_row(capacity))
+        checked.add(character)
+
+
+def loop_decode_blocks(seq, blocks, values, row=None, key=None, checked=None):
+    outcomes = []
+    bits = []
+    checked = set() if checked is None else checked
+    for t, block in enumerate(blocks):
+        members = block.member_indices
+        if members[-1] >= len(values):  # members ascend
+            raise PartialDecodeError(t)
+        vector = []
+        for i in members:
+            v = values[i]
+            if key is not None:
+                ch = seq.letters[i]
+                try:
+                    v = key.inverse(ch, v)
+                except KeyMismatchError as exc:
+                    raise PartialDecodeError(t) from exc
+                _check_key_width(key, ch, seq.capacities[i], checked)
+            vector.append(v)
+        outcome = hamming_decode(vector, block.moduli)
+        if outcome.status == "ambiguous-fail":
+            g = [
+                row(i) if row is not None else _uniform_row(seq.capacities[i])
+                for i in members
+            ]
+            outcome = candidate_loop_resolve_tie(outcome, vector, block.moduli, g)
+        outcomes.append(outcome)
+        if outcome.m is None:
+            raise PartialDecodeError(t)
+        bits.append(format(outcome.m, f"0{block.bit_width}b")[-block.bit_width :])
+    return "".join(bits), outcomes
+
+
+def loop_embed(text, codebook, bits, n=5, k=3, key=None):
+    seq = _loop_check_text(text, codebook)
+    blocks = loop_partition_blocks(seq, n, k)
+    if not blocks:
+        raise DocumentTooSmallError("document has zero complete blocks")
+    framed = frame_message(bits, sum(b.bit_width for b in blocks))
+    indices = loop_encode_blocks(seq, blocks, chunk_message(framed, blocks), key)
+    return EncodedDocument(text, indices, codebook.font_id)
+
+
+def loop_extract(encoded, codebook, n=5, k=3, key=None, likelihoods=None):
+    seq = _loop_check_text(encoded.text, codebook)
+    if len(encoded.glyph_indices) != len(seq.letters):
+        raise ContractViolation("glyph index stream does not match the letter count")
+    blocks = loop_partition_blocks(seq, n, k)
+    if not blocks:
+        raise DocumentTooSmallError("document has zero complete blocks")
+    if likelihoods is not None and len(likelihoods) != len(seq.letters):
+        raise ContractViolation("likelihood table does not match the letter count")
+
+    indices = list(encoded.glyph_indices)
+    if likelihoods is not None or key is not None:
+        checked = set()
+        for i, ch in enumerate(seq.letters):
+            cap = seq.capacities[i]
+            if likelihoods is not None:
+                if np.asarray(likelihoods[i], dtype=float).shape != (cap,):
+                    raise ContractViolation(f"likelihood row {i} has wrong length")
+            if key is not None:
+                indices[i] = key.inverse(ch, indices[i])
+                _check_key_width(key, ch, cap, checked)
+
+    def row(i):
+        r = np.asarray(likelihoods[i], dtype=float)
+        return r if key is None else key.inverse_row(seq.letters[i], r)
+
+    bits, report = loop_decode_blocks(
+        seq, blocks, indices, row if likelihoods is not None else None
+    )
+    return unframe_message(bits), report
+
+
+def loop_layout(text, codebook, config, payload_bits):
+    seq = loop_letter_sequence(text, codebook)
+    blocks = loop_partition_blocks(seq, config.n, config.k)
+    if not blocks:
+        raise SigningError("document has zero complete blocks")
+    need = config.digest_bits if payload_bits is None else payload_bits
+    segments = []
+    cur = []
+    start = bits = 0
+    for block in blocks:
+        cur.append(block)
+        # blocks cover consecutive letter ranges, so the newest one ends last
+        end = max(block.member_indices + block.skipped_indices) + 1
+        bits += block.bit_width
+        if end - start >= config.segment_min_letters and bits >= need:
+            segments.append(Segment(len(segments), tuple(cur), start, end))
+            cur, start, bits = [], end, 0
+    if not segments:
+        raise SigningError(f"segment 0 holds {bits} bits, payload needs {need}")
+    last = segments.pop()
+    segments.append(
+        Segment(last.index, last.blocks + tuple(cur), last.seq_start, len(seq.letters))
+    )
+    return seq, blocks, segments
+
+
+def loop_sign_scheme1(text, codebook, key, config):
+    seq, blocks, segments = loop_layout(text, codebook, config, None)
+    payloads = [bits_from_bytes(_segment_digest(seq, s, config.hash_id)) for s in segments]
+    chunks = [m for s, bits in zip(segments, payloads) for m in chunk_message(bits, s.blocks)]
+    return EncodedDocument(text, loop_encode_blocks(seq, blocks, chunks, key), codebook.font_id)
+
+
+def loop_verify(encoded, codebook, config, key=None, verifier=None):
+    if config.scheme == 1 and key is None:
+        raise ContractViolation("scheme 1 verification needs the permutation key")
+    if config.scheme == 2 and verifier is None:
+        raise ContractViolation("scheme 2 verification needs the public key")
+    payload_bits = (
+        config.digest_bits if config.scheme == 1 else verifier.signature_bits
+    )
+    seq, _, segments = loop_layout(encoded.text, codebook, config, payload_bits)
+    results = []
+    checked = set()  # letters whose key width is checked
+    for s in segments:
+        digest = _segment_digest(seq, s, config.hash_id)
+        try:
+            bits, _ = loop_decode_blocks(
+                seq,
+                s.blocks,
+                encoded.glyph_indices,
+                key=key if config.scheme == 1 else None,
+                checked=checked,
+            )
+        except PartialDecodeError:
+            results.append(
+                SegmentResult(s.seq_start, s.seq_end, "mismatch", "extraction-failed")
+            )
+            continue
+        embedded = bits[:payload_bits]
+        if config.scheme == 1:
+            ok = embedded == bits_from_bytes(digest)[: len(embedded)]
+        else:
+            ok = verifier.check(digest, embedded)
+        results.append(
+            SegmentResult(s.seq_start, s.seq_end, "match" if ok else "mismatch")
+        )
+    return VerificationReport(tuple(results))

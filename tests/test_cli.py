@@ -119,6 +119,27 @@ def test_simulate_then_extract_corrects(workspace, capsys):
         assert formats.read_message_bits(fh) == "1101001110001011"
 
 
+def test_non_finite_trace_exits_with_format_error(workspace, tmp_path):
+    """A channel trace holding a NaN likelihood is a malformed file (exit 6);
+    it used to be read and could decide a tied block."""
+    doc = _embedded(workspace, tmp_path)
+    args = _simulate_args(workspace, doc, tmp_path, "--errors", "2", "--blocks", "1")
+    assert main(args) == EXIT_OK
+    trace = tmp_path / "trace.txt"
+    lines = trace.read_text().splitlines()
+    head, *probabilities = lines[1].split()
+    lines[1] = " ".join([head, "nan"] + probabilities[1:])
+    trace.write_text("\n".join(lines) + "\n")
+    args = [
+        "extract",
+        "--codebook", str(workspace / "codebook.txt"),
+        "--document", str(tmp_path / "noisy.txt"),
+        "--trace", str(trace),
+        "--output", str(tmp_path / "recovered.txt"),
+    ]
+    assert main(args) == EXIT_FORMAT
+
+
 def _embedded(workspace, tmp_path):
     doc = tmp_path / "doc.txt"
     args = [

@@ -3,11 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import brute_hamming, scan_hamming_decode
+from oracles import (
+    brute_hamming,
+    candidate_loop_resolve_tie,
+    inverse_sum_crt_reconstruct,
+    outcome,
+    scan_hamming_decode,
+)
 
 from glyphcode.crc import (
     DecodeOutcome,
     ModuliSet,
+    _resolve_tie,
     block_success_cumulative,
     block_success_printed,
     crt_reconstruct,
@@ -158,6 +165,85 @@ def test_hamming_decode_matches_scan_oracle():
                 assert got == scan_hamming_decode(r, moduli, M), (moduli, M, r)
                 ties[moduli] += got.status == "ambiguous-fail"
     assert min(ties.values()) >= 100, ties
+
+
+def test_crt_matches_inverse_sum_oracle():
+    """Garner's lifting returns what the sum over positions returns, and
+    refuses a bad vector with the same error."""
+    rng = np.random.default_rng(8)
+    sets = DIFF_MODULI + [ModuliSet((1, 2, 3), 1), ModuliSet((37, 41, 43, 47, 53), 3)]
+    for moduli in sets:
+        p = moduli.p
+        for trial in range(200):
+            r = [int(rng.integers(pj)) for pj in p]
+            if trial % 10 == 0:  # out of range, negative, or one residue short
+                j = int(rng.integers(moduli.n))
+                r[j] = [p[j], -1, None][trial // 10 % 3]
+                if r[j] is None:
+                    del r[j]
+            got = outcome(crt_reconstruct, r, moduli)
+            assert got == outcome(inverse_sum_crt_reconstruct, r, moduli), (moduli, r)
+
+
+def _likelihood_rows(rng, moduli, zeros):
+    """One row per position, some longer than the modulus, with about a
+    ``zeros`` share of zero entries and never a zero sum."""
+    rows = []
+    for pj in moduli.p:
+        row = rng.random(pj + int(rng.integers(3)))
+        row[rng.random(row.shape[0]) < zeros] = 0.0
+        if not row.any():
+            row[int(rng.integers(row.shape[0]))] = 1.0
+        rows.append(row)
+    return rows
+
+
+def test_resolve_tie_matches_candidate_loop_oracle():
+    """The tie step returns the same DecodeOutcome as the step that encoded
+    every candidate, on random ties with zero likelihoods (so -inf scores),
+    and refuses candidates past the payload bound with the same error."""
+    rng = np.random.default_rng(9)
+    ties = dict.fromkeys(DIFF_MODULI, 0)
+    minus_inf = 0
+    for moduli in DIFF_MODULI:
+        bound = moduli.payload_bound
+        Ms = [None]
+        if moduli.total_product <= 10_000:
+            Ms.append(3 * bound + 1)
+        for M in Ms:
+            for trial in range(200):
+                r = _tie(rng, moduli, bound if M is None else M)
+                base = hamming_decode(r, moduli, M)
+                if base.status != "ambiguous-fail":
+                    continue
+                ties[moduli] += 1
+                g = _likelihood_rows(rng, moduli, zeros=[0.0, 0.3, 0.8][trial % 3])
+                got = outcome(_resolve_tie, base, r, moduli, g)
+                assert got == outcome(candidate_loop_resolve_tie, base, r, moduli, g)
+                minus_inf += got == ("returned", base)
+    assert min(ties.values()) >= 50, ties
+    assert minus_inf >= 50
+
+
+def test_resolve_tie_refuses_non_finite_rows():
+    """A NaN or infinite likelihood row is refused; it used to decide the tie
+    (a NaN or inf row at position 0 or 1 gave m=25 instead of m=0)."""
+    moduli = ModuliSet((2, 3, 5, 29, 31), 3)
+    r = [1, 1, 0, 0, 0]
+    base = hamming_decode(r, moduli)
+    assert base.status == "ambiguous-fail" and set(base.candidates) >= {0, 25}
+    uniform = [np.full(p, 1.0 / p) for p in moduli.p]
+    assert _resolve_tie(base, r, moduli, uniform).m == 0
+    for bad in (np.nan, np.inf, -np.inf):
+        for j in (0, 1, 3):
+            for whole in (True, False):
+                g = [row.copy() for row in uniform]
+                if whole:
+                    g[j][:] = bad
+                else:
+                    g[j][0] = bad
+                with pytest.raises(ContractViolation, match=f"likelihood row {j}"):
+                    ml_decode(r, moduli, g=g)
 
 
 def test_decode_memory_is_bounded():

@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    IndexKey,
+    loop_embed,
+    loop_extract,
+    loop_layout,
+    loop_sign_scheme1,
+    loop_verify,
+    outcome,
+)
 
 from glyphcode import crypto, fixtures, pipeline
 from glyphcode.codebook import Codebook
@@ -342,3 +351,110 @@ def test_sign_and_verify_build_the_layout_once(sig_codebook, monkeypatch, letter
     assert once(lambda: verify(doc1, sig_codebook, config1, key=key)).overall == "match"
     report = once(lambda: verify(doc2, sig_codebook, config2, verifier=signer.public()))
     assert report.overall == "match"
+
+
+# capacity 1 ("a") forces dropped windows; "é" is a non-ASCII codebook letter
+DIFF_CODEBOOK = fixtures.fixture_codebook(
+    {"a": 1, "b": 2, "c": 3, "d": 5, "é": 4, "f": 7, "g": 11}, seed=2
+)
+DIFF_CONFIG = SignatureConfig(segment_min_letters=10)
+
+
+def _bad_keys(key, ch):
+    """The key without ``ch``, and with a permutation for ``ch`` one glyph
+    shorter and one glyph longer than the letter's capacity."""
+    perms = dict(key.perms)
+    cap = len(perms[ch])
+    return [
+        PermutationKey("missing", {c: p for c, p in perms.items() if c != ch}),
+        PermutationKey("short", {**perms, ch: tuple(reversed(range(cap - 1)))}),
+        PermutationKey("long", {**perms, ch: tuple(reversed(range(cap + 1)))}),
+    ]
+
+
+def _diff_text(letters, seed):
+    freqs = {"a": 0.05, "b": 0.05, "c": 0.1, "d": 0.15, "é": 0.1, "f": 0.25, "g": 0.3}
+    text = fixtures.random_text(letters, seed=seed, frequencies=freqs)
+    return text.replace(" ", " 日 ", 3) + "1€"
+
+
+def test_bad_keys_fail_like_the_letter_loop_oracle():
+    """A key without a letter, or with a permutation shorter or longer than
+    the letter's capacity, and a glyph index out of range at the first, a
+    middle and the last letter fail embed, extract, sign and verify with the
+    per-letter path's error (type, message, block and cause) or report."""
+    text = _diff_text(800, seed=31)
+    seq = pipeline.letter_sequence(text, DIFF_CODEBOOK)
+    key = keygen(DIFF_CODEBOOK, seed=5)
+    bits = "1101" * 6
+    doc = pipeline.embed(text, DIFF_CODEBOOK, bits, key=key)
+    signed = sign_scheme1(text, DIFF_CODEBOOK, key, DIFF_CONFIG)
+    assert len(segment_text(text, DIFF_CODEBOOK, DIFF_CONFIG)) >= 3
+
+    def same(key, doc, signed):
+        loop_key = IndexKey(key)
+        assert outcome(pipeline.embed, text, DIFF_CODEBOOK, bits, key=key) == outcome(
+            loop_embed, text, DIFF_CODEBOOK, bits, key=loop_key
+        )
+        assert outcome(pipeline.extract, doc, DIFF_CODEBOOK, key=key) == outcome(
+            loop_extract, doc, DIFF_CODEBOOK, key=loop_key
+        )
+        assert outcome(sign_scheme1, text, DIFF_CODEBOOK, key, DIFF_CONFIG) == outcome(
+            loop_sign_scheme1, text, DIFF_CODEBOOK, loop_key, DIFF_CONFIG
+        )
+        got = outcome(verify, signed, DIFF_CODEBOOK, DIFF_CONFIG, key=key)
+        assert got == outcome(loop_verify, signed, DIFF_CODEBOOK, DIFF_CONFIG, key=loop_key)
+        return got
+
+    failed = set()
+    for ch in "bdg":
+        for bad in _bad_keys(key, ch):
+            failed.add(same(bad, doc, signed)[0])
+    last = len(seq.letters) - 1
+    for i in (0, last // 2, last):
+        cap = seq.capacities[i]
+        for v in (cap, cap + 3, -1):
+            def cut(d):
+                indices = list(d.glyph_indices)
+                indices[i] = v
+                return pipeline.EncodedDocument(d.text, tuple(indices), d.codebook_id)
+
+            got = same(key, cut(doc), cut(signed))
+            failed.add(got[0] if got[0] != "returned" else got[1].overall)
+    assert failed >= {KeyMismatchError, "returned", "mismatch"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    letters=st.integers(40, 1000),
+    text_seed=st.integers(0, 10**4),
+    key_seed=st.integers(0, 50),
+    bad=st.sampled_from([None, "missing", "short", "long"]),
+    changes=st.lists(st.tuples(st.integers(0, 10**4), st.integers(-1, 12)), max_size=4),
+)
+def test_sign_and_verify_match_letter_loop_oracle(letters, text_seed, key_seed, bad, changes):
+    """Segments, signed documents and verify reports are the per-letter
+    path's, with good and bad keys and with changed glyph indices."""
+    text = _diff_text(letters, seed=text_seed)
+    key = keygen(DIFF_CODEBOOK, seed=key_seed)
+    if bad is not None:
+        key = {"missing": 0, "short": 1, "long": 2}[bad]
+        key = _bad_keys(keygen(DIFF_CODEBOOK, seed=key_seed), "d")[key]
+    loop_key = IndexKey(key)
+    want = outcome(loop_layout, text, DIFF_CODEBOOK, DIFF_CONFIG, None)
+    if want[0] == "returned":
+        want = ("returned", want[1][2])  # the segments
+    assert outcome(segment_text, text, DIFF_CODEBOOK, DIFF_CONFIG) == want
+    signed = outcome(sign_scheme1, text, DIFF_CODEBOOK, key, DIFF_CONFIG)
+    assert signed == outcome(loop_sign_scheme1, text, DIFF_CODEBOOK, loop_key, DIFF_CONFIG)
+    good = keygen(DIFF_CODEBOOK, seed=key_seed)
+    doc = outcome(sign_scheme1, text, DIFF_CODEBOOK, good, DIFF_CONFIG)
+    if doc[0] != "returned":
+        return
+    indices = list(doc[1].glyph_indices)
+    for i, v in changes:
+        indices[i % len(indices)] = v
+    tampered = pipeline.EncodedDocument(text, tuple(indices), doc[1].codebook_id)
+    assert outcome(verify, tampered, DIFF_CODEBOOK, DIFF_CONFIG, key=key) == outcome(
+        loop_verify, tampered, DIFF_CODEBOOK, DIFF_CONFIG, key=loop_key
+    )

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from glyphcode import fixtures, formats, pipeline
 from glyphcode.crypto import keygen
-from glyphcode.errors import FormatError
+from glyphcode.errors import ContractViolation, FormatError
 from glyphcode.perceptual import RaterReliabilities, Response, SimilarityScores
 
 
@@ -59,6 +59,23 @@ def test_trace_round_trip():
     assert len(loaded) == 2
     for a, b in zip(rows, loaded):
         assert np.array_equal(a, b)  # repr round trip is exact
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_trace_refuses_non_finite_values(token):
+    """A likelihood that is not a finite number is a malformed trace: reading
+    it raises FormatError (it used to give NaN and inf rows), and writing one
+    is refused."""
+    buf = io.StringIO()
+    formats.write_trace([np.array([0.25, 0.75]), np.array([0.1, 0.2, 0.7])], buf)
+    lines = buf.getvalue().splitlines()
+    lines[2] = lines[2].replace("0.2", token)
+    with pytest.raises(FormatError, match="trace row 1"):
+        formats.read_trace(io.StringIO("\n".join(lines) + "\n"))
+    out = io.StringIO()
+    with pytest.raises(ContractViolation, match="trace row 1"):
+        formats.write_trace([np.array([0.5, 0.5]), np.array([0.5, float(token)])], out)
+    assert out.getvalue() == ""
 
 
 def test_responses_round_trip():

@@ -1,15 +1,30 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dfs_choose_moduli, oracle_choose
+from oracles import (
+    IndexKey,
+    dfs_choose_moduli,
+    loop_blocks,
+    loop_embed,
+    loop_extract,
+    loop_letter_sequence,
+    loop_partition_blocks,
+    oracle_choose,
+    outcome,
+)
 
-from glyphcode import fixtures, pipeline
+from glyphcode import crc, fixtures, pipeline
+from glyphcode.crypto import keygen
 from glyphcode.errors import (
     CapacityExceededError,
     ContractViolation,
     CorruptFrameError,
     DocumentTooSmallError,
+    KeyMismatchError,
 )
 from glyphcode.pipeline import (
     LetterSequence,
@@ -238,3 +253,130 @@ def test_capacity_report_monte_carlo_stays_inside_the_draws(sample_blocks):
     assert 0 < rep["letters"] <= sample_blocks * (n + 4)
     assert rep["total_bits"] > 0
     assert rep["bits_per_letter"] == rep["total_bits"] / rep["letters"]
+
+
+# capacity 1 ("a") admits no modulus, so windows holding it drop letters; the
+# non-ASCII "é" is a codebook letter, the other non-ASCII characters are not
+DIFF_CAPACITIES = {"a": 1, "b": 2, "c": 3, "d": 5, "é": 4, "f": 7, "g": 11}
+DIFF_CODEBOOK = fixtures.fixture_codebook(DIFF_CAPACITIES, seed=2)
+DIFF_TEXTS = st.text(alphabet="abcdéfg" * 3 + " 1日\n€", max_size=160)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=DIFF_TEXTS, nk=st.sampled_from([(5, 3), (4, 2), (3, 1), (2, 1)]))
+def test_layout_matches_letter_loop_oracle(text, nk):
+    """The letter sequence and the block partition, also over a capacity
+    list as the Monte-Carlo estimate passes it, are the per-letter ones."""
+    n, k = nk
+    seq = letter_sequence(text, DIFF_CODEBOOK)
+    assert seq == loop_letter_sequence(text, DIFF_CODEBOOK)
+    for caps in (seq.capacities, list(seq.capacities)):
+        assert list(pipeline._blocks(caps, n, k)) == list(loop_blocks(caps, n, k))
+    assert outcome(partition_blocks, seq, n, k) == outcome(loop_partition_blocks, seq, n, k)
+
+
+def _tamper(doc, changes):
+    """The document with glyph index i replaced by v for each (i, v)."""
+    indices = list(doc.glyph_indices)
+    for i, v in changes:
+        indices[i % len(indices)] = v
+    return pipeline.EncodedDocument(doc.text, tuple(indices), doc.codebook_id)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=DIFF_TEXTS,
+    bits=st.text(alphabet="01", max_size=24),
+    key_seed=st.none() | st.integers(0, 50),
+    changes=st.lists(st.tuples(st.integers(0, 10**4), st.integers(-1, 12)), max_size=4),
+    rows_seed=st.none() | st.integers(0, 50),
+)
+def test_codec_matches_letter_loop_oracle(text, bits, key_seed, changes, rows_seed):
+    """Embed and extract return the per-letter path's documents and reports,
+    or raise its errors, with and without a key and a likelihood table, on
+    documents with changed and out-of-range glyph indices."""
+    key = None if key_seed is None else keygen(DIFF_CODEBOOK, seed=key_seed)
+    loop_key = None if key is None else IndexKey(key)
+    got = outcome(embed, text, DIFF_CODEBOOK, bits, key=key)
+    assert got == outcome(loop_embed, text, DIFF_CODEBOOK, bits, key=loop_key)
+    if got[0] != "returned":
+        return
+    doc = _tamper(got[1], changes)
+    rows = None
+    if rows_seed is not None:
+        rng = np.random.default_rng(rows_seed)
+        rows = [rng.random(c) + 0.01 for c in letter_sequence(text, DIFF_CODEBOOK).capacities]
+    assert outcome(extract, doc, DIFF_CODEBOOK, key=key, likelihoods=rows) == outcome(
+        loop_extract, doc, DIFF_CODEBOOK, key=loop_key, likelihoods=rows
+    )
+
+
+def test_extract_checks_rows_and_key_in_letter_order():
+    """With a likelihood table and a key, extract raises for the first letter
+    whose row has the wrong length or whose glyph index the key refuses, the
+    row first at one letter, as the per-letter path does."""
+    text = "gfé日d" * 30
+    key = keygen(DIFF_CODEBOOK, seed=6)
+    doc = embed(text, DIFF_CODEBOOK, "10110", key=key)
+    caps = letter_sequence(text, DIFF_CODEBOOK).capacities
+    j = len(caps) // 2
+    errors = set()
+    for i in (j - 1, j, j + 1):
+        rows = [np.full(c, 1.0 / c) for c in caps]
+        rows[i] = np.ones(caps[i] + 1)
+        bad = _tamper(doc, [(j, caps[j])])
+        got = outcome(extract, bad, DIFF_CODEBOOK, key=key, likelihoods=rows)
+        assert got == outcome(loop_extract, bad, DIFF_CODEBOOK, key=IndexKey(key), likelihoods=rows)
+        errors.add(got[0])
+    assert errors == {ContractViolation, KeyMismatchError}
+
+
+class _CountingMath:
+    """``math`` with a count of ``prod`` calls."""
+
+    def __init__(self):
+        self.prods = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def prod(self, *args, **kwargs):
+        self.prods += 1
+        return math.prod(*args, **kwargs)
+
+
+def test_extract_derives_each_payload_bound_once(codebook, monkeypatch):
+    """An extract that meets its moduli sets fresh derives each one's payload
+    bound once, however many blocks, widths and residues read it."""
+    text = fixtures.random_text(600, seed=13)
+    doc = embed(text, codebook, "1100101")
+    pipeline._choose_moduli_cached.cache_clear()
+    counting = _CountingMath()
+    monkeypatch.setattr(crc, "math", counting)
+    assert extract(doc, codebook)[0] == "1100101"
+    blocks = partition_blocks(letter_sequence(text, codebook))
+    assert counting.prods == len({id(b.moduli) for b in blocks}) < len(blocks)
+
+
+def test_full_moduli_cache_memory_is_bounded():
+    """4096 distinct moduli sets, each holding what it derives once, fill the
+    moduli search's cache within a fixed budget while a block of each is
+    encoded and decoded."""
+    rng = np.random.default_rng(14)
+    tuples = set()
+    while len(tuples) < 4096:
+        tuples.add(tuple(int(c) for c in rng.integers(15, 41, size=5)))
+    pipeline._choose_moduli_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        for caps in tuples:
+            moduli = pipeline._choose_moduli_cached(caps, 3)
+            m = moduli.payload_bound - 1
+            assert crc.hamming_decode(crc.encode_phi(m, moduli), moduli).m == m
+        assert pipeline._choose_moduli_cached.cache_info().currsize == 4096
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        pipeline._choose_moduli_cached.cache_clear()
+    # 1460 KB when every access derived the payload bound afresh, plus 0.5 MB
+    assert held < (1460 + 512) * 1024, f"{held / 1024:.0f} KB"
