@@ -4,8 +4,10 @@ One binary with subcommands covering the full workflow: building a codebook,
 fitting perceptual scores, capacity reporting, embedding, extraction, channel
 simulation, key generation, signing, verification, and a decode benchmark.
 All randomness flows from --seed (default 0); outputs are deterministic given
-(inputs, seed).  Exit codes: 0 success, 2 usage, 3 capacity exceeded,
-4 decode failure, 5 key mismatch, 6 format error.
+(inputs, seed).  Files are read and written as UTF-8.  Exit codes: 0
+success, 2 usage (also a cover text that is not UTF-8), 3 capacity exceeded,
+4 decode failure, 5 key mismatch (a key that does not fit the codebook, or a
+glyph index the key cannot map), 6 format error.
 """
 
 from __future__ import annotations
@@ -46,17 +48,31 @@ def _argv_config(args: argparse.Namespace) -> str:
     return " ".join(parts)
 
 
+def _open(path: str, mode: str = "r"):
+    return open(path, mode, encoding="utf-8")
+
+
+def _read_text(path: str) -> str:
+    with _open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ContractViolation(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _read_codebook(path: str) -> codebook.Codebook:
-    with open(path) as fh:
+    with _open(path) as fh:
         return formats.read_codebook(fh)
 
 
 def _read_key(path: str) -> crypto.PermutationKey:
-    with open(path) as fh:
+    with _open(path) as fh:
         return formats.read_key(fh)
 
 
 def cmd_codebook_build(args) -> int:
+    if args.candidates < 1:
+        raise ContractViolation("--candidates must be at least 1")
     if args.mode == "fixture":
         cb = fixtures.channel_codebook(seed=args.seed)
     else:
@@ -73,16 +89,16 @@ def cmd_codebook_build(args) -> int:
         cb = codebook.build_codebook(
             candidates, oracle, per_glyph, originals, seed=args.seed
         )
-    with open(args.output, "w") as fh:
+    with _open(args.output, "w") as fh:
         formats.write_codebook(cb, fh, _argv_config(args))
     return EXIT_OK
 
 
 def cmd_fit_perceptual(args) -> int:
-    with open(args.responses) as fh:
+    with _open(args.responses) as fh:
         responses = formats.read_responses(fh)
     scores, reliabilities, info = perceptual.fit(responses)
-    with open(args.output, "w") as fh:
+    with _open(args.output, "w") as fh:
         formats.write_scores(scores, fh, reliabilities, _argv_config(args))
     print(json.dumps({"iterations": info["iterations"], "objective": info["objective"]}))
     return EXIT_OK
@@ -91,8 +107,7 @@ def cmd_fit_perceptual(args) -> int:
 def cmd_capacity(args) -> int:
     cb = _read_codebook(args.codebook)
     if args.text:
-        with open(args.text) as fh:
-            text = fh.read()
+        text = _read_text(args.text)
         report = pipeline.capacity_report(cb, text=text, n=args.n, k=args.k)
     else:
         report = pipeline.capacity_report(
@@ -110,35 +125,34 @@ def cmd_capacity(args) -> int:
 def cmd_keygen(args) -> int:
     cb = _read_codebook(args.codebook)
     key = crypto.keygen(cb, seed=args.seed)
-    with open(args.output, "w") as fh:
+    with _open(args.output, "w") as fh:
         formats.write_key(key, fh, _argv_config(args))
     return EXIT_OK
 
 
 def cmd_embed(args) -> int:
     cb = _read_codebook(args.codebook)
-    with open(args.text) as fh:
-        text = fh.read()
-    with open(args.message) as fh:
+    text = _read_text(args.text)
+    with _open(args.message) as fh:
         bits = formats.read_message_bits(fh)
     key = _read_key(args.key) if args.key else None
     doc = pipeline.embed(text, cb, bits, n=args.n, k=args.k, key=key)
-    with open(args.output, "w") as fh:
+    with _open(args.output, "w") as fh:
         formats.write_document(doc, fh, _argv_config(args))
     return EXIT_OK
 
 
 def cmd_extract(args) -> int:
     cb = _read_codebook(args.codebook)
-    with open(args.document) as fh:
+    with _open(args.document) as fh:
         doc = formats.read_document(fh)
     key = _read_key(args.key) if args.key else None
     trace = None
     if args.trace:
-        with open(args.trace) as fh:
+        with _open(args.trace) as fh:
             trace = formats.read_trace(fh)
     bits, report = pipeline.extract(doc, cb, n=args.n, k=args.k, key=key, likelihoods=trace)
-    with open(args.output, "w") as fh:
+    with _open(args.output, "w") as fh:
         formats.write_message_bits(bits, fh, _argv_config(args))
     for outcome in report:
         print(outcome.as_text())
@@ -149,7 +163,7 @@ def cmd_simulate(args) -> int:
     if args.blocks < 0:
         raise ContractViolation("--blocks must be non-negative")
     cb = _read_codebook(args.codebook)
-    with open(args.document) as fh:
+    with _open(args.document) as fh:
         doc = formats.read_document(fh)
     seeds = (args.seed + 1000 * t + 1 for t in itertools.count())
     block_params = (channel.ChannelParams(sigma=args.sigma, seed=s) for s in seeds)
@@ -158,31 +172,30 @@ def cmd_simulate(args) -> int:
     out, rows = channel.simulate_document(
         doc, cb, args.errors, block_params, n=args.n, k=args.k
     )
-    with open(args.output, "w") as fh:
+    with _open(args.output, "w") as fh:
         formats.write_document(out, fh, _argv_config(args))
-    with open(args.trace, "w") as fh:
+    with _open(args.trace, "w") as fh:
         formats.write_trace(rows, fh, _argv_config(args))
     return EXIT_OK
 
 
 def cmd_sign(args) -> int:
     cb = _read_codebook(args.codebook)
-    with open(args.text) as fh:
-        text = fh.read()
+    text = _read_text(args.text)
     key = _read_key(args.key)
     config = crypto.SignatureConfig(
         hash_id=args.hash_id, segment_min_letters=args.segment_min_letters,
         n=args.n, k=args.k,
     )
     doc = crypto.sign_scheme1(text, cb, key, config)
-    with open(args.output, "w") as fh:
+    with _open(args.output, "w") as fh:
         formats.write_document(doc, fh, _argv_config(args))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     cb = _read_codebook(args.codebook)
-    with open(args.document) as fh:
+    with _open(args.document) as fh:
         doc = formats.read_document(fh)
     key = _read_key(args.key)
     config = crypto.SignatureConfig(

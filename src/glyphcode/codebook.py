@@ -272,7 +272,6 @@ def build_codebook(
     originals: Mapping[str, GlyphCandidate],
     *,
     font_id: str = "synthetic",
-    version: str = "1",
     resample_count: int = 64,
     pair_count: int = 100,
     pair_threshold: float = 0.95,
@@ -365,6 +364,4 @@ def build_codebook(
             ),
             glyphs=glyphs,
         )
-    return Codebook(
-        font_id=font_id, entries=entries, version=version, resample_count=resample_count
-    )
+    return Codebook(font_id=font_id, entries=entries, resample_count=resample_count)

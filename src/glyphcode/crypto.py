@@ -61,25 +61,26 @@ __all__ = [
 class PermutationKey:
     """Per-character bijection over glyph indices.
 
-    Integer i of character ``ch`` is stored as glyph ``perms[ch][i]``.  The key
-    maps through per-character tables built once, when it is made: a forward
-    table (integer -> glyph index), an inverse table (glyph index -> integer)
-    and the permutation as an index array for likelihood rows.  The tables are
-    read, so ``perms`` must not change after the key is made.
+    Integer i of character ``ch`` is stored as glyph ``perms[ch][i]``.  A key
+    fits a codebook when it holds, for every codebook character, a
+    permutation of exactly that character's glyph count; characters the
+    codebook lacks are allowed.  The sequence maps check the fit first, so a
+    key that does not fit raises KeyMismatchError before any letter is
+    mapped.  An inverse table (glyph index -> integer) and the permutation as
+    an index array for likelihood rows are built once, when the key is made,
+    so ``perms`` must not change after that.
     """
 
     key_id: str
     perms: dict[str, tuple[int, ...]]
 
     def __post_init__(self):
-        forward, inverse, rows = {}, {}, {}
+        inverse, rows = {}, {}
         for ch, perm in self.perms.items():
             if sorted(perm) != list(range(len(perm))):
                 raise ContractViolation(f"mapping for {ch!r} is not a permutation")
-            forward[ch] = dict(enumerate(perm))
             inverse[ch] = {g: i for i, g in enumerate(perm)}
             rows[ch] = np.asarray(perm, dtype=np.intp)
-        object.__setattr__(self, "_forward", forward)
         object.__setattr__(self, "_inverse", inverse)
         object.__setattr__(self, "_rows", rows)
 
@@ -88,6 +89,17 @@ class PermutationKey:
             return self.perms[character]
         except KeyError:
             raise KeyMismatchError(f"key has no entry for character {character!r}")
+
+    def _check_fits(self, widths: dict[str, int]) -> None:
+        """Raise KeyMismatchError unless the key permutes exactly
+        ``widths[ch]`` glyphs for every character ``ch`` of ``widths``."""
+        for ch, width in widths.items():
+            perm = self._perm(ch)
+            if len(perm) != width:
+                raise KeyMismatchError(
+                    f"key permutes {len(perm)} glyphs for character {ch!r}, "
+                    f"which has capacity {width}"
+                )
 
     def forward(self, character: str, value: int) -> int:
         perm = self._perm(character)
@@ -105,27 +117,25 @@ class PermutationKey:
             )
         return self._inverse[character][value]
 
-    def forward_letters(self, letters: Sequence[str], values: Sequence[int]) -> list[int]:
-        """:meth:`forward` over a letter sequence, raising its error at the
-        first letter it refuses."""
-        table = self._forward
-        try:
-            return [table[ch][v] for ch, v in zip(letters, values)]
-        except KeyError:
-            pass
-        return [self.forward(ch, v) for ch, v in zip(letters, values)]
+    def forward_letters(
+        self, letters: Sequence[str], values: Sequence[int], widths: dict[str, int]
+    ) -> list[int]:
+        """:meth:`forward` over a letter sequence of ``widths``' characters,
+        once the key is checked to fit ``widths``; each value must be below
+        its letter's width."""
+        self._check_fits(widths)
+        perms = self.perms
+        return [perms[ch][v] for ch, v in zip(letters, values)]
 
     def inverse_letters(
         self, letters: Sequence[str], values: Sequence[int], widths: dict[str, int]
     ) -> list[Optional[int]]:
-        """:meth:`inverse` over a letter sequence, with None at each letter it
-        refuses and at each letter whose permutation does not cover exactly
-        ``widths[letter]`` glyphs."""
-        table = {ch: t for ch, t in self._inverse.items() if len(t) == widths.get(ch)}
-        try:
-            return [table[ch][v] for ch, v in zip(letters, values)]
-        except KeyError:
-            return [table.get(ch, {}).get(v) for ch, v in zip(letters, values)]
+        """:meth:`inverse` over a letter sequence of ``widths``' characters,
+        once the key is checked to fit ``widths``, with None at each letter
+        whose glyph index is out of range."""
+        self._check_fits(widths)
+        table = self._inverse
+        return [table[ch].get(v) for ch, v in zip(letters, values)]
 
     def inverse_row(self, character: str, row: np.ndarray) -> np.ndarray:
         """Reorder a per-glyph likelihood row into embedded-integer order."""
@@ -313,7 +323,8 @@ def _embed_payloads(
     """Embed one payload per segment, zero-padded to the segment's width."""
     seq, blocks, segments = layout
     chunks = [m for s, bits in zip(segments, payloads) for m in chunk_message(bits, s.blocks)]
-    return EncodedDocument(text, _encode_blocks(seq, blocks, chunks, key), codebook.font_id)
+    indices = _encode_blocks(seq, blocks, chunks, codebook, key)
+    return EncodedDocument(text, indices, codebook.font_id)
 
 
 def sign_scheme1(
@@ -351,9 +362,10 @@ def verify(
 ) -> VerificationReport:
     """Recompute per-segment hashes and compare against the embedded values.
 
-    A segment whose blocks cannot be decoded, or that holds a glyph index the
-    key cannot map, is reported as an ``extraction-failed`` mismatch; the
-    other segments are still checked.
+    A scheme-1 key that does not fit the codebook raises KeyMismatchError
+    before any segment is decoded.  A segment whose blocks cannot be decoded,
+    or that holds a glyph index the key cannot map, is reported as an
+    ``extraction-failed`` mismatch; the other segments are still checked.
     """
     if config.scheme == 1 and key is None:
         raise ContractViolation("scheme 1 verification needs the permutation key")
@@ -363,22 +375,15 @@ def verify(
         config.digest_bits if config.scheme == 1 else verifier.signature_bits
     )
     seq, _, segments = _layout(encoded.text, codebook, config, payload_bits)
-    glyphs = encoded.glyph_indices
-    values = glyphs
+    values = encoded.glyph_indices
     if config.scheme == 1:
         # mapped once for every segment
-        values = key.inverse_letters(seq.letters, glyphs, _capacities(codebook))
+        values = key.inverse_letters(seq.letters, values, _capacities(codebook))
     results: list[SegmentResult] = []
     for s in segments:
         digest = _segment_digest(seq, s, config.hash_id)
         try:
-            bits, _ = _decode_blocks(
-                seq,
-                s.blocks,
-                values,
-                key=key if config.scheme == 1 else None,
-                glyphs=glyphs,
-            )
+            bits, _ = _decode_blocks(seq, s.blocks, values)
         except PartialDecodeError:
             results.append(
                 SegmentResult(s.seq_start, s.seq_end, "mismatch", "extraction-failed")

@@ -57,17 +57,17 @@ def _reader(kind: str):
     """Turn a parser of a ``kind`` file's body lines into ``read_*(fh)``.
 
     The reader checks the header line and raises FormatError, and only
-    FormatError, on any malformed input: missing fields, bad numbers, or
-    values the model classes reject.
+    FormatError, on any malformed input: bytes the stream cannot decode,
+    missing fields, bad numbers, or values the model classes reject.
     """
 
     def decorate(parse):
         def read(fh: TextIO):
-            lines = fh.read().splitlines()
-            if not lines:
-                raise FormatError(f"empty {kind} file")
-            _check_header(lines[0], kind)
             try:
+                lines = fh.read().splitlines()
+                if not lines:
+                    raise FormatError(f"empty {kind} file")
+                _check_header(lines[0], kind)
                 return parse(lines[1:])
             except FormatError:
                 raise

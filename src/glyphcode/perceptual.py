@@ -70,7 +70,6 @@ class FitConfig:
     max_iterations: int = 2000
     rel_tolerance: float = 1e-9
     regularization: float = 1e-6
-    seed: int = 0
     initial_step: float = 1.0
 
 

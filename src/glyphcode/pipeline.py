@@ -28,7 +28,6 @@ from .errors import (
     ContractViolation,
     CorruptFrameError,
     DocumentTooSmallError,
-    KeyMismatchError,
     PartialDecodeError,
 )
 
@@ -240,16 +239,21 @@ def _check_text(text: str, codebook: Codebook) -> LetterSequence:
 
 
 def _encode_blocks(
-    seq: LetterSequence, blocks: Sequence[Block], payloads: Sequence[int], key=None
+    seq: LetterSequence,
+    blocks: Sequence[Block],
+    payloads: Sequence[int],
+    codebook: Codebook,
+    key=None,
 ) -> tuple[int, ...]:
     """Glyph index per letter: each block's payload as its residues, 0 for
-    uncoded letters, then mapped through the key."""
+    uncoded letters, then mapped through the key, which must fit the
+    codebook."""
     indices = [0] * len(seq.letters)
     for block, m in zip(blocks, payloads):
         for i, residue in zip(block.member_indices, encode_phi(m, block.moduli)):
             indices[i] = residue
     if key is not None:
-        indices = key.forward_letters(seq.letters, indices)
+        indices = key.forward_letters(seq.letters, indices, _capacities(codebook))
     return tuple(indices)
 
 
@@ -257,41 +261,20 @@ def _uniform_row(capacity: int) -> np.ndarray:
     return np.full(capacity, 1.0 / capacity)
 
 
-def _refuse(
-    key, seq: LetterSequence, glyphs: Sequence[int], i: int, block: Optional[int] = None
-) -> None:
-    """Raise the error for letter i, whose glyph index ``key.inverse_letters``
-    mapped to None: the key's KeyMismatchError for the index
-    (PartialDecodeError(block) when ``block`` is given), else its
-    KeyMismatchError for the letter's capacity."""
-    ch = seq.letters[i]
-    try:
-        key.inverse(ch, glyphs[i])
-    except KeyMismatchError as exc:
-        if block is None:
-            raise
-        raise PartialDecodeError(block) from exc
-    key.inverse_row(ch, _uniform_row(seq.capacities[i]))
-
-
 def _decode_blocks(
     seq: LetterSequence,
     blocks: Sequence[Block],
     values: Sequence[Optional[int]],
     row: Optional[Callable[[int], np.ndarray]] = None,
-    key=None,
-    glyphs: Sequence[int] = (),
 ) -> tuple[str, list[DecodeOutcome]]:
     """Decode each block to its ``bit_width`` bits.
 
     ``values`` gives each letter's received integer and ``row(i)`` letter i's
     likelihood row in the same order; rows are uniform when ``row`` is None.
     Rows are read only on a Hamming tie, so they are built for those blocks
-    alone.  With ``key``, ``values`` are the glyph indices ``glyphs`` mapped
-    back by ``key.inverse_letters``, and a letter it refused fails its block
-    (a uniform row needs no mapping), or raises the key's KeyMismatchError
-    when the key's width is wrong.  A block that reaches past the end of
-    ``values`` fails.  Raises PartialDecodeError at the first failed block.
+    alone.  A block that holds a None (a glyph index the key could not map)
+    or reaches past the end of ``values`` fails.  Raises PartialDecodeError at
+    the first failed block.
     """
     outcomes: list[DecodeOutcome] = []
     bits = []
@@ -300,8 +283,8 @@ def _decode_blocks(
         if members[-1] >= len(values):  # members ascend
             raise PartialDecodeError(t)
         vector = [values[i] for i in members]
-        if key is not None and None in vector:
-            _refuse(key, seq, glyphs, members[vector.index(None)], t)
+        if None in vector:
+            raise PartialDecodeError(t)
         outcome = hamming_decode(vector, block.moduli)
         if outcome.status == "ambiguous-fail":
             g = [
@@ -336,7 +319,7 @@ def embed(
     if not blocks:
         raise DocumentTooSmallError("document has zero complete blocks")
     framed = frame_message(bits, sum(b.bit_width for b in blocks))
-    indices = _encode_blocks(seq, blocks, chunk_message(framed, blocks), key)
+    indices = _encode_blocks(seq, blocks, chunk_message(framed, blocks), codebook, key)
     return EncodedDocument(text, indices, codebook.font_id)
 
 
@@ -354,9 +337,10 @@ def extract(
     maximum-likelihood resolution of ties.  Without a channel trace the
     likelihood rows are uniform, so a tie goes to the candidate whose
     mismatched letters have the smallest product of glyph counts, then to the
-    smallest m.  Every letter's glyph index and likelihood row is checked
-    against the key and the codebook before any block is decoded; rows are
-    built only for blocks whose Hamming decode ties.
+    smallest m.  The key must fit the codebook, and every letter's glyph
+    index and likelihood row is checked against the key and the codebook, in
+    letter order, before any block is decoded; rows are built only for blocks
+    whose Hamming decode ties.
     """
     seq = _check_text(encoded.text, codebook)
     if len(encoded.glyph_indices) != len(seq.letters):
@@ -368,19 +352,17 @@ def extract(
         raise ContractViolation("likelihood table does not match the letter count")
 
     indices = encoded.glyph_indices
-    refused = len(seq.letters)  # the first letter the key refuses, if any
+    refused = len(indices)  # the first letter whose glyph index the key cannot map
     if key is not None:
-        indices = key.inverse_letters(
-            seq.letters, encoded.glyph_indices, _capacities(codebook)
-        )
+        indices = key.inverse_letters(seq.letters, indices, _capacities(codebook))
         if None in indices:
             refused = indices.index(None)
     if likelihoods is not None:  # each row is checked before its letter's key
         for i, cap in enumerate(seq.capacities[: refused + 1]):
             if np.asarray(likelihoods[i], dtype=float).shape != (cap,):
                 raise ContractViolation(f"likelihood row {i} has wrong length")
-    if refused < len(seq.letters):
-        _refuse(key, seq, encoded.glyph_indices, refused)
+    if refused < len(indices):  # raises the key's error for that glyph index
+        key.inverse(seq.letters[refused], encoded.glyph_indices[refused])
 
     def row(i: int) -> np.ndarray:
         r = np.asarray(likelihoods[i], dtype=float)
@@ -407,12 +389,13 @@ def capacity_report(
     frequencies: Optional[dict[str, float]] = None,
     sample_blocks: int = 100_000,
     seed: int = 0,
-    target_bits: int = 128,
 ) -> dict:
     """Embedding capacity, either of a concrete text or Monte-Carlo sampled
     from a letter-frequency table."""
     if (text is None) == (frequencies is None):
         raise ContractViolation("provide exactly one of text or frequencies")
+    if sample_blocks < 0:
+        raise ContractViolation("sample_blocks must be non-negative")
     if text is not None:
         seq = _check_text(text, codebook)
         blocks = partition_blocks(seq, n, k)
@@ -434,12 +417,11 @@ def capacity_report(
         if sample_blocks and not letters:
             raise ContractViolation("codebook capacities cannot form coprime blocks")
     bits_per_letter = total_bits / letters if letters else 0.0
-    letters_for_target = (
-        math.ceil(target_bits / bits_per_letter) if bits_per_letter else math.inf
-    )
     return {
         "total_bits": total_bits,
         "letters": letters,
         "bits_per_letter": bits_per_letter,
-        "letters_for_128_bits": letters_for_target,
+        "letters_for_128_bits": (
+            math.ceil(128 / bits_per_letter) if bits_per_letter else math.inf
+        ),
     }

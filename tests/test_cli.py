@@ -2,15 +2,17 @@ import json
 
 import pytest
 
-from glyphcode import fixtures, formats
+from glyphcode import crypto, fixtures, formats, pipeline
 from glyphcode.cli import (
     EXIT_CAPACITY,
     EXIT_DECODE,
     EXIT_FORMAT,
+    EXIT_KEY,
     EXIT_OK,
     EXIT_USAGE,
     main,
 )
+from glyphcode.errors import ContractViolation
 
 
 @pytest.fixture(scope="module")
@@ -338,3 +340,77 @@ def test_malformed_files_exit_with_format_error(workspace, tmp_path):
         "--output", str(tmp_path / "never.txt"),
     ]
     assert main(args) == EXIT_FORMAT
+
+
+def _write_key(path, key):
+    with open(path, "w", encoding="utf-8") as fh:
+        formats.write_key(key, fh)
+
+
+def test_key_that_does_not_fit_the_codebook_exits_with_key_mismatch(workspace, tmp_path):
+    """A key without a codebook letter makes verify exit 5, not report every
+    segment as tampered; a key one glyph too long for a letter makes embed
+    exit 5 and write no document."""
+    text = tmp_path / "long.txt"
+    text.write_text(fixtures.random_text(176, seed=7))
+    sig_codebook = fixtures.signature_codebook()
+    cb_path = tmp_path / "sig_codebook.txt"
+    with open(cb_path, "w", encoding="utf-8") as fh:
+        formats.write_codebook(sig_codebook, fh)
+    key = crypto.keygen(sig_codebook, seed=0)
+    key_path = tmp_path / "sig_key.txt"
+    _write_key(key_path, key)
+    signed = tmp_path / "signed.txt"
+    args = ["sign", "--codebook", str(cb_path), "--text", str(text), "--key", str(key_path)]
+    assert main(args + ["--output", str(signed)]) == EXIT_OK
+    missing = tmp_path / "missing_key.txt"
+    perms = {ch: perm for ch, perm in key.perms.items() if ch != "e"}
+    _write_key(missing, crypto.PermutationKey("missing", perms))
+    args = ["verify", "--codebook", str(cb_path), "--document", str(signed), "--key", str(missing)]
+    assert main(args) == EXIT_KEY
+
+    long_key = tmp_path / "long_key.txt"
+    with open(workspace / "codebook.txt", encoding="utf-8") as fh:
+        cb = formats.read_codebook(fh)
+    perms = dict(crypto.keygen(cb, seed=0).perms)
+    perms["e"] = tuple(range(cb.capacity("e") + 1))
+    _write_key(long_key, crypto.PermutationKey("long", perms))
+    doc = tmp_path / "doc.txt"
+    args = [
+        "embed",
+        "--codebook", str(workspace / "codebook.txt"),
+        "--text", str(workspace / "text.txt"),
+        "--message", str(workspace / "message.txt"),
+        "--key", str(long_key),
+        "--output", str(doc),
+    ]
+    assert main(args) == EXIT_KEY
+    assert not doc.exists()
+
+
+def test_undecodable_files_exit_without_a_traceback(workspace, tmp_path):
+    """Bytes that are not UTF-8 make a format file a format error (exit 6)
+    and a cover text a usage error (exit 2)."""
+    garbled = tmp_path / "garbled.txt"
+    garbled.write_bytes(b"\xff\xfe# glyphcode codebook\n")
+    args = ["capacity", "--codebook", str(garbled), "--text", str(workspace / "text.txt")]
+    assert main(args) == EXIT_FORMAT
+    args = ["capacity", "--codebook", str(workspace / "codebook.txt"), "--text", str(garbled)]
+    assert main(args) == EXIT_USAGE
+
+
+def test_capacity_refuses_negative_sample_blocks(workspace):
+    cb = fixtures.channel_codebook()
+    with pytest.raises(ContractViolation, match="sample_blocks"):
+        pipeline.capacity_report(
+            cb, frequencies=fixtures.ENGLISH_FREQUENCIES, sample_blocks=-1
+        )
+    args = ["capacity", "--codebook", str(workspace / "codebook.txt"), "--sample-blocks", "-1"]
+    assert main(args) == EXIT_USAGE
+
+
+def test_codebook_build_refuses_zero_candidates(tmp_path):
+    out = tmp_path / "cb.txt"
+    args = ["codebook-build", "--mode", "construct", "--candidates", "0", "--output", str(out)]
+    assert main(args) == EXIT_USAGE
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,25 +95,38 @@ def test_key_validation_and_mismatch(codebook):
 
 
 def test_key_wider_than_the_codebook_is_refused(codebook, sig_codebook):
-    """A key whose permutations cover more glyphs than a letter has is refused
-    by extract and verify, although clean blocks never read a likelihood row."""
+    """A key whose permutations cover more glyphs than a letter has does not
+    fit the codebook: embed, extract, sign and verify refuse it with a message
+    naming the letter, the key's glyph count and the letter's capacity."""
     def wide(cb):
         return PermutationKey(
             "wide", {ch: tuple(range(cb.capacity(ch) + 1)) for ch in cb.characters()}
         )
 
+    def message(cb):
+        ch = next(iter(cb.entries))
+        cap = cb.capacity(ch)
+        return re.escape(
+            f"key permutes {cap + 1} glyphs for character {ch!r}, which has capacity {cap}"
+        )
+
     text = fixtures.random_text(90, seed=10)
+    with pytest.raises(KeyMismatchError, match=message(codebook)):
+        pipeline.embed(text, codebook, "1011", key=wide(codebook))
     doc = pipeline.embed(text, codebook, "1011", key=identity_key(codebook))
-    with pytest.raises(KeyMismatchError, match="likelihood row length"):
+    with pytest.raises(KeyMismatchError, match=message(codebook)):
         pipeline.extract(doc, codebook, key=wide(codebook))
-    signed = sign_scheme1(_sig_text(176, seed=20), sig_codebook, identity_key(sig_codebook))
-    with pytest.raises(KeyMismatchError, match="likelihood row length"):
+    sig_text = _sig_text(176, seed=20)
+    with pytest.raises(KeyMismatchError, match=message(sig_codebook)):
+        sign_scheme1(sig_text, sig_codebook, wide(sig_codebook))
+    signed = sign_scheme1(sig_text, sig_codebook, identity_key(sig_codebook))
+    with pytest.raises(KeyMismatchError, match=message(sig_codebook)):
         verify(signed, sig_codebook, SignatureConfig(), key=wide(sig_codebook))
 
 
 def test_clean_keyed_decode_builds_no_likelihood_rows(codebook, sig_codebook, monkeypatch):
     """Rows are read only on a Hamming tie; a clean document has none, so the
-    key maps at most one row per distinct letter (its width check)."""
+    key maps no row (its fit to the codebook is checked without one)."""
     calls = []
     inverse_row = PermutationKey.inverse_row
 
@@ -125,12 +139,11 @@ def test_clean_keyed_decode_builds_no_likelihood_rows(codebook, sig_codebook, mo
     key = keygen(codebook, seed=3)
     doc = pipeline.embed(text, codebook, "1101", key=key)
     assert pipeline.extract(doc, codebook, key=key)[0] == "1101"
-    assert len(calls) == len(set(calls)) <= len(codebook.characters())
-    calls.clear()
+    assert calls == []
     sig_key = keygen(sig_codebook, seed=4)
     signed = sign_scheme1(_sig_text(600, seed=12), sig_codebook, sig_key)
     assert verify(signed, sig_codebook, SignatureConfig(), key=sig_key).overall == "match"
-    assert len(calls) == len(set(calls)) <= len(sig_codebook.characters())
+    assert calls == []
 
 
 def test_key_space_examples():
@@ -362,13 +375,20 @@ DIFF_CONFIG = SignatureConfig(segment_min_letters=10)
 
 def _bad_keys(key, ch):
     """The key without ``ch``, and with a permutation for ``ch`` one glyph
-    shorter and one glyph longer than the letter's capacity."""
+    shorter and one glyph longer than the letter's capacity, each with the
+    KeyMismatchError message that refuses it."""
     perms = dict(key.perms)
     cap = len(perms[ch])
+
+    def wrong_width(width):
+        key = PermutationKey("width", {**perms, ch: tuple(reversed(range(width)))})
+        return key, f"key permutes {width} glyphs for character {ch!r}, which has capacity {cap}"
+
+    missing = PermutationKey("missing", {c: p for c, p in perms.items() if c != ch})
     return [
-        PermutationKey("missing", {c: p for c, p in perms.items() if c != ch}),
-        PermutationKey("short", {**perms, ch: tuple(reversed(range(cap - 1)))}),
-        PermutationKey("long", {**perms, ch: tuple(reversed(range(cap + 1)))}),
+        (missing, f"key has no entry for character {ch!r}"),
+        wrong_width(cap - 1),
+        wrong_width(cap + 1),
     ]
 
 
@@ -378,11 +398,13 @@ def _diff_text(letters, seed):
     return text.replace(" ", " 日 ", 3) + "1€"
 
 
-def test_bad_keys_fail_like_the_letter_loop_oracle():
+def test_bad_keys_fail_like_the_letter_loop_oracle(monkeypatch):
     """A key without a letter, or with a permutation shorter or longer than
-    the letter's capacity, and a glyph index out of range at the first, a
-    middle and the last letter fail embed, extract, sign and verify with the
-    per-letter path's error (type, message, block and cause) or report."""
+    the letter's capacity, does not fit the codebook: embed, extract, sign and
+    verify raise KeyMismatchError, and extract and verify decode no block.  A
+    glyph index out of range at the first, a middle and the last letter fails
+    them with the per-letter path's error (type, message, block and cause) or
+    report."""
     text = _diff_text(800, seed=31)
     seq = pipeline.letter_sequence(text, DIFF_CODEBOOK)
     key = keygen(DIFF_CODEBOOK, seed=5)
@@ -396,20 +418,30 @@ def test_bad_keys_fail_like_the_letter_loop_oracle():
         assert outcome(pipeline.embed, text, DIFF_CODEBOOK, bits, key=key) == outcome(
             loop_embed, text, DIFF_CODEBOOK, bits, key=loop_key
         )
-        assert outcome(pipeline.extract, doc, DIFF_CODEBOOK, key=key) == outcome(
-            loop_extract, doc, DIFF_CODEBOOK, key=loop_key
-        )
+        extracted = outcome(pipeline.extract, doc, DIFF_CODEBOOK, key=key)
+        assert extracted == outcome(loop_extract, doc, DIFF_CODEBOOK, key=loop_key)
         assert outcome(sign_scheme1, text, DIFF_CODEBOOK, key, DIFF_CONFIG) == outcome(
             loop_sign_scheme1, text, DIFF_CODEBOOK, loop_key, DIFF_CONFIG
         )
-        got = outcome(verify, signed, DIFF_CODEBOOK, DIFF_CONFIG, key=key)
-        assert got == outcome(loop_verify, signed, DIFF_CODEBOOK, DIFF_CONFIG, key=loop_key)
-        return got
+        report = outcome(verify, signed, DIFF_CODEBOOK, DIFF_CONFIG, key=key)
+        assert report == outcome(loop_verify, signed, DIFF_CODEBOOK, DIFF_CONFIG, key=loop_key)
+        return extracted[0], report[1].overall
 
-    failed = set()
+    def refused(bad, message):
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "hamming_decode", None)  # decoding a block fails
+            for call in (
+                lambda: pipeline.embed(text, DIFF_CODEBOOK, bits, key=bad),
+                lambda: pipeline.extract(doc, DIFF_CODEBOOK, key=bad),
+                lambda: sign_scheme1(text, DIFF_CODEBOOK, bad, DIFF_CONFIG),
+                lambda: verify(signed, DIFF_CODEBOOK, DIFF_CONFIG, key=bad),
+            ):
+                assert outcome(call) == (KeyMismatchError, message, type(None), "None")
+
     for ch in "bdg":
-        for bad in _bad_keys(key, ch):
-            failed.add(same(bad, doc, signed)[0])
+        for bad, message in _bad_keys(key, ch):
+            refused(bad, message)
+    got = set()
     last = len(seq.letters) - 1
     for i in (0, last // 2, last):
         cap = seq.capacities[i]
@@ -419,9 +451,8 @@ def test_bad_keys_fail_like_the_letter_loop_oracle():
                 indices[i] = v
                 return pipeline.EncodedDocument(d.text, tuple(indices), d.codebook_id)
 
-            got = same(key, cut(doc), cut(signed))
-            failed.add(got[0] if got[0] != "returned" else got[1].overall)
-    assert failed >= {KeyMismatchError, "returned", "mismatch"}
+            got.add(same(key, cut(doc), cut(signed)))
+    assert got >= {(KeyMismatchError, "mismatch")}
 
 
 @settings(max_examples=150, deadline=None)
@@ -434,20 +465,24 @@ def test_bad_keys_fail_like_the_letter_loop_oracle():
 )
 def test_sign_and_verify_match_letter_loop_oracle(letters, text_seed, key_seed, bad, changes):
     """Segments, signed documents and verify reports are the per-letter
-    path's, with good and bad keys and with changed glyph indices."""
+    path's with good keys and with changed glyph indices; a bad key raises
+    KeyMismatchError from sign and verify once the layout is built."""
     text = _diff_text(letters, seed=text_seed)
-    key = keygen(DIFF_CODEBOOK, seed=key_seed)
+    good = keygen(DIFF_CODEBOOK, seed=key_seed)
+    key, refusal = good, None
     if bad is not None:
-        key = {"missing": 0, "short": 1, "long": 2}[bad]
-        key = _bad_keys(keygen(DIFF_CODEBOOK, seed=key_seed), "d")[key]
+        key, message = _bad_keys(good, "d")[["missing", "short", "long"].index(bad)]
+        refusal = (KeyMismatchError, message, type(None), "None")
     loop_key = IndexKey(key)
     want = outcome(loop_layout, text, DIFF_CODEBOOK, DIFF_CONFIG, None)
     if want[0] == "returned":
         want = ("returned", want[1][2])  # the segments
     assert outcome(segment_text, text, DIFF_CODEBOOK, DIFF_CONFIG) == want
     signed = outcome(sign_scheme1, text, DIFF_CODEBOOK, key, DIFF_CONFIG)
-    assert signed == outcome(loop_sign_scheme1, text, DIFF_CODEBOOK, loop_key, DIFF_CONFIG)
-    good = keygen(DIFF_CODEBOOK, seed=key_seed)
+    if refusal is None or want[0] != "returned":
+        assert signed == outcome(loop_sign_scheme1, text, DIFF_CODEBOOK, loop_key, DIFF_CONFIG)
+    else:
+        assert signed == refusal
     doc = outcome(sign_scheme1, text, DIFF_CODEBOOK, good, DIFF_CONFIG)
     if doc[0] != "returned":
         return
@@ -455,6 +490,8 @@ def test_sign_and_verify_match_letter_loop_oracle(letters, text_seed, key_seed, 
     for i, v in changes:
         indices[i % len(indices)] = v
     tampered = pipeline.EncodedDocument(text, tuple(indices), doc[1].codebook_id)
-    assert outcome(verify, tampered, DIFF_CODEBOOK, DIFF_CONFIG, key=key) == outcome(
-        loop_verify, tampered, DIFF_CODEBOOK, DIFF_CONFIG, key=loop_key
-    )
+    got = outcome(verify, tampered, DIFF_CODEBOOK, DIFF_CONFIG, key=key)
+    if refusal is None:
+        assert got == outcome(loop_verify, tampered, DIFF_CODEBOOK, DIFF_CONFIG, key=loop_key)
+    else:
+        assert got == refusal

@@ -116,6 +116,10 @@ def test_format_errors():
             read(io.StringIO(""))
         with pytest.raises(FormatError):
             read(io.StringIO("garbage line\nmore garbage\n"))
+        # bytes that do not decode fail inside the guarded parse
+        undecodable = io.BytesIO(b"\xff\xfe# glyphcode codebook\n")
+        with pytest.raises(FormatError, match="UnicodeDecodeError"):
+            read(io.TextIOWrapper(undecodable, encoding="utf-8"))
     # wrong kind header
     buf = io.StringIO()
     formats.write_message_bits("101", buf)
