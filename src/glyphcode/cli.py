@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 
@@ -118,6 +119,8 @@ def cmd_capacity(args) -> int:
             sample_blocks=args.sample_blocks,
             seed=args.seed,
         )
+    if report["letters_for_128_bits"] == math.inf:  # no bits fit; JSON has no Infinity
+        report = {**report, "letters_for_128_bits": None}
     print(json.dumps(report))
     return EXIT_OK
 

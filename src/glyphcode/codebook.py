@@ -286,6 +286,10 @@ def build_codebook(
     (capped at ``max_iterations``).  Survivors below ``final_threshold``
     multi-way accuracy are dropped; an empty survivor set degrades to the
     original glyph alone with a warning.
+
+    Both oracles must be pure functions of ``(character, ids, outlines)``:
+    a pair drawn again in a later iteration is answered from the first call,
+    so ``oracle`` is asked each pair of a character at most once.
     """
     entries: dict[str, CharacterEntry] = {}
     for character in sorted(initial_candidates):
@@ -295,11 +299,15 @@ def build_codebook(
         current = sorted(cands)
         graph = ConfusionGraph(current)
 
+        asked: dict[tuple[int, int], float] = {}
+
         def pair_oracle(pair: tuple[int, int]) -> float:
             a, b = sorted(pair)
-            return oracle(
-                character, (a, b), [cands[a].outline, cands[b].outline]
-            )
+            if (a, b) not in asked:
+                asked[a, b] = oracle(
+                    character, (a, b), [cands[a].outline, cands[b].outline]
+                )
+            return asked[a, b]
 
         iteration = 0
         while len(current) > 1:

@@ -10,11 +10,17 @@ sign.  Scores and reliabilities minimize the negative log-likelihood by
 full-batch gradient descent with a backtracking line search, then the scores
 are min-max normalized to [0, 1] and thresholded to select the candidate set.
 
-The objective is evaluated in one pass per step: one exp serves both the
+The objective is evaluated in one pass per point: one exp serves both the
 log-likelihood and the sigmoid in its gradient, and one bincount scatters both
-glyphs of every response in response order.  Every value stays bit for bit
-that of the printed form evaluated term by term (log-sigmoid and sigmoid
-separately, gradients by np.add.at), which tests/oracles.py keeps.
+glyphs of every response in response order.  A line-search trial evaluates
+only the value; the gradients are built from that evaluation's intermediates
+for the accepted point alone.  Every value stays bit for bit that of the
+printed form evaluated term by term (log-sigmoid and sigmoid separately,
+gradients by np.add.at, every trial's gradients computed), which
+tests/oracles.py keeps.
+
+The response generator draws each rater's pairs and uniforms in the order of
+one question at a time, then computes all choice probabilities at once.
 """
 
 from __future__ import annotations
@@ -84,7 +90,11 @@ def choice_likelihood(q: int, s_i: float, s_j: float, r_u: float) -> float:
 
 
 def _sigmoid(z):
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    # exp(-|z|) is exp(-z) for z >= 0 and exp(z) below, so each branch gets
+    # the operands it had as 1/(1+exp(-z)) and exp(z)/(1+exp(z)), and no exp
+    # overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def objective_and_gradients(
@@ -98,35 +108,53 @@ def objective_and_gradients(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Negative log-likelihood plus quadratic gauge penalty, with analytic
     gradients in the scores and reliabilities."""
-    return _objective(idx_i, idx_j, idx_u, q, regularization)(s, r)
+    value, gradients = _objective(idx_i, idx_j, idx_u, q, regularization, len(s))(s, r)
+    return (value, *gradients())
 
 
-def _objective(idx_i, idx_j, idx_u, q, regularization):
+def _objective(idx_i, idx_j, idx_u, q, regularization, n_glyphs):
     """The objective over one response set, with its per-response constants
-    built once: ``(s, r) -> (value, gs, gr)``."""
+    built once: ``(s, r) -> (value, gradients)``, where ``gradients()`` builds
+    ``(gs, gr)`` from that evaluation's intermediates."""
     idx_ij = np.concatenate([idx_i, idx_j])
+    if len(idx_ij) and not (0 <= idx_ij.min() and idx_ij.max() < n_glyphs):
+        raise ContractViolation("glyph index out of range")
+    flat_ij = idx_i * n_glyphs + idx_j  # s_i - s_j is entry (i, j) of outer(s, s)
     sign = 1 - 2 * q  # log p(q) = log sigmoid(sign * z)
     miss = 1 - q
+    m = len(q)
 
     def evaluate(s, r):
-        ru = r[idx_u]
-        diff = s[idx_i] - s[idx_j]
+        ru = r.take(idx_u)
+        diff = np.subtract.outer(s, s).take(flat_ij)
         z = ru * diff
         # log sigmoid(x) = min(x, 0) - log1p(exp(-|x|)), and |sign * z| = |z|,
         # so one exp serves the likelihood and the sigmoid below
-        e = np.exp(-np.abs(z))
-        loglik = np.minimum(sign * z, 0) - np.log1p(e)
+        e = np.abs(z)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        loglik = np.multiply(sign, z)
+        np.minimum(loglik, 0, out=loglik)
+        loglik -= np.log1p(e)
         value = -float(loglik.sum())
         value += regularization * (float(s @ s) + float(r @ r))
-        # d(-loglik)/dz = sigmoid(z) - (1 - q)
-        dz = np.where(z >= 0, 1.0, e) / (1.0 + e) - miss
-        w = dz * ru
-        # one bincount over both endpoints adds in np.add.at's order
-        gs = np.bincount(idx_ij, np.concatenate([w, -w]), len(s))
-        gr = np.bincount(idx_u, dz * diff, len(r))
-        gs += 2 * regularization * s
-        gr += 2 * regularization * r
-        return value, gs, gr
+
+        def gradients():
+            # d(-loglik)/dz = sigmoid(z) - (1 - q)
+            dz = np.where(z >= 0, 1.0, e)
+            dz /= 1.0 + e
+            dz -= miss
+            # one bincount over both endpoints adds in np.add.at's order
+            w = np.empty(2 * m)
+            np.multiply(dz, ru, out=w[:m])
+            np.negative(w[:m], out=w[m:])
+            gs = np.bincount(idx_ij, w, len(s))
+            gr = np.bincount(idx_u, np.multiply(dz, diff, out=dz), len(r))
+            gs += 2 * regularization * s
+            gr += 2 * regularization * r
+            return gs, gr
+
+        return value, gradients
 
     return evaluate
 
@@ -140,8 +168,9 @@ def _connected_components(n_glyphs: int, idx_i: np.ndarray, idx_j: np.ndarray) -
             a = parent[a]
         return a
 
-    for a, b in zip(idx_i, idx_j):
-        ra, rb = find(int(a)), find(int(b))
+    # each distinct comparison once: a response set repeats few glyph pairs
+    for pair in set((idx_i * n_glyphs + idx_j).tolist()):
+        ra, rb = find(pair // n_glyphs), find(pair % n_glyphs)
         if ra != rb:
             parent[ra] = rb
     comps: dict[int, set[int]] = {}
@@ -177,11 +206,15 @@ def fit(
     s = np.full(len(glyphs), 0.5)
     r = np.full(len(raters), -1.0)
 
-    objective = _objective(idx_i, idx_j, idx_u, q, config.regularization)
-    value, gs, gr = objective(s, r)
+    objective = _objective(idx_i, idx_j, idx_u, q, config.regularization, len(glyphs))
+    value, gradients = objective(s, r)
     step = config.initial_step
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
+        # only accepted points need gradients; dropping the closures frees
+        # their intermediates before the trials build their own
+        gs, gr = gradients()
+        gradients = gradients_new = None
         grad_norm_sq = float(gs @ gs + gr @ gr)
         if grad_norm_sq == 0.0:
             break
@@ -189,7 +222,7 @@ def fit(
         while step > 1e-18:
             s_new = s - step * gs
             r_new = r - step * gr
-            v_new, gs_new, gr_new = objective(s_new, r_new)
+            v_new, gradients_new = objective(s_new, r_new)
             if v_new <= value - 1e-4 * step * grad_norm_sq:
                 accepted = True
                 break
@@ -197,7 +230,7 @@ def fit(
         if not accepted:
             break
         rel = (value - v_new) / max(abs(value), 1.0)
-        s, r, value, gs, gr = s_new, r_new, v_new, gs_new, gr_new
+        s, r, value, gradients = s_new, r_new, v_new, gradients_new
         step *= 1.3  # let the step grow back after cautious stretches
         if rel < config.rel_tolerance:
             break
@@ -240,7 +273,9 @@ def synth_responses(
 
     Mirrors the study protocol: on top of the real questions every rater
     answers control questions repeating the same pair in both orders, and
-    raters with more than one inconsistency among them are rejected.
+    raters with more than one inconsistency among them are rejected.  Each
+    rater's draws come from its own generator, so a rejected rater's
+    questions are drawn and dropped without moving anyone else's.
     """
     glyphs = sorted(planted_s, key=repr)
     if len(glyphs) < 2:
@@ -248,27 +283,36 @@ def synth_responses(
     for v in list(planted_s.values()) + list(planted_r.values()):
         if not math.isfinite(v):
             raise ContractViolation("planted values must be finite")
-    out: list[Response] = []
-    for rater in sorted(planted_r, key=repr):
+    if questions_per_rater < 0 or control_questions < 0:
+        raise ContractViolation("question counts must be non-negative")
+    s = np.array([planted_s[g] for g in glyphs], dtype=float)
+    raters = sorted(planted_r, key=repr)
+    r = np.array([planted_r[u] for u in raters], dtype=float)
+    controls = 2 * (control_questions // 2)
+    answers = controls + questions_per_rater
+    # answer t of a rater compares glyphs a[., t] and b[., t]: each control
+    # pair in both orders, then the questions; each pair is drawn by choice
+    # and followed by one uniform per answer, as when asked one at a time
+    a = np.empty((len(raters), answers), dtype=np.intp)
+    b = np.empty_like(a)
+    uniforms = np.empty((len(raters), answers))
+    for row, rater in enumerate(raters):
         rng = np.random.default_rng(stable_seed(seed, "rater", rater))
-        r_u = planted_r[rater]
+        for t in range(0, controls, 2):
+            pair = rng.choice(len(glyphs), size=2, replace=False)
+            a[row, t : t + 2] = pair
+            b[row, t : t + 2] = pair[::-1]
+            uniforms[row, t : t + 2] = rng.random(2)
+        for t in range(controls, answers):
+            a[row, t], b[row, t] = rng.choice(len(glyphs), size=2, replace=False)
+            uniforms[row, t] = rng.random()
+    q = uniforms < _sigmoid(-(r[:, None] * (s[a] - s[b])))
 
-        def answer(gi, gj) -> int:
-            p1 = choice_likelihood(1, planted_s[gi], planted_s[gj], r_u)
-            return int(rng.random() < p1)
-
-        # control screening: each control pair is asked in both orders and a
-        # consistent rater flips the answer with the order
-        inconsistencies = 0
-        for _ in range(control_questions // 2):
-            a, b = rng.choice(len(glyphs), size=2, replace=False)
-            gi, gj = glyphs[int(a)], glyphs[int(b)]
-            if answer(gi, gj) == answer(gj, gi):
-                inconsistencies += 1
-        if inconsistencies > 1:
-            continue
-        for _ in range(questions_per_rater):
-            a, b = rng.choice(len(glyphs), size=2, replace=False)
-            gi, gj = glyphs[int(a)], glyphs[int(b)]
-            out.append(Response(gi, gj, rater, answer(gi, gj)))
-    return out
+    # control screening: a consistent rater flips the answer with the order
+    inconsistencies = (q[:, 0:controls:2] == q[:, 1:controls:2]).sum(axis=1)
+    kept = np.flatnonzero(inconsistencies <= 1)
+    a, b, q = (x[kept, controls:].ravel().tolist() for x in (a, b, q))
+    u = np.repeat(kept, questions_per_rater).tolist()
+    return [
+        Response(glyphs[i], glyphs[j], raters[k], int(v)) for i, j, k, v in zip(a, b, u, q)
+    ]

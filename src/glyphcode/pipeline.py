@@ -157,14 +157,27 @@ def _choose_moduli_cached(capacities: tuple[int, ...], k: int) -> Optional[Modul
     return choose_moduli(capacities, k)
 
 
+def _prime_count(limit: int) -> int:
+    """Number of primes <= limit (a sieve; capacities are glyph counts)."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * max(limit - 1, 0)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return sum(sieve)
+
+
 def _blocks(capacities: Sequence[int], n: int, k: int) -> Iterator[Block]:
     """Greedy left-to-right block partition with the capacity-expansion rule.
 
     Yields blocks over indices into ``capacities`` and stops once fewer than n
     letters remain, also when that happens while a block is still expanding;
-    the remainder is uncoded.
+    the remainder is uncoded.  Yields nothing at once when no window could
+    ever form a block: n pairwise-coprime values >= 2 have n distinct prime
+    factors, so they need n primes <= the largest capacity.
     """
     total = len(capacities)
+    if total >= n and 1 <= k < n and n > _prime_count(max(capacities)):
+        return
     cursor = 0
     while cursor + n <= total:
         window = range(cursor, cursor + n)

@@ -11,9 +11,12 @@ distance that the stacked ``glyphcode.outline.OutlineStack`` replaced.
 
 ``printed_objective_and_gradients`` and ``printed_fit`` are the perceptual
 objective as printed, with its separate log-sigmoid and sigmoid passes and
-``np.add.at`` scatters, and the fit that called it; ``trial_loop_per_glyph_accuracy``
-recognizes one noisy observation at a time.  The one-pass objective and the
-batched oracle trials must match them exactly.
+``np.add.at`` scatters, and the fit that called it, which unions the glyphs
+of every response (``response_loop_connected_components``).
+``answer_loop_synth_responses`` computes one choice probability per answer,
+and ``trial_loop_per_glyph_accuracy`` recognizes one noisy observation at a
+time.  The one-pass objective, the union over distinct pairs, the batched
+rater answers and the batched oracle trials must match them exactly.
 
 ``BroadcastStack`` is the outline stack whose rescale broadcast over the
 length-2 coordinate axis, and ``attempt_loop_inject_errors`` the channel that
@@ -57,8 +60,8 @@ from glyphcode.outline import GlyphOutline, OutlineStack
 from glyphcode.perceptual import (
     FitConfig,
     RaterReliabilities,
+    Response,
     SimilarityScores,
-    _connected_components,
 )
 from glyphcode.pipeline import (
     Block,
@@ -245,6 +248,26 @@ def printed_objective_and_gradients(
     return value, gs, gr
 
 
+def response_loop_connected_components(n_glyphs, idx_i, idx_j):
+    """Components of the comparison graph, with one union per response."""
+    parent = list(range(n_glyphs))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in zip(idx_i, idx_j):
+        ra, rb = find(int(a)), find(int(b))
+        if ra != rb:
+            parent[ra] = rb
+    comps = {}
+    for g in range(n_glyphs):
+        comps.setdefault(find(g), set()).add(g)
+    return list(comps.values())
+
+
 def printed_fit(responses, config=FitConfig()):
     """Fit similarity scores and rater reliabilities to 2AFC responses.
 
@@ -298,7 +321,7 @@ def printed_fit(responses, config=FitConfig()):
         if rel < config.rel_tolerance:
             break
 
-    components = _connected_components(len(glyphs), idx_i, idx_j)
+    components = response_loop_connected_components(len(glyphs), idx_i, idx_j)
     lo, hi = float(s.min()), float(s.max())
     if hi > lo:
         s_norm = (s - lo) / (hi - lo)
@@ -318,6 +341,45 @@ def printed_fit(responses, config=FitConfig()):
         RaterReliabilities({u: float(r[u_index[u]]) for u in raters}),
         info,
     )
+
+
+def answer_loop_synth_responses(
+    planted_s, planted_r, questions_per_rater=16, seed=0, control_questions=4
+):
+    """2AFC responses drawn one answer at a time from the planted model, with
+    each rater's control pairs asked in both orders and raters with more than
+    one inconsistency among them rejected."""
+    glyphs = sorted(planted_s, key=repr)
+    if len(glyphs) < 2:
+        raise ContractViolation("need at least two glyphs")
+    for v in list(planted_s.values()) + list(planted_r.values()):
+        if not math.isfinite(v):
+            raise ContractViolation("planted values must be finite")
+    out = []
+    for rater in sorted(planted_r, key=repr):
+        rng = np.random.default_rng(stable_seed(seed, "rater", rater))
+        r_u = planted_r[rater]
+
+        def answer(gi, gj):
+            z = r_u * (planted_s[gi] - planted_s[gj])
+            # the printed sigmoid overflows exp in the branch np.where discards
+            with np.errstate(over="ignore", invalid="ignore"):
+                p1 = float(_sigmoid(-z))
+            return int(rng.random() < p1)
+
+        inconsistencies = 0
+        for _ in range(control_questions // 2):
+            a, b = rng.choice(len(glyphs), size=2, replace=False)
+            gi, gj = glyphs[int(a)], glyphs[int(b)]
+            if answer(gi, gj) == answer(gj, gi):
+                inconsistencies += 1
+        if inconsistencies > 1:
+            continue
+        for _ in range(questions_per_rater):
+            a, b = rng.choice(len(glyphs), size=2, replace=False)
+            gi, gj = glyphs[int(a)], glyphs[int(b)]
+            out.append(Response(gi, gj, rater, answer(gi, gj)))
+    return out
 
 
 def _noisy(outline, sigma, seed):

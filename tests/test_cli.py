@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -222,6 +223,29 @@ def test_capacity_json(workspace, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["letters"] == 120
     assert report["total_bits"] > 128
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("sample_blocks", ["0", "20"])
+def test_capacity_prints_strict_json(workspace, capsys, sample_blocks):
+    """With no bits sampled, no count of letters holds 128 bits: null, not
+    the Infinity that strict JSON parsers refuse."""
+    args = [
+        "capacity",
+        "--codebook", str(workspace / "codebook.txt"),
+        "--sample-blocks", sample_blocks,
+    ]
+    assert main(args) == EXIT_OK
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    if sample_blocks == "0":
+        assert report == {
+            "total_bits": 0, "letters": 0, "bits_per_letter": 0.0, "letters_for_128_bits": None
+        }
+    else:
+        assert report["letters_for_128_bits"] == math.ceil(128 / report["bits_per_letter"])
 
 
 def test_sign_verify_cli(workspace, capsys):

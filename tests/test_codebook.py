@@ -1,9 +1,12 @@
+import collections
+import hashlib
+import io
 import itertools
 
 import numpy as np
 import pytest
 
-from glyphcode import channel, fixtures
+from glyphcode import channel, codebook, fixtures, formats
 from glyphcode.codebook import (
     ConfusionGraph,
     build_codebook,
@@ -160,3 +163,40 @@ def test_build_codebook_reproducible_and_idempotent():
     assert [g.outline for g in cb3.entries["a"].glyphs] == [
         g.outline for g in cb1.entries["a"].glyphs
     ]
+
+
+def test_build_codebook_asks_each_pair_once(monkeypatch):
+    """A pair the confusion test draws again in a later iteration is answered
+    from the first call, and the codebook is the one built by asking again."""
+    params = channel.ChannelParams(sigma=0.02, seed=0)
+    oracle, per_glyph = channel.make_codebook_oracles(params)
+    calls = collections.Counter()
+
+    def counting_oracle(character, ids, outlines):
+        calls[character, ids] += 1
+        return oracle(character, ids, outlines)
+
+    requests = collections.Counter()  # keyed by each character's pair oracle
+
+    def counting_confusion_test(candidates, pair_oracle, *args):
+        def asked(pair):
+            requests[pair_oracle, tuple(sorted(pair))] += 1
+            return pair_oracle(pair)
+
+        return confusion_test(candidates, asked, *args)
+
+    monkeypatch.setattr(codebook, "confusion_test", counting_confusion_test)
+    offsets = [0, 0.5, 1.0, 1.5, 2, 2.5, 3, 3.6, 4.1, 4.5]
+    cands = {ch: fixtures.chain_candidates(ch, offsets, seed=0) for ch in "ab"}
+    cb = build_codebook(cands, counting_oracle, per_glyph, {ch: cands[ch][0] for ch in "ab"})
+    assert max(calls.values()) == 1
+    assert max(requests.values()) > 1  # later iterations drew pairs again
+    assert sum(requests.values()) > sum(calls.values())
+    buf = io.StringIO()
+    formats.write_codebook(cb, buf)
+    body = "".join(line for line in buf.getvalue().splitlines(True) if not line.startswith("#"))
+    # the codebook built when every drawn pair was asked again
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "a933f643325f913dc81fbc90acc5ee70a540bec17b11ae930a1f458f3147e20c"
+    )
+    assert {ch: cb.capacity(ch) for ch in "ab"} == {"a": 3, "b": 2}

@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from oracles import printed_fit, printed_objective_and_gradients
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    answer_loop_synth_responses,
+    printed_fit,
+    printed_objective_and_gradients,
+    response_loop_connected_components,
+)
 
 from glyphcode.errors import ContractViolation
 from glyphcode.perceptual import (
     FitConfig,
+    _connected_components,
     Response,
     SimilarityScores,
     choice_likelihood,
@@ -196,3 +204,72 @@ def test_fit_matches_printed_oracle():
             with np.errstate(over="ignore", invalid="ignore"):
                 want = printed_fit(responses, config)
             assert fit(responses, config) == want
+
+
+@st.composite
+def _planted_sets(draw):
+    """Planted scores and reliabilities: |r| up to 50 with score gaps up to 20
+    puts |z| past exp's overflow at 709, and |r| below 0.5 answers near chance,
+    so the control screen rejects raters."""
+    n_glyphs = draw(st.integers(2, 6))
+    scores = draw(st.lists(st.floats(-10.0, 10.0), min_size=n_glyphs, max_size=n_glyphs))
+    reliability = st.floats(-50.0, 50.0) | st.floats(-0.5, 0.5)
+    rels = draw(st.lists(reliability, max_size=6))
+    planted_s = {f"g{i}": v for i, v in enumerate(scores)}
+    planted_r = {f"u{i}": v for i, v in enumerate(rels)}
+    return planted_s, planted_r
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    planted=_planted_sets(),
+    questions=st.integers(0, 5),
+    controls=st.sampled_from([0, 1, 2, 3, 4, 7]),
+    seed=st.integers(0, 2**31),
+)
+def test_synth_responses_matches_answer_loop_oracle(planted, questions, controls, seed):
+    """The batched answers are the per-answer loop's, draw for draw."""
+    planted_s, planted_r = planted
+    got = synth_responses(planted_s, planted_r, questions, seed, control_questions=controls)
+    assert got == answer_loop_synth_responses(
+        planted_s, planted_r, questions, seed, control_questions=controls
+    )
+
+
+def test_synth_responses_matches_oracle_with_rejected_raters_and_overflow():
+    """Chance-level raters fail the control screen, and |z| = 1000 would
+    overflow exp in the printed sigmoid; both match the per-answer loop."""
+    planted_s = {"a": -10.0, "b": 10.0, "c": 0.0}
+    planted_r = {f"u{i}": (0.0 if i % 2 else 50.0 * (-1) ** (i // 2)) for i in range(40)}
+    got = synth_responses(planted_s, planted_r, 6, seed=11, control_questions=6)
+    assert got == answer_loop_synth_responses(planted_s, planted_r, 6, 11, control_questions=6)
+    answered = {resp.rater for resp in got}
+    rejected = set(planted_r) - answered
+    assert rejected and rejected <= {u for u, v in planted_r.items() if v == 0.0}
+
+
+def test_synth_responses_refuses_negative_counts():
+    with pytest.raises(ContractViolation, match="non-negative"):
+        synth_responses({"a": 0.0, "b": 1.0}, {"u": -5.0}, -1)
+    with pytest.raises(ContractViolation, match="non-negative"):
+        synth_responses({"a": 0.0, "b": 1.0}, {"u": -5.0}, 4, control_questions=-2)
+
+
+def test_objective_refuses_out_of_range_glyph_index():
+    s, r = np.zeros(3), np.full(2, -1.0)
+    idx = np.array([0, 1])
+    for idx_i, idx_j in ((idx, np.array([1, 3])), (np.array([-1, 0]), idx)):
+        with pytest.raises(ContractViolation, match="glyph index"):
+            objective_and_gradients(s, r, idx_i, idx_j, np.array([0, 1]), np.ones(2), 1e-6)
+
+
+def test_connected_components_match_response_loop_oracle():
+    """One union per distinct pair gives the per-response union's components,
+    in the same order, on sparse graphs with isolated glyphs and repeats."""
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n_glyphs, n = int(rng.integers(2, 12)), int(rng.integers(1, 40))
+        idx_i = rng.integers(0, n_glyphs, n)
+        idx_j = (idx_i + 1 + rng.integers(0, min(n_glyphs - 1, 3), n)) % n_glyphs
+        got = _connected_components(n_glyphs, idx_i, idx_j)
+        assert got == response_loop_connected_components(n_glyphs, idx_i, idx_j)

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -253,6 +254,32 @@ def test_capacity_report_monte_carlo_stays_inside_the_draws(sample_blocks):
     assert 0 < rep["letters"] <= sample_blocks * (n + 4)
     assert rep["total_bits"] > 0
     assert rep["bits_per_letter"] == rep["total_bits"] / rep["letters"]
+
+
+def test_impossible_block_size_is_refused_at_once():
+    """The fixture codebook's largest capacity is 13, with six primes up to
+    it, so no window of 10,000 letters takes pairwise-coprime moduli >= 2;
+    the partition yields nothing without searching a window."""
+    cb = fixtures.channel_codebook()
+    assert max(cb.capacity(ch) for ch in cb.characters()) == 13
+    start = time.perf_counter()
+    with pytest.raises(ContractViolation, match="cannot form coprime blocks"):
+        pipeline.capacity_report(
+            cb, frequencies=fixtures.ENGLISH_FREQUENCIES, n=10_000, sample_blocks=1
+        )
+    with pytest.raises(DocumentTooSmallError, match="zero complete blocks"):
+        embed(fixtures.random_text(10_500, seed=3), cb, "1", n=10_000)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_blocks_around_the_prime_count_match_letter_loop_oracle(n):
+    """Six primes up to 13: n = 6 can still form blocks, n = 7 and 8 cannot."""
+    cb = fixtures.channel_codebook()
+    caps = letter_sequence(fixtures.random_text(300, seed=3), cb).capacities
+    got = list(pipeline._blocks(caps, n, 3))
+    assert got == list(loop_blocks(caps, n, 3))
+    assert bool(got) == (n == 6)
 
 
 # capacity 1 ("a") admits no modulus, so windows holding it drop letters; the
