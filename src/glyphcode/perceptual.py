@@ -108,48 +108,39 @@ def objective_and_gradients(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Negative log-likelihood plus quadratic gauge penalty, with analytic
     gradients in the scores and reliabilities."""
-    value, gradients = _objective(idx_i, idx_j, idx_u, q, regularization, len(s))(s, r)
+    idx_ij = np.concatenate([idx_i, idx_j])
+    if len(idx_ij) and not (0 <= idx_ij.min() and idx_ij.max() < len(s)):
+        raise ContractViolation("glyph index out of range")
+    value, gradients = _objective(idx_i, idx_j, idx_u, q, regularization)(s, r)
     return (value, *gradients())
 
 
-def _objective(idx_i, idx_j, idx_u, q, regularization, n_glyphs):
+def _objective(idx_i, idx_j, idx_u, q, regularization):
     """The objective over one response set, with its per-response constants
     built once: ``(s, r) -> (value, gradients)``, where ``gradients()`` builds
     ``(gs, gr)`` from that evaluation's intermediates."""
     idx_ij = np.concatenate([idx_i, idx_j])
-    if len(idx_ij) and not (0 <= idx_ij.min() and idx_ij.max() < n_glyphs):
-        raise ContractViolation("glyph index out of range")
-    flat_ij = idx_i * n_glyphs + idx_j  # s_i - s_j is entry (i, j) of outer(s, s)
     sign = 1 - 2 * q  # log p(q) = log sigmoid(sign * z)
     miss = 1 - q
-    m = len(q)
 
     def evaluate(s, r):
         ru = r.take(idx_u)
-        diff = np.subtract.outer(s, s).take(flat_ij)
+        diff = s.take(idx_i) - s.take(idx_j)
         z = ru * diff
         # log sigmoid(x) = min(x, 0) - log1p(exp(-|x|)), and |sign * z| = |z|,
         # so one exp serves the likelihood and the sigmoid below
-        e = np.abs(z)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        loglik = np.multiply(sign, z)
-        np.minimum(loglik, 0, out=loglik)
-        loglik -= np.log1p(e)
+        e = np.exp(-np.abs(z))
+        loglik = np.minimum(sign * z, 0) - np.log1p(e)
         value = -float(loglik.sum())
         value += regularization * (float(s @ s) + float(r @ r))
 
         def gradients():
             # d(-loglik)/dz = sigmoid(z) - (1 - q)
-            dz = np.where(z >= 0, 1.0, e)
-            dz /= 1.0 + e
-            dz -= miss
+            dz = np.where(z >= 0, 1.0, e) / (1.0 + e) - miss
+            w = dz * ru
             # one bincount over both endpoints adds in np.add.at's order
-            w = np.empty(2 * m)
-            np.multiply(dz, ru, out=w[:m])
-            np.negative(w[:m], out=w[m:])
-            gs = np.bincount(idx_ij, w, len(s))
-            gr = np.bincount(idx_u, np.multiply(dz, diff, out=dz), len(r))
+            gs = np.bincount(idx_ij, np.concatenate([w, -w]), len(s))
+            gr = np.bincount(idx_u, dz * diff, len(r))
             gs += 2 * regularization * s
             gr += 2 * regularization * r
             return gs, gr
@@ -206,7 +197,7 @@ def fit(
     s = np.full(len(glyphs), 0.5)
     r = np.full(len(raters), -1.0)
 
-    objective = _objective(idx_i, idx_j, idx_u, q, config.regularization, len(glyphs))
+    objective = _objective(idx_i, idx_j, idx_u, q, config.regularization)
     value, gradients = objective(s, r)
     step = config.initial_step
     iterations = 0

@@ -176,7 +176,14 @@ def _blocks(capacities: Sequence[int], n: int, k: int) -> Iterator[Block]:
     factors, so they need n primes <= the largest capacity.
     """
     total = len(capacities)
-    if total >= n and 1 <= k < n and n > _prime_count(max(capacities)):
+    # the first window's largest capacity bounds the largest from below and
+    # mostly settles the check without scanning every letter
+    if (
+        total >= n
+        and 1 <= k < n
+        and n > _prime_count(max(capacities[:n]))
+        and n > _prime_count(max(capacities))
+    ):
         return
     cursor = 0
     while cursor + n <= total:
