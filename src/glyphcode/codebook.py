@@ -3,10 +3,13 @@
 A codebook maps each character to an ordered list of perturbed glyphs; the
 list index is the integer a letter embeds.  Construction starts from a
 perceptually-selected candidate set and iterates a confusion test against a
-distinguishability oracle: pairs the oracle cannot tell apart ( < 0.95
-accuracy) lose their edge in an initially-complete graph, and the candidate
-set is replaced by the maximum clique, until the set stops changing.  A final
-per-glyph filter drops anything below 0.9 multi-way accuracy.
+distinguishability oracle: of ``PAIR_COUNT`` sampled pairs, those the oracle
+cannot tell apart (below ``PAIR_THRESHOLD`` accuracy) lose their edge in an
+initially-complete graph, and the candidate set is replaced by the maximum
+clique, until the set stops changing.  A final per-glyph filter drops
+anything below ``FINAL_THRESHOLD`` multi-way accuracy, and every kept
+outline is resampled to ``RESAMPLE_COUNT`` vertices.  The two thresholds
+are the paper's; no caller changes any of the four constants.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ __all__ = [
     "max_clique",
     "build_codebook",
 ]
+
+RESAMPLE_COUNT = 64  # vertices of every codebook outline
+PAIR_COUNT = 100  # candidate pairs asked per confusion test
+PAIR_THRESHOLD = 0.95  # pair accuracy below which the edge is removed
+FINAL_THRESHOLD = 0.90  # multi-way accuracy a kept glyph must reach
 
 # oracle(character, glyph ids, outlines) -> accuracy estimate in [0, 1]
 Oracle = Callable[[str, tuple[int, ...], Sequence[GlyphOutline]], float]
@@ -94,7 +102,7 @@ class Codebook:
     font_id: str
     entries: dict[str, CharacterEntry]
     version: str = "1"
-    resample_count: int = 64
+    resample_count: int = RESAMPLE_COUNT
 
     def entry(self, character: str) -> CharacterEntry:
         return self.entries[character]
@@ -132,51 +140,21 @@ class ConfusionGraph:
         return g
 
 
-def _clique_bound_search(adj: list[int], cand: int, need: int) -> bool:
-    """True iff the candidate mask contains a clique of at least ``need`` nodes.
-
-    Branch and bound with a greedy-coloring upper bound (exact, not
-    heuristic); masks are Python big-ints over node positions.
-    """
-    if need <= 0:
-        return True
-
-    def expand(cand: int, depth: int) -> bool:
-        if depth >= need:
-            return True
-        # Greedy coloring: nodes of one color class are pairwise non-adjacent,
-        # so the color count bounds the largest clique in cand.
-        order: list[tuple[int, int]] = []  # (node, color)
-        uncolored = cand
-        color = 0
-        while uncolored:
-            color += 1
-            avail = uncolored
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append((v, color))
-                uncolored &= ~(1 << v)
-                avail &= ~(1 << v)
-                avail &= ~adj[v]
-        if depth + color < need:
-            return False
-        # Branch on nodes in reverse color order (highest bound first).
-        for v, c in reversed(order):
-            if depth + c < need:
-                return False
-            if expand(cand & adj[v], depth + 1):
-                return True
-            cand &= ~(1 << v)
-        return False
-
-    return expand(cand, 0)
-
-
 def max_clique(graph: ConfusionGraph) -> tuple[int, ...]:
-    """Exact maximum clique with a deterministic tie-break.
+    """Exact maximum clique; among all maximum cliques, the lexicographically
+    smallest id set.
 
-    Among all maximum-cardinality cliques the lexicographically smallest id
-    set is returned.
+    One branch and bound over bitmasks of node positions.  Each branch adds
+    candidates in ascending position order, so cliques are met in
+    lexicographic order, and only the first clique of each strictly larger
+    size is kept.  The candidates are colored greedily from the highest
+    position down; nodes of one color are pairwise non-adjacent, so the
+    colors in use on v and the candidates above it bound the clique they can
+    add.  The branch on v, and every later one, is cut when the chosen
+    clique plus that bound cannot beat the best clique so far (Tomita &
+    Seki, "An efficient branch-and-bound algorithm for finding a maximum
+    clique", 2003).  No cut drops a larger clique, so the first maximum
+    clique met is the lexicographically smallest.
     """
     nodes = graph.nodes
     if not nodes:
@@ -189,40 +167,45 @@ def max_clique(graph: ConfusionGraph) -> tuple[int, ...]:
             adj[pos[a]] |= 1 << pos[b]
             adj[pos[b]] |= 1 << pos[a]
 
-    full = (1 << n) - 1
-    # exact size by binary search over the feasibility predicate
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _clique_bound_search(adj, full, mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    size = lo
-
-    # lexicographically smallest witness: commit the smallest feasible node,
-    # in ascending id order
+    best: list[int] = []
     chosen: list[int] = []
-    cand = full
-    for i in range(n):
-        if not (cand >> i) & 1:
-            continue
-        if _clique_bound_search(adj, cand & adj[i], size - len(chosen) - 1):
-            chosen.append(i)
-            cand &= adj[i]
-            if len(chosen) == size:
-                break
-        else:
-            cand &= ~(1 << i)
-    assert len(chosen) == size
-    return tuple(nodes[i] for i in chosen)
+
+    def expand(cand: int) -> None:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen.copy()
+        # greedy coloring from the highest position down: the colors in use
+        # when v is colored bound the clique that v and the nodes above add
+        bounds: list[tuple[int, int]] = []
+        classes: list[int] = []
+        rest = cand
+        while rest:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            for i, members in enumerate(classes):
+                if not members & adj[v]:
+                    classes[i] |= 1 << v
+                    break
+            else:
+                classes.append(1 << v)
+            bounds.append((v, len(classes)))
+        for v, bound in reversed(bounds):  # ascending positions
+            if len(chosen) + bound <= len(best):
+                return
+            cand ^= 1 << v
+            chosen.append(v)
+            expand(cand & adj[v])
+            chosen.pop()
+
+    expand((1 << n) - 1)
+    return tuple(nodes[i] for i in best)
 
 
 def confusion_test(
     candidates: Iterable[int],
     oracle: Callable[[tuple[int, int]], float],
-    pair_count: int = 100,
-    threshold: float = 0.95,
+    pair_count: int = PAIR_COUNT,
+    threshold: float = PAIR_THRESHOLD,
     rng: np.random.Generator | None = None,
 ) -> set[frozenset[int]]:
     """Sample up to ``pair_count`` candidate pairs and return the confusable ones.
@@ -272,10 +255,6 @@ def build_codebook(
     originals: Mapping[str, GlyphCandidate],
     *,
     font_id: str = "synthetic",
-    resample_count: int = 64,
-    pair_count: int = 100,
-    pair_threshold: float = 0.95,
-    final_threshold: float = 0.90,
     max_iterations: int = 16,
     seed: int = 0,
 ) -> Codebook:
@@ -283,7 +262,7 @@ def build_codebook(
 
     Each iteration tests random candidate pairs, removes the confusable edges
     and keeps the maximum clique, until the candidate set is a fixed point
-    (capped at ``max_iterations``).  Survivors below ``final_threshold``
+    (capped at ``max_iterations``).  Survivors below ``FINAL_THRESHOLD``
     multi-way accuracy are dropped; an empty survivor set degrades to the
     original glyph alone with a warning.
 
@@ -318,7 +297,7 @@ def build_codebook(
                 )
             rng = np.random.default_rng(stable_seed(seed, character, iteration))
             confused = confusion_test(
-                current, pair_oracle, pair_count, pair_threshold, rng
+                current, pair_oracle, PAIR_COUNT, PAIR_THRESHOLD, rng
             )
             for edge in confused:
                 a, b = sorted(edge)
@@ -339,7 +318,7 @@ def build_codebook(
                 dtype=float,
             )
             kept = [
-                (i, float(a)) for i, a in zip(survivors, accs) if a >= final_threshold
+                (i, float(a)) for i, a in zip(survivors, accs) if a >= FINAL_THRESHOLD
             ]
         else:
             kept = [(survivors[0], 1.0)] if survivors else []
@@ -357,7 +336,7 @@ def build_codebook(
             PerturbedGlyphEntry(
                 index=rank,
                 point=source[i].point,
-                outline=_conform(source[i].outline, resample_count),
+                outline=_conform(source[i].outline, RESAMPLE_COUNT),
                 accuracy=acc,
             )
             for rank, (i, acc) in enumerate(sorted(kept))
@@ -367,9 +346,9 @@ def build_codebook(
             original=PerturbedGlyphEntry(
                 index=0,
                 point=orig.point,
-                outline=_conform(orig.outline, resample_count),
+                outline=_conform(orig.outline, RESAMPLE_COUNT),
                 accuracy=1.0,
             ),
             glyphs=glyphs,
         )
-    return Codebook(font_id=font_id, entries=entries, resample_count=resample_count)
+    return Codebook(font_id=font_id, entries=entries)

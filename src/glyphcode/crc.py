@@ -7,10 +7,11 @@ redundancy: the code's minimum Hamming distance is n - k + 1, so Hamming
 decoding corrects up to floor((n-k)/2) wrong residues, and a per-glyph
 likelihood table resolves ties beyond that bound.
 
-Hamming decoding never tabulates the M codewords: it lists candidates by CRT
-on subsets of the received positions and holds only those candidates.  The
-module keeps no cache; each ``ModuliSet`` derives its payload bound once, when
-it is made.
+Both decoders search the payloads m < M and nothing else: the range is the
+moduli set's own payload bound, never a caller's.  Hamming decoding never
+tabulates the M codewords: it lists candidates by CRT on subsets of the
+received positions and holds only those candidates.  The module keeps no
+cache; each ``ModuliSet`` derives its payload bound once, when it is made.
 """
 
 from __future__ import annotations
@@ -135,10 +136,9 @@ def hamming_distance(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a != b for a, b in zip(u, v))
 
 
-def hamming_decode(
-    r: Sequence[int], moduli: ModuliSet, M: Optional[int] = None
-) -> DecodeOutcome:
-    """Decode a code vector by minimum Hamming distance over m in [0, M).
+def hamming_decode(r: Sequence[int], moduli: ModuliSet) -> DecodeOutcome:
+    """Decode a code vector by minimum Hamming distance over the payloads
+    m < M, with M the moduli set's payload bound.
 
     Fast path: if the residues are all in range and CRT-reconstruct below M,
     the vector is a valid codeword (distance 0).  Otherwise the nearest
@@ -147,28 +147,25 @@ def hamming_decode(
     on n - d in-range positions, so CRT on every s-subset of in-range
     positions, stepped by the subset's product below M, lists every payload
     within distance n - s.  Subsets start at size k, where each yields at most
-    one payload below the payload bound, and shrink only while they yield no
-    candidate at all; size 0 lists all of [0, M).  Within the unique-decoding
-    radius floor((n-k)/2) the first candidate found is the answer.  Nothing is
-    tabulated; the payload bound is the one the moduli set derived when it was
-    made.  A non-unique minimum is reported as ambiguous-fail
-    with every tied candidate recorded, in ascending order.
+    one payload, and shrink only while they yield no candidate at all; size 0
+    lists all of [0, M).  Within the unique-decoding radius floor((n-k)/2)
+    the first candidate found is the answer.  Nothing is tabulated.  A
+    non-unique minimum is reported as ambiguous-fail with every tied
+    candidate recorded, in ascending order.
     """
     p = moduli.p
     n = len(p)
     if len(r) != n:
         raise ContractViolation("code vector length does not match moduli")
-    bound = moduli.payload_bound
-    if M is None:
-        M = bound
+    M = moduli.payload_bound
     r = tuple(map(int, r))
     live = [j for j in range(n) if 0 <= r[j] < p[j]]
     if len(live) == n:
         m_tilde = _lift(r, p, live)[0]
         if m_tilde < M:
             return DecodeOutcome("exact", m_tilde, 0, 1, (m_tilde,))
-    # any other payload below the bound is at least n - k + 1 from a codeword
-    radius = (n - moduli.k) // 2 if M <= bound else -1
+    # any other payload is at least n - k + 1 from a codeword
+    radius = (n - moduli.k) // 2
     dist: dict[int, int] = {}
     for size in range(min(moduli.k, len(live)), -1, -1):
         for subset in combinations(live, size):
@@ -190,12 +187,10 @@ def hamming_decode(
 
 
 def ml_decode(
-    r: Sequence[int],
-    moduli: ModuliSet,
-    M: Optional[int] = None,
-    g: Optional[Sequence[np.ndarray]] = None,
+    r: Sequence[int], moduli: ModuliSet, g: Optional[Sequence[np.ndarray]] = None
 ) -> DecodeOutcome:
-    """Hamming decoding with maximum-likelihood resolution of ties.
+    """Hamming decoding with maximum-likelihood resolution of ties, over the
+    same payloads m < M as :func:`hamming_decode`.
 
     ``g`` gives, per position j, the recognition likelihood of every glyph of
     that letter given the observation.  On a Hamming tie, each candidate
@@ -203,7 +198,7 @@ def ml_decode(
     normalized likelihood of the candidate's glyph; the best candidate wins,
     smallest m on equal scores.  Likelihoods are combined in log space.
     """
-    return _resolve_tie(hamming_decode(r, moduli, M), r, moduli, g)
+    return _resolve_tie(hamming_decode(r, moduli), r, moduli, g)
 
 
 def _resolve_tie(
@@ -238,12 +233,9 @@ def _resolve_tie(
         rows.append(row)
         log_sums.append(math.log(total))
     r = tuple(map(int, r))
-    M = moduli.payload_bound
     best_m = None
     best_score = -math.inf
-    for m in base.candidates:  # ascending, never negative
-        if m >= M:  # the payloads encode_phi refuses
-            raise ContractViolation(f"payload {m} outside [0, {M})")
+    for m in base.candidates:  # ascending, each below the payload bound
         score = 0.0
         for pj, rj, row, log_sum in zip(p, r, rows, log_sums):
             cj = m % pj
@@ -264,7 +256,10 @@ def _resolve_tie(
     )
 
 
-def min_distance(moduli: ModuliSet, chunk: int = 512) -> int:
+_DISTANCE_CHUNK = 512  # codewords compared with all others per step
+
+
+def min_distance(moduli: ModuliSet) -> int:
     """Brute-force minimum pairwise Hamming distance over all codewords."""
     M = moduli.payload_bound
     if M < 2:
@@ -272,8 +267,8 @@ def min_distance(moduli: ModuliSet, chunk: int = 512) -> int:
     m = np.arange(M, dtype=np.int64)[:, None]
     table = np.mod(m, np.asarray(moduli.p, dtype=np.int64)[None, :])
     best = moduli.n
-    for start in range(0, M, chunk):
-        block = table[start : start + chunk]
+    for start in range(0, M, _DISTANCE_CHUNK):
+        block = table[start : start + _DISTANCE_CHUNK]
         # pairwise distances between this chunk and all codewords
         diff = (block[:, None, :] != table[None, :, :]).sum(axis=2)
         rows = np.arange(start, start + block.shape[0])

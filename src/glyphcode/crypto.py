@@ -147,27 +147,6 @@ class PermutationKey:
             )
         return row[self._rows[character]]
 
-    def inverted(self) -> "PermutationKey":
-        perms = {}
-        for ch, perm in self.perms.items():
-            inv = [0] * len(perm)
-            for i, p in enumerate(perm):
-                inv[p] = i
-            perms[ch] = tuple(inv)
-        return PermutationKey(self.key_id + "-inv", perms)
-
-    def compose(self, other: "PermutationKey") -> "PermutationKey":
-        """self after other: value -> self.forward(other.forward(value))."""
-        if set(self.perms) != set(other.perms):
-            raise KeyMismatchError("keys cover different character sets")
-        perms = {
-            ch: tuple(self.perms[ch][v] for v in other.perms[ch]) for ch in self.perms
-        }
-        return PermutationKey(f"{self.key_id}*{other.key_id}", perms)
-
-    def is_identity(self) -> bool:
-        return all(perm == tuple(range(len(perm))) for perm in self.perms.values())
-
 
 def keygen(codebook: Codebook, seed: int = 0, key_id: Optional[str] = None) -> PermutationKey:
     """Seeded Fisher-Yates permutation per character; reproducible."""
@@ -229,10 +208,6 @@ class Segment:
     blocks: tuple[Block, ...]
     seq_start: int  # letter-sequence index range covered, [start, end)
     seq_end: int
-
-    @property
-    def bit_width(self) -> int:
-        return sum(b.bit_width for b in self.blocks)
 
 
 @dataclass(frozen=True)

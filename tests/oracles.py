@@ -32,8 +32,14 @@ a time and inverted by ``tuple.index``; ``loop_letter_sequence``,
 them are the per-letter layout, codec and key paths.  The table-driven paths
 in ``glyphcode.crc``, ``glyphcode.pipeline`` and ``glyphcode.crypto`` must
 match them exactly, errors included.
+
+``two_phase_max_clique`` is the maximum clique found by a binary search for
+the clique size and one bounded search per node for the lexicographically
+smallest witness (``_clique_bound_search``); the one branch and bound in
+``glyphcode.codebook.max_clique`` must return the same clique.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -47,6 +53,7 @@ from glyphcode.crc import (
     hamming_distance,
 )
 from glyphcode.channel import RecognitionResult, _probabilities
+from glyphcode.codebook import ConfusionGraph
 from glyphcode.crypto import Segment, SegmentResult, VerificationReport, _segment_digest
 from glyphcode.errors import (
     ContractViolation,
@@ -81,8 +88,9 @@ def _residue_table(p, M):
     return np.mod(m, np.asarray(p, dtype=np.int64)[None, :])
 
 
-def scan_hamming_decode(r, moduli, M=None):
-    """Decode a code vector by minimum Hamming distance over m in [0, M).
+def scan_hamming_decode(r, moduli):
+    """Decode a code vector by minimum Hamming distance over m in [0, M),
+    with M the moduli set's payload bound.
 
     Fast path: if the residues are all in range and CRT-reconstruct below M,
     the vector is a valid codeword (distance 0).  Otherwise a brute-force scan
@@ -92,8 +100,7 @@ def scan_hamming_decode(r, moduli, M=None):
     p = moduli.p
     if len(r) != len(p):
         raise ContractViolation("code vector length does not match moduli")
-    if M is None:
-        M = moduli.payload_bound
+    M = moduli.payload_bound
     r = tuple(int(x) for x in r)
     if all(0 <= ri < pi for ri, pi in zip(r, p)):
         m_tilde = inverse_sum_crt_reconstruct(r, moduli)
@@ -843,3 +850,89 @@ def loop_verify(encoded, codebook, config, key=None, verifier=None):
             SegmentResult(s.seq_start, s.seq_end, "match" if ok else "mismatch")
         )
     return VerificationReport(tuple(results))
+
+
+def _clique_bound_search(adj: list[int], cand: int, need: int) -> bool:
+    """True iff the candidate mask contains a clique of at least ``need`` nodes.
+
+    Branch and bound with a greedy-coloring upper bound (exact, not
+    heuristic); masks are Python big-ints over node positions.
+    """
+    if need <= 0:
+        return True
+
+    def expand(cand: int, depth: int) -> bool:
+        if depth >= need:
+            return True
+        # Greedy coloring: nodes of one color class are pairwise non-adjacent,
+        # so the color count bounds the largest clique in cand.
+        order: list[tuple[int, int]] = []  # (node, color)
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append((v, color))
+                uncolored &= ~(1 << v)
+                avail &= ~(1 << v)
+                avail &= ~adj[v]
+        if depth + color < need:
+            return False
+        # Branch on nodes in reverse color order (highest bound first).
+        for v, c in reversed(order):
+            if depth + c < need:
+                return False
+            if expand(cand & adj[v], depth + 1):
+                return True
+            cand &= ~(1 << v)
+        return False
+
+    return expand(cand, 0)
+
+
+def two_phase_max_clique(graph: ConfusionGraph) -> tuple[int, ...]:
+    """Exact maximum clique with a deterministic tie-break.
+
+    Among all maximum-cardinality cliques the lexicographically smallest id
+    set is returned.
+    """
+    nodes = graph.nodes
+    if not nodes:
+        raise ContractViolation("graph must have at least one node")
+    n = len(nodes)
+    pos = {v: i for i, v in enumerate(nodes)}
+    adj = [0] * n
+    for a, b in itertools.combinations(nodes, 2):
+        if graph.has_edge(a, b):
+            adj[pos[a]] |= 1 << pos[b]
+            adj[pos[b]] |= 1 << pos[a]
+
+    full = (1 << n) - 1
+    # exact size by binary search over the feasibility predicate
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _clique_bound_search(adj, full, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    size = lo
+
+    # lexicographically smallest witness: commit the smallest feasible node,
+    # in ascending id order
+    chosen: list[int] = []
+    cand = full
+    for i in range(n):
+        if not (cand >> i) & 1:
+            continue
+        if _clique_bound_search(adj, cand & adj[i], size - len(chosen) - 1):
+            chosen.append(i)
+            cand &= adj[i]
+            if len(chosen) == size:
+                break
+        else:
+            cand &= ~(1 << i)
+    assert len(chosen) == size
+    return tuple(nodes[i] for i in chosen)

@@ -1,9 +1,10 @@
 import json
 import math
+import re
 
 import pytest
 
-from glyphcode import crypto, fixtures, formats, pipeline
+from glyphcode import crypto, fixtures, formats, perceptual, pipeline
 from glyphcode.cli import (
     EXIT_CAPACITY,
     EXIT_DECODE,
@@ -299,6 +300,48 @@ def test_verify_short_document_exits_with_decode_error(workspace, tmp_path, caps
     assert main(args) == EXIT_DECODE
     out = capsys.readouterr().out
     assert "overall: mismatch" in out and "extraction-failed" in out
+
+
+def test_fit_perceptual_writes_the_fitted_scores(tmp_path, capsys):
+    planted_s = {f"g{i}": i / 5 for i in range(6)}
+    planted_r = {f"r{i}": -6.0 for i in range(30)}
+    responses_path = tmp_path / "responses.txt"
+    with open(responses_path, "w") as fh:
+        formats.write_responses(perceptual.synth_responses(planted_s, planted_r, seed=3), fh)
+    scores_path = tmp_path / "scores.txt"
+    args = ["fit-perceptual", "--responses", str(responses_path), "--output", str(scores_path)]
+    assert main(args) == EXIT_OK
+    with open(responses_path) as fh:
+        scores, reliabilities, info = perceptual.fit(formats.read_responses(fh))
+    assert json.loads(capsys.readouterr().out) == {
+        "iterations": info["iterations"],
+        "objective": info["objective"],
+    }
+    with open(scores_path) as fh:
+        read_s, read_r = formats.read_scores(fh)
+    assert read_s.s == pytest.approx(scores.s, abs=1e-6)
+    assert read_r.r == pytest.approx(reliabilities.r, abs=1e-6)
+
+
+def test_keyed_document_without_key_exits_with_decode_failure(workspace, tmp_path, capsys):
+    key_path = tmp_path / "key.txt"
+    cb_path = str(workspace / "codebook.txt")
+    assert main(["keygen", "--codebook", cb_path, "--output", str(key_path)]) == EXIT_OK
+    doc = tmp_path / "doc.txt"
+    args = [
+        "embed",
+        "--codebook", cb_path,
+        "--text", str(workspace / "text.txt"),
+        "--message", str(workspace / "message.txt"),
+        "--key", str(key_path),
+        "--output", str(doc),
+    ]
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    args = ["extract", "--codebook", cb_path, "--document", str(doc), "--output", str(tmp_path / "out.txt")]
+    assert main(args) == EXIT_DECODE
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"decode failure: length prefix \d+ exceeds available \d+ bits\n", err)
 
 
 def test_exit_codes(workspace, tmp_path):

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import two_phase_max_clique
 
 from glyphcode import channel, codebook, fixtures, formats
 from glyphcode.codebook import (
@@ -13,7 +14,7 @@ from glyphcode.codebook import (
     confusion_test,
     max_clique,
 )
-from glyphcode.errors import ContractViolation
+from glyphcode.errors import ContractViolation, NonConvergenceError
 
 
 def brute_max_clique(graph: ConfusionGraph):
@@ -59,6 +60,21 @@ def test_max_clique_matches_oracle_small():
         assert max_clique(g) == brute_max_clique(g)
 
 
+def test_max_clique_matches_two_phase_oracle():
+    """One branch and bound returns the clique that the size search plus a
+    per-node witness search returned, on sparse, unsorted node ids."""
+    rng = np.random.default_rng(11)
+    for trial in range(2000):
+        n = 1 + trial % 30
+        density = 0.2 + 0.1 * (trial // 30 % 9)  # 0.2, 0.3, ..., 1.0
+        ids = [int(x) for x in rng.choice(10 * n + 50, size=n, replace=False)]
+        g = ConfusionGraph(ids)
+        for a, b in itertools.combinations(ids, 2):
+            if rng.random() > density:
+                g.remove_edge(a, b)
+        assert max_clique(g) == two_phase_max_clique(g), (ids, density)
+
+
 def test_confusion_graph_ops():
     g = ConfusionGraph([3, 1, 2])
     assert g.nodes == (1, 2, 3)
@@ -92,6 +108,27 @@ def test_confusion_test_adjacent_chain():
     confused = confusion_test(range(10), oracle, pair_count=45)
     expected = {frozenset((i, i + 1)) for i in range(9)}
     assert confused == expected
+
+
+def test_confusion_test_samples_pair_count_distinct_pairs():
+    """15 candidates make 105 pairs: exactly 100 distinct ones are asked, the
+    same ones for the same generator."""
+
+    def asked_pairs(seed):
+        asked = []
+
+        def oracle(pair):
+            asked.append(pair)
+            return 1.0
+
+        confusion_test(range(15), oracle, rng=np.random.default_rng(seed))
+        return asked
+
+    first = asked_pairs(4)
+    assert len(first) == len(set(first)) == codebook.PAIR_COUNT == 100
+    assert all(a < b for a, b in first)
+    assert asked_pairs(4) == first
+    assert set(asked_pairs(5)) != set(first)
 
 
 def _perfect_oracles():
@@ -137,6 +174,39 @@ def test_build_codebook_degrades_to_original():
     cands = {"c": fixtures.chain_candidates("c", range(4))}
     cb = build_codebook(cands, oracle, per_glyph, {"c": cands["c"][0]})
     assert cb.capacity("c") == 1
+
+
+def test_build_codebook_falls_back_to_original_when_filter_drops_all(caplog):
+    """Several survivors that all fail the final filter leave the original
+    glyph alone, with a warning."""
+    oracle, _ = _perfect_oracles()
+
+    def per_glyph(character, ids, outlines):
+        return np.full(len(ids), codebook.FINAL_THRESHOLD - 0.01)
+
+    cands = {"d": fixtures.chain_candidates("d", range(1, 5))}
+    orig = fixtures.chain_candidates("d", [7.5])[0]
+    with caplog.at_level("WARNING", logger="glyphcode.codebook"):
+        cb = build_codebook(cands, oracle, per_glyph, {"d": orig})
+    (glyph,) = cb.entries["d"].glyphs
+    assert (glyph.point, glyph.accuracy) == (orig.point, 1.0)
+    assert glyph.outline == orig.outline
+    assert "kept no candidates" in caplog.text
+
+
+def test_build_codebook_refuses_to_exceed_max_iterations():
+    """A first iteration that removes an edge changes the set, so one
+    iteration is not enough."""
+
+    def oracle(character, ids, outlines):
+        return 0.5 if 0 in ids else 1.0
+
+    _, per_glyph = _perfect_oracles()
+    cands = {"e": fixtures.chain_candidates("e", range(4))}
+    with pytest.raises(NonConvergenceError, match="1 iterations"):
+        build_codebook(cands, oracle, per_glyph, {"e": cands["e"][0]}, max_iterations=1)
+    cb = build_codebook(cands, oracle, per_glyph, {"e": cands["e"][0]}, max_iterations=2)
+    assert cb.capacity("e") == 3
 
 
 def test_build_codebook_reproducible_and_idempotent():

@@ -56,15 +56,6 @@ def test_keygen_deterministic(codebook):
     assert a.perms != c.perms
 
 
-def test_identity_and_compose(codebook):
-    key = keygen(codebook, seed=1)
-    ident = identity_key(codebook)
-    assert ident.is_identity()
-    assert key.compose(key.inverted()).is_identity()
-    assert key.inverted().compose(key).is_identity()
-    assert not key.is_identity()
-
-
 def test_forward_inverse_round_trip(codebook):
     key = keygen(codebook, seed=2)
     for ch in codebook.characters():

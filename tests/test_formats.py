@@ -1,4 +1,5 @@
 import io
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,10 +226,16 @@ def test_malformed_fields_raise_format_error():
 
 def test_one_version_string():
     import glyphcode
-    from setuptools.config.pyprojecttoml import read_configuration
+    from setuptools.config import pyprojecttoml
 
     root = Path(__file__).resolve().parents[1]
-    config = read_configuration(root / "pyproject.toml")
+    with warnings.catch_warnings():
+        # setuptools releases that still call [tool.setuptools] beta say so
+        # on every read
+        beta = getattr(pyprojecttoml, "_BetaConfiguration", None)
+        if beta is not None:
+            warnings.simplefilter("ignore", beta)
+        config = pyprojecttoml.read_configuration(root / "pyproject.toml")
     assert formats.TOOL_VERSION == glyphcode.__version__
     assert config["project"]["version"] == glyphcode.__version__
     buf = io.StringIO()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -26,6 +27,7 @@ from glyphcode.errors import (
     CorruptFrameError,
     DocumentTooSmallError,
     KeyMismatchError,
+    PartialDecodeError,
 )
 from glyphcode.pipeline import (
     LetterSequence,
@@ -336,6 +338,35 @@ def test_codec_matches_letter_loop_oracle(text, bits, key_seed, changes, rows_se
     assert outcome(extract, doc, DIFF_CODEBOOK, key=key, likelihoods=rows) == outcome(
         loop_extract, doc, DIFF_CODEBOOK, key=loop_key, likelihoods=rows
     )
+
+
+def test_extract_raises_at_a_tie_no_likelihood_resolves(codebook):
+    """A block whose Hamming decode ties, under a trace that gives each
+    letter's received glyph all the likelihood, scores every tied candidate
+    at zero, stays ambiguous and stops extract at that block."""
+    text = fixtures.random_text(200, seed=7)
+    doc = embed(text, codebook, "1011001110001111")
+    seq = letter_sequence(text, codebook)
+    t = 1
+    block = partition_blocks(seq)[t]
+    members = block.member_indices
+    sent = [doc.glyph_indices[i] for i in members]
+
+    def tie():  # the first two-letter change that leaves a tie
+        for a, b in itertools.combinations(range(len(members)), 2):
+            for va in range(block.moduli.p[a]):
+                for vb in range(block.moduli.p[b]):
+                    vector = list(sent)
+                    vector[a], vector[b] = va, vb
+                    if crc.hamming_decode(vector, block.moduli).status == "ambiguous-fail":
+                        return [(members[a], va), (members[b], vb)]
+        raise AssertionError("no two-letter change ties")
+
+    tampered = _tamper(doc, tie())
+    rows = [np.eye(cap)[v] for cap, v in zip(seq.capacities, tampered.glyph_indices)]
+    with pytest.raises(PartialDecodeError) as err:
+        extract(tampered, codebook, likelihoods=rows)
+    assert err.value.block_index == t
 
 
 def test_extract_checks_rows_and_key_in_letter_order():
