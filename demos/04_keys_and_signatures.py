@@ -50,7 +50,5 @@ print(crypto.verify(tampered, sig_codebook, config, key=sig_key).as_text())
 # the asymmetric variant signs the hash, so anyone with the public key checks
 signer = crypto.ToyRsaProvider.generate(seed=0)
 signed2 = crypto.sign_scheme2(long_text, sig_codebook, signer)
-report = crypto.verify(
-    signed2, sig_codebook, crypto.SignatureConfig(scheme=2), verifier=signer.public()
-)
+report = crypto.verify(signed2, sig_codebook, config, verifier=signer.public())
 print(f"\nasymmetric scheme with the public key: {report.overall}")

@@ -7,7 +7,9 @@ document into segments of at least ``segment_min_letters`` coded letters and
 embed each segment's content hash into that segment, either under a private
 permuted codebook (scheme 1) or as an asymmetric signature over the hash
 embedded with the public codebook (scheme 2).  Verification recomputes the
-hashes and localizes tampering to the segment level.
+hashes and localizes tampering to the segment level.  The scheme-2 provider is
+a toy textbook RSA whose 32-bit primes come from a trial-division search, so
+the module needs numpy alone.
 
 Signing and verification reuse the message pipeline's block encoder and
 decoder.  Each call builds the letter sequence and the block partition once
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import sympy
 
 from .codebook import Codebook
 from .errors import ContractViolation, KeyMismatchError, PartialDecodeError, SigningError
@@ -185,14 +186,11 @@ def content_hash(text: str, hash_id: str = "md5") -> bytes:
 @dataclass(frozen=True)
 class SignatureConfig:
     hash_id: str = "md5"
-    scheme: int = 1
     segment_min_letters: int = 80
     n: int = 5
     k: int = 3
 
     def __post_init__(self):
-        if self.scheme not in (1, 2):
-            raise ContractViolation("scheme must be 1 or 2")
         if self.segment_min_letters < 1:
             raise ContractViolation("segment_min_letters must be positive")
         hashlib.new(self.hash_id)  # fail early on unknown algorithms
@@ -319,7 +317,7 @@ def sign_scheme2(
     text: str,
     codebook: Codebook,
     signer: "ToyRsaProvider",
-    config: SignatureConfig = SignatureConfig(scheme=2),
+    config: SignatureConfig = SignatureConfig(),
 ) -> EncodedDocument:
     """Embed an asymmetric signature over each segment's hash, public codebook."""
     layout = _layout(text, codebook, config, signer.signature_bits)
@@ -337,21 +335,23 @@ def verify(
 ) -> VerificationReport:
     """Recompute per-segment hashes and compare against the embedded values.
 
-    A scheme-1 key that does not fit the codebook raises KeyMismatchError
-    before any segment is decoded.  A segment whose blocks cannot be decoded,
-    or that holds a glyph index the key cannot map, is reported as an
-    ``extraction-failed`` mismatch; the other segments are still checked.
+    Exactly one of ``key`` (scheme 1) and ``verifier`` (scheme 2) is passed.
+    A glyph index stream longer than the letter count raises
+    ContractViolation, as extraction does, and a scheme-1 key that does not
+    fit the codebook raises KeyMismatchError, both before any segment is
+    decoded.  A segment whose blocks cannot be decoded, that reaches past the
+    end of a shorter stream, or that holds a glyph index the key cannot map,
+    is reported as an ``extraction-failed`` mismatch; the other segments are
+    still checked.
     """
-    if config.scheme == 1 and key is None:
-        raise ContractViolation("scheme 1 verification needs the permutation key")
-    if config.scheme == 2 and verifier is None:
-        raise ContractViolation("scheme 2 verification needs the public key")
-    payload_bits = (
-        config.digest_bits if config.scheme == 1 else verifier.signature_bits
-    )
+    if (key is None) == (verifier is None):
+        raise ContractViolation("verify needs exactly one of key and verifier")
+    payload_bits = config.digest_bits if verifier is None else verifier.signature_bits
     seq, _, segments = _layout(encoded.text, codebook, config, payload_bits)
     values = encoded.glyph_indices
-    if config.scheme == 1:
+    if len(values) > len(seq.letters):
+        raise ContractViolation("glyph index stream does not match the letter count")
+    if key is not None:
         # mapped once for every segment
         values = key.inverse_letters(seq.letters, values, _capacities(codebook))
     results: list[SegmentResult] = []
@@ -365,7 +365,7 @@ def verify(
             )
             continue
         embedded = bits[:payload_bits]
-        if config.scheme == 1:
+        if verifier is None:
             ok = embedded == bits_from_bytes(digest)[: len(embedded)]
         else:
             ok = verifier.check(digest, embedded)
@@ -375,12 +375,25 @@ def verify(
     return VerificationReport(tuple(results))
 
 
+_PRIME_BITS = 32  # size of each toy RSA prime
+
+
+def _next_prime(n: int) -> int:
+    """The smallest prime above ``n``, by trial division up to its square root."""
+    p = max(n + 1, 2)
+    while any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+        p += 1
+    return p
+
+
 class ToyRsaProvider:
     """Deterministic textbook-RSA signature provider for tests and demos.
 
     Signs the digest reduced modulo a small modulus; nothing here is meant to
     be cryptographically strong, it only exercises the asymmetric-signature
-    plumbing.  Real deployments plug in an actual cryptosystem behind the same
+    plumbing.  :meth:`generate` draws two ``_PRIME_BITS``-bit (32-bit) starting
+    points from the seed and takes the next prime after each, found by trial
+    division.  Real deployments plug in an actual cryptosystem behind the same
     sign/check surface.
     """
 
@@ -390,12 +403,13 @@ class ToyRsaProvider:
         self.d = d  # private exponent; None for a verify-only instance
 
     @classmethod
-    def generate(cls, seed: int = 0, prime_bits: int = 32) -> "ToyRsaProvider":
+    def generate(cls, seed: int = 0) -> "ToyRsaProvider":
         rng = np.random.default_rng(stable_seed(seed, "rsa"))
-        p = sympy.nextprime(int(rng.integers(1 << (prime_bits - 1), 1 << prime_bits)))
-        q = sympy.nextprime(int(rng.integers(1 << (prime_bits - 1), 1 << prime_bits)))
+        low, high = 1 << (_PRIME_BITS - 1), 1 << _PRIME_BITS
+        p = _next_prime(int(rng.integers(low, high)))
+        q = _next_prime(int(rng.integers(low, high)))
         while q == p:
-            q = sympy.nextprime(q + 2)
+            q = _next_prime(q + 2)
         n = p * q
         e = 65537
         d = pow(e, -1, (p - 1) * (q - 1))

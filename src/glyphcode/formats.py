@@ -3,8 +3,10 @@
 Every file starts with a header line ``# glyphcode <version> <kind> <config>``
 recording the tool version and the writer's resolved configuration.  Outline
 coordinates are serialized as 6-decimal fixed point, so a write -> read ->
-write cycle reproduces the file byte for byte.  Every reader raises
-FormatError, and nothing else, on an empty, truncated or malformed file.
+write cycle reproduces the file byte for byte.  Trace likelihoods, similarity
+scores and rater reliabilities are written as ``repr`` of the float, so they
+read back exactly.  Every reader raises FormatError, and nothing else, on an
+empty, truncated or malformed file.
 """
 
 from __future__ import annotations
@@ -247,10 +249,10 @@ def write_scores(
 ) -> None:
     fh.write(_header("scores", config))
     for g in sorted(scores.s, key=repr):
-        fh.write(f"score {json.dumps(str(g))} {_fmt(scores.s[g])}\n")
+        fh.write(f"score {json.dumps(str(g))} {float(scores.s[g])!r}\n")
     if reliabilities is not None:
         for u in sorted(reliabilities.r, key=repr):
-            fh.write(f"reliability {json.dumps(str(u))} {_fmt(reliabilities.r[u])}\n")
+            fh.write(f"reliability {json.dumps(str(u))} {float(reliabilities.r[u])!r}\n")
 
 
 @_reader("scores")

@@ -816,14 +816,12 @@ def loop_sign_scheme1(text, codebook, key, config):
 
 
 def loop_verify(encoded, codebook, config, key=None, verifier=None):
-    if config.scheme == 1 and key is None:
-        raise ContractViolation("scheme 1 verification needs the permutation key")
-    if config.scheme == 2 and verifier is None:
-        raise ContractViolation("scheme 2 verification needs the public key")
-    payload_bits = (
-        config.digest_bits if config.scheme == 1 else verifier.signature_bits
-    )
+    if (key is None) == (verifier is None):
+        raise ContractViolation("verify needs exactly one of key and verifier")
+    payload_bits = config.digest_bits if verifier is None else verifier.signature_bits
     seq, _, segments = loop_layout(encoded.text, codebook, config, payload_bits)
+    if len(encoded.glyph_indices) > len(seq.letters):
+        raise ContractViolation("glyph index stream does not match the letter count")
     results = []
     checked = set()  # letters whose key width is checked
     for s in segments:
@@ -833,7 +831,7 @@ def loop_verify(encoded, codebook, config, key=None, verifier=None):
                 seq,
                 s.blocks,
                 encoded.glyph_indices,
-                key=key if config.scheme == 1 else None,
+                key=key,
                 checked=checked,
             )
         except PartialDecodeError:
@@ -842,7 +840,7 @@ def loop_verify(encoded, codebook, config, key=None, verifier=None):
             )
             continue
         embedded = bits[:payload_bits]
-        if config.scheme == 1:
+        if verifier is None:
             ok = embedded == bits_from_bytes(digest)[: len(embedded)]
         else:
             ok = verifier.check(digest, embedded)

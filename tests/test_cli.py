@@ -319,8 +319,8 @@ def test_fit_perceptual_writes_the_fitted_scores(tmp_path, capsys):
     }
     with open(scores_path) as fh:
         read_s, read_r = formats.read_scores(fh)
-    assert read_s.s == pytest.approx(scores.s, abs=1e-6)
-    assert read_r.r == pytest.approx(reliabilities.r, abs=1e-6)
+    assert read_s.s == scores.s
+    assert read_r.r == reliabilities.r
 
 
 def test_keyed_document_without_key_exits_with_decode_failure(workspace, tmp_path, capsys):

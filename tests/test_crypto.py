@@ -1,8 +1,14 @@
 import math
+import os
+import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -27,6 +33,7 @@ from glyphcode.crypto import (
     PermutationKey,
     SignatureConfig,
     ToyRsaProvider,
+    _next_prime,
     content_hash,
     identity_key,
     key_space_bits,
@@ -230,6 +237,27 @@ def test_verify_reports_a_short_index_stream(sig_codebook):
     ]
 
 
+def test_verify_refuses_a_long_index_stream(sig_codebook):
+    """A document with more glyph indices than letters is refused as
+    extraction refuses it, whatever the extra indices hold."""
+    text = _sig_text(264, seed=21)
+    key = keygen(sig_codebook, seed=8)
+    config = SignatureConfig()
+    doc = sign_scheme1(text, sig_codebook, key, config)
+    extra = (0,) * 20 + (99,) + (1,) * 19
+    long = crypto.EncodedDocument(text, doc.glyph_indices + extra, doc.codebook_id)
+    message = "glyph index stream does not match the letter count"
+    with pytest.raises(ContractViolation, match=message):
+        pipeline.extract(long, sig_codebook, key=key)
+    with pytest.raises(ContractViolation, match=message):
+        verify(long, sig_codebook, config, key=key)
+    signer = ToyRsaProvider.generate(seed=1)
+    doc2 = sign_scheme2(text, sig_codebook, signer, config)
+    long2 = crypto.EncodedDocument(text, doc2.glyph_indices + extra, doc2.codebook_id)
+    with pytest.raises(ContractViolation, match=message):
+        verify(long2, sig_codebook, config, verifier=signer.public())
+
+
 def test_verify_wrong_key_fails_everywhere(sig_codebook):
     text = _sig_text(176, seed=22)
     key = keygen(sig_codebook, seed=9)
@@ -258,7 +286,7 @@ def test_every_segment_tampered(sig_codebook):
 def test_scheme2_round_trip_and_tamper(sig_codebook):
     text = _sig_text(176, seed=24)
     signer = ToyRsaProvider.generate(seed=1)
-    config = SignatureConfig(scheme=2)
+    config = SignatureConfig()
     doc = sign_scheme2(text, sig_codebook, signer, config)
     report = verify(doc, sig_codebook, config, verifier=signer.public())
     assert report.overall == "match"
@@ -273,6 +301,18 @@ def test_scheme2_round_trip_and_tamper(sig_codebook):
     assert report.overall == "mismatch"
 
 
+def test_verify_needs_exactly_one_of_key_and_verifier(sig_codebook):
+    """The scheme is the one whose key is passed; both or neither is refused."""
+    text = _sig_text(176, seed=24)
+    key = keygen(sig_codebook, seed=7)
+    doc = sign_scheme1(text, sig_codebook, key)
+    verifier = ToyRsaProvider.generate(seed=1).public()
+    config = SignatureConfig()
+    for kwargs in ({}, {"key": key, "verifier": verifier}):
+        with pytest.raises(ContractViolation, match="exactly one"):
+            verify(doc, sig_codebook, config, **kwargs)
+
+
 def test_toy_rsa_provider():
     signer = ToyRsaProvider.generate(seed=5)
     digest = content_hash("hello world")
@@ -282,6 +322,30 @@ def test_toy_rsa_provider():
     assert not signer.public().check(content_hash("hello worle"), sig)
     with pytest.raises(SigningError):
         signer.public().sign(digest)
+
+
+def test_next_prime_matches_sympy():
+    """Trial division against sympy's next-prime search: random 32-bit
+    values, every small value, the top of the 32-bit range, a Carmichael
+    number and strong pseudoprimes to small bases."""
+    rng = random.Random(12)
+    values = [rng.randrange(1 << 31, 1 << 32) for _ in range(100)]
+    values += list(range(2001))
+    values += list(range(4294967291, 4294967297))
+    values += [560, 561, 2046, 2047, 3215031750, 3215031751]
+    for n in values:
+        assert _next_prime(n) == sympy.nextprime(n), n
+
+
+def test_library_imports_without_sympy():
+    """The library and its CLI need numpy alone; sympy is a test tool."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, glyphcode, glyphcode.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_signing_capacity_shortfall(sig_codebook):
@@ -348,7 +412,7 @@ def test_sign_and_verify_build_the_layout_once(sig_codebook, monkeypatch, letter
     text = _sig_text(letters, seed=27)
     key = keygen(sig_codebook, seed=12)
     signer = ToyRsaProvider.generate(seed=3)
-    config1, config2 = SignatureConfig(), SignatureConfig(scheme=2)
+    config1 = config2 = SignatureConfig()
     assert len(segment_text(text, sig_codebook, config1)) >= letters // 100
     doc1 = once(lambda: sign_scheme1(text, sig_codebook, key, config1))
     doc2 = once(lambda: sign_scheme2(text, sig_codebook, signer, config2))

@@ -69,7 +69,7 @@ def _signed(cb_name, letters, seed, seg_min, scheme):
     if scheme == 1:
         config = SignatureConfig(segment_min_letters=seg_min)
         return _pinned(lambda: sign_scheme1(text, cb, keygen(cb, seed=seed), config))
-    config = SignatureConfig(scheme=2, segment_min_letters=seg_min)
+    config = SignatureConfig(segment_min_letters=seg_min)
     signer = ToyRsaProvider.generate(seed=seed % 3)
     return _pinned(lambda: sign_scheme2(text, cb, signer, config))
 
@@ -172,7 +172,7 @@ def _verify_reports(cb_name, letters, seed, scheme):
             d, cb, config, key=keygen(cb, seed=seed + 1) if wrong else key
         )
     else:
-        config = SignatureConfig(scheme=2)
+        config = SignatureConfig()
         signer = ToyRsaProvider.generate(seed=seed)
         doc = sign_scheme2(text, cb, signer, config)
         other = ToyRsaProvider.generate(seed=seed + 1)
