@@ -11,32 +11,39 @@ hashes and localizes tampering to the segment level.  The scheme-2 provider is
 a toy textbook RSA whose 32-bit primes come from a trial-division search, so
 the module needs numpy alone.
 
-Signing and verification reuse the message pipeline's block encoder and
-decoder.  Each call builds the letter sequence and the block partition once
-and slices them per segment, so the cost is linear in the document length.
+Signing and verification reuse the message pipeline's columnar block layout
+and its array codec.  Each call builds the letter sequence and the layout
+once, finds every segment's end by a binary search over the blocks' running
+letter and bit counts, and encodes or decodes the whole document in one pass
+that it then slices by segment, so the cost is linear in the document length.
+A segment's decode stops at its first block that fails, as a per-segment
+decode would.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .codebook import Codebook
-from .errors import ContractViolation, KeyMismatchError, PartialDecodeError, SigningError
+from .errors import ContractViolation, KeyMismatchError, SigningError
 from .pipeline import (
     Block,
     EncodedDocument,
     LetterSequence,
+    _bits,
+    _build_layout,
     _capacities,
-    _decode_blocks,
-    _encode_blocks,
-    chunk_message,
+    _chunk,
+    _decode,
+    _encode,
+    _Layout,
     letter_sequence,
-    partition_blocks,
 )
 from .util import bits_from_bytes, stable_seed
 
@@ -246,7 +253,23 @@ def segment_text(
     trailing blocks (and trailing uncoded letters) join the last segment so
     every letter is covered by exactly one segment.
     """
-    return _layout(text, codebook, config, payload_bits)[2]
+    _, layout, spans = _layout(text, codebook, config, payload_bits)
+    blocks = layout.blocks()
+    return [
+        Segment(g, tuple(blocks[s.first : s.end]), s.seq_start, s.seq_end)
+        for g, s in enumerate(spans)
+    ]
+
+
+class _Span(NamedTuple):
+    """A segment's blocks, letters and bits, each as a [start, end) range."""
+
+    first: int
+    end: int
+    seq_start: int
+    seq_end: int
+    bit_start: int
+    bit_end: int
 
 
 def _layout(
@@ -254,50 +277,63 @@ def _layout(
     codebook: Codebook,
     config: SignatureConfig,
     payload_bits: Optional[int],
-) -> tuple[LetterSequence, list[Block], list[Segment]]:
-    """Letter sequence, block partition and segments, each computed once."""
+) -> tuple[LetterSequence, _Layout, list[_Span]]:
+    """Letter sequence, block layout and segments, each computed once.
+
+    A segment closes at its first block where it spans at least
+    ``segment_min_letters`` letters and holds the payload.  Both counts grow
+    with every block, so that block is the later of two binary searches.
+    """
     seq = letter_sequence(text, codebook)
-    blocks = partition_blocks(seq, config.n, config.k)
-    if not blocks:
+    if not seq.letters:
+        raise ContractViolation("letter sequence is empty")
+    layout = _build_layout(seq.capacities, config.n, config.k)
+    if not len(layout.widths):
         raise SigningError("document has zero complete blocks")
     need = config.digest_bits if payload_bits is None else payload_bits
-    segments: list[Segment] = []
-    cur: list[Block] = []
-    start = bits = 0
-    for block in blocks:
-        cur.append(block)
-        # blocks cover consecutive letter ranges, and a block's last member is
-        # the last letter it pulled in, so it ends the newest block
-        end = block.member_indices[-1] + 1
-        bits += block.bit_width
-        if end - start >= config.segment_min_letters and bits >= need:
-            segments.append(Segment(len(segments), tuple(cur), start, end))
-            cur, start, bits = [], end, 0
-    if not segments:
-        raise SigningError(f"segment 0 holds {bits} bits, payload needs {need}")
-    last = segments.pop()
-    segments.append(
-        Segment(last.index, last.blocks + tuple(cur), last.seq_start, len(seq.letters))
+    # blocks cover consecutive letter ranges, and a block's last member is
+    # the last letter it pulled in, so it ends the newest block
+    letter_ends = (layout.members[:, -1] + 1).tolist()
+    bit_ends = np.cumsum(layout.widths).tolist()
+    spans: list[_Span] = []
+    first = start = held = 0
+    while (
+        t := max(
+            first,
+            bisect_left(letter_ends, start + config.segment_min_letters),
+            bisect_left(bit_ends, held + need),
+        )
+    ) < len(letter_ends):
+        spans.append(_Span(first, t + 1, start, letter_ends[t], held, bit_ends[t]))
+        first, start, held = t + 1, letter_ends[t], bit_ends[t]
+    if not spans:
+        raise SigningError(f"segment 0 holds {bit_ends[-1]} bits, payload needs {need}")
+    spans[-1] = spans[-1]._replace(
+        end=len(letter_ends), seq_end=len(seq.letters), bit_end=bit_ends[-1]
     )
-    return seq, blocks, segments
+    return seq, layout, spans
 
 
-def _segment_digest(seq: LetterSequence, segment: Segment, hash_id: str) -> bytes:
+def _segment_digest(seq: LetterSequence, segment: _Span, hash_id: str) -> bytes:
     return content_hash("".join(seq.letters[segment.seq_start : segment.seq_end]), hash_id)
 
 
 def _embed_payloads(
     text: str,
     codebook: Codebook,
-    layout: tuple[LetterSequence, list[Block], list[Segment]],
+    laid_out: tuple[LetterSequence, _Layout, list[_Span]],
     payloads: Sequence[str],
     key: Optional[PermutationKey],
 ) -> EncodedDocument:
     """Embed one payload per segment, zero-padded to the segment's width."""
-    seq, blocks, segments = layout
-    chunks = [m for s, bits in zip(segments, payloads) for m in chunk_message(bits, s.blocks)]
-    indices = _encode_blocks(seq, blocks, chunks, codebook, key)
-    return EncodedDocument(text, indices, codebook.font_id)
+    seq, layout, spans = laid_out
+    framed = []
+    for s, bits in zip(spans, payloads):
+        if len(bits) > s.bit_end - s.bit_start:
+            raise ContractViolation("framed message exceeds total block width")
+        framed.append(bits.ljust(s.bit_end - s.bit_start, "0"))
+    chunks = _chunk("".join(framed), layout.widths)
+    return EncodedDocument(text, _encode(seq, layout, chunks, codebook, key), codebook.font_id)
 
 
 def sign_scheme1(
@@ -307,10 +343,10 @@ def sign_scheme1(
     config: SignatureConfig = SignatureConfig(),
 ) -> EncodedDocument:
     """Embed each segment's content hash into that segment under a private key."""
-    layout = _layout(text, codebook, config, None)
-    seq, _, segments = layout
-    payloads = [bits_from_bytes(_segment_digest(seq, s, config.hash_id)) for s in segments]
-    return _embed_payloads(text, codebook, layout, payloads, key)
+    laid_out = _layout(text, codebook, config, None)
+    seq, _, spans = laid_out
+    payloads = [bits_from_bytes(_segment_digest(seq, s, config.hash_id)) for s in spans]
+    return _embed_payloads(text, codebook, laid_out, payloads, key)
 
 
 def sign_scheme2(
@@ -320,10 +356,10 @@ def sign_scheme2(
     config: SignatureConfig = SignatureConfig(),
 ) -> EncodedDocument:
     """Embed an asymmetric signature over each segment's hash, public codebook."""
-    layout = _layout(text, codebook, config, signer.signature_bits)
-    seq, _, segments = layout
-    payloads = [signer.sign(_segment_digest(seq, s, config.hash_id)) for s in segments]
-    return _embed_payloads(text, codebook, layout, payloads, key=None)
+    laid_out = _layout(text, codebook, config, signer.signature_bits)
+    seq, _, spans = laid_out
+    payloads = [signer.sign(_segment_digest(seq, s, config.hash_id)) for s in spans]
+    return _embed_payloads(text, codebook, laid_out, payloads, key=None)
 
 
 def verify(
@@ -347,24 +383,24 @@ def verify(
     if (key is None) == (verifier is None):
         raise ContractViolation("verify needs exactly one of key and verifier")
     payload_bits = config.digest_bits if verifier is None else verifier.signature_bits
-    seq, _, segments = _layout(encoded.text, codebook, config, payload_bits)
+    seq, layout, spans = _layout(encoded.text, codebook, config, payload_bits)
     values = encoded.glyph_indices
     if len(values) > len(seq.letters):
         raise ContractViolation("glyph index stream does not match the letter count")
     if key is not None:
         # mapped once for every segment
         values = key.inverse_letters(seq.letters, values, _capacities(codebook))
+    payloads, _, failed = _decode(seq, layout, values, ends=[s.end for s in spans])
+    bits = _bits(payloads, layout.widths)
     results: list[SegmentResult] = []
-    for s in segments:
-        digest = _segment_digest(seq, s, config.hash_id)
-        try:
-            bits, _ = _decode_blocks(seq, s.blocks, values)
-        except PartialDecodeError:
+    for s, failed_block in zip(spans, failed):
+        if failed_block is not None:
             results.append(
                 SegmentResult(s.seq_start, s.seq_end, "mismatch", "extraction-failed")
             )
             continue
-        embedded = bits[:payload_bits]
+        digest = _segment_digest(seq, s, config.hash_id)
+        embedded = bits[s.bit_start : s.bit_end][:payload_bits]
         if verifier is None:
             ok = embedded == bits_from_bytes(digest)[: len(embedded)]
         else:

@@ -1,4 +1,4 @@
-"""End-to-end message embedding and extraction.
+"""End-to-end message embedding and extraction over a columnar block layout.
 
 A document's letters are partitioned left to right into blocks of n letters.
 Each block gets pairwise-coprime moduli p_i <= s_i (s_i = the letter's glyph
@@ -9,6 +9,19 @@ pulled in; dropped and trailing letters carry the index-0 glyph and no
 payload.  The block layout is a pure function of (text, codebook, n, k), so
 the extractor recomputes it instead of transmitting it.  The Monte-Carlo
 capacity estimate partitions its sampled letters with the same rule.
+
+The partition is held as arrays (:class:`_Layout`): a (B, n) array of each
+block's letters, a moduli-set id per block, the distinct sets and the few
+skipped letters.  :func:`_build_layout` makes it in passes over aligned
+windows that look each distinct capacity tuple up once, and applies the
+expansion rule one block at a time where a window cannot form.  Embedding
+chunks the framed message and encodes every block in array passes.
+Extraction decodes every block with no misread letter in one pass by Garner's
+weights, m = sum_j r_j w_j mod P, kept where every residue is in range and
+m < M; only the other blocks go, in block order, to the Hamming decoder and
+its likelihood tie-break.  A set whose weighted sum could reach 2^62 decodes
+block by block, and payloads wider than 62 bits are Python integers.
+:func:`partition_blocks` returns the layout as :class:`Block` views.
 """
 
 from __future__ import annotations
@@ -16,13 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .codebook import Codebook
-from .crc import DecodeOutcome, ModuliSet, _resolve_tie, encode_phi, hamming_decode
+from .crc import DecodeOutcome, ModuliSet, _resolve_tie, hamming_decode
 from .errors import (
     CapacityExceededError,
     ContractViolation,
@@ -48,6 +60,10 @@ __all__ = [
 ]
 
 LENGTH_PREFIX_BITS = 32
+_INT64_BITS = 62  # payload widths and weighted sums below 2^62 stay in int64
+# aligned windows a pass takes after a skip, doubling while none skips; a
+# pass this short looks its windows up without sorting them first
+_SHORT_PASS = 32
 
 
 @dataclass(frozen=True)
@@ -166,55 +182,176 @@ def _prime_count(limit: int) -> int:
     return sum(sieve)
 
 
-def _blocks(capacities: Sequence[int], n: int, k: int) -> Iterator[Block]:
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """A block partition as arrays.
+
+    Block t holds the letters ``members[t]`` (ascending) under the moduli set
+    ``sets[set_ids[t]]``, and carries ``widths[t]`` bits.  ``sets`` holds each
+    set once, by identity, in first-use order, each the very object the
+    moduli search's cache returned; ``moduli`` is their (S, n) array.
+    ``skipped`` lists the letters a block dropped, for the blocks that
+    dropped any.
+    """
+
+    members: np.ndarray
+    set_ids: np.ndarray
+    sets: tuple[ModuliSet, ...]
+    moduli: np.ndarray
+    widths: np.ndarray
+    skipped: dict[int, tuple[int, ...]]
+
+    def blocks(self) -> list[Block]:
+        sets, skipped = self.sets, self.skipped
+        return [
+            Block(tuple(row), skipped.get(t, ()), sets[s])
+            for t, (row, s) in enumerate(zip(self.members.tolist(), self.set_ids.tolist()))
+        ]
+
+
+def _payload_dtype(widths: np.ndarray):
+    """int64 while every payload fits it, else Python integers."""
+    return np.int64 if widths.max(initial=0) <= _INT64_BITS else object
+
+
+def _first_uses(windows: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Each distinct row's first index, ascending, and each row's index into
+    that list, with rows compared as one mixed-radix key.  None for a few
+    rows, which are cheaper to take one by one, and for rows whose key
+    int64 cannot hold."""
+    if len(windows) <= _SHORT_PASS:
+        return None
+    lo = windows.min()
+    base = int(windows.max() - lo) + 1
+    if base ** windows.shape[1] >= 1 << 63:
+        return None
+    keys = (windows - lo) @ (base ** np.arange(windows.shape[1], dtype=np.int64))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
+
+
+def _build_layout(
+    capacities: Sequence[int], n: int, k: int, limit: Optional[int] = None
+) -> _Layout:
     """Greedy left-to-right block partition with the capacity-expansion rule.
 
-    Yields blocks over indices into ``capacities`` and stops once fewer than n
-    letters remain, also when that happens while a block is still expanding;
-    the remainder is uncoded.  Yields nothing at once when no window could
-    ever form a block: n pairwise-coprime values >= 2 have n distinct prime
-    factors, so they need n primes <= the largest capacity.
+    Takes blocks over indices into ``capacities`` and stops once fewer than n
+    letters remain, also when that happens while a block is still expanding,
+    or once ``limit`` blocks are taken; the remainder is uncoded.  Each pass
+    takes aligned windows and looks their distinct capacity tuples up in
+    first-use order, each tuple once per call, stopping at the first that
+    cannot form: the windows before it are blocks, and that one window is
+    expanded letter by letter.  The first pass takes every window; after an
+    expansion the lookahead restarts at ``_SHORT_PASS`` windows and doubles
+    with each pass that expands none, so a text with many skips still
+    partitions in linear time.  Takes nothing at once when no window could ever form a
+    block: n pairwise-coprime values >= 2 have n distinct prime factors, so
+    they need n primes <= the largest capacity.
     """
-    total = len(capacities)
-    # the first window's largest capacity bounds the largest from below and
-    # mostly settles the check without scanning every letter
-    if (
-        total >= n
-        and 1 <= k < n
-        and n > _prime_count(max(capacities[:n]))
-        and n > _prime_count(max(capacities))
-    ):
-        return
-    cursor = 0
-    while cursor + n <= total:
-        window = range(cursor, cursor + n)
-        caps = tuple(capacities[cursor : cursor + n])
-        skipped: list[int] = []
-        while (moduli := _choose_moduli_cached(caps, k)) is None:
-            # drop the (first) lowest-capacity letter, pull in the next one
-            drop = min(range(n), key=lambda j: (caps[j], j))
-            window = list(window)
-            skipped.append(window.pop(drop))
-            nxt = cursor + n + len(skipped) - 1
+    caps = np.asarray(capacities, dtype=np.int64).reshape(-1)
+    total = len(caps)
+    limit = total if limit is None else limit
+    if total >= n and limit > 0:
+        if n < 2 or not 1 <= k < n:
+            raise ContractViolation("need n >= 2 and 1 <= k < n")
+        # the first window's largest capacity bounds the largest from below
+        # and mostly settles the check without scanning every letter
+        if n > _prime_count(int(caps[:n].max())) and n > _prime_count(int(caps.max())):
+            total = 0
+    sets: list[ModuliSet] = []
+    found: dict[tuple[int, ...], Optional[int]] = {}  # tuple -> index into sets
+
+    def lookup(tup: tuple[int, ...]) -> Optional[int]:
+        if tup not in found:
+            moduli = _choose_moduli_cached(tup, k)
+            found[tup] = None if moduli is None else len(sets)
+            if moduli is not None:
+                sets.append(moduli)
+        return found[tup]
+
+    runs: list[tuple[int, int]] = []  # (first letter, blocks) of each run of blocks
+    set_ids: list[int] = []
+    expanded: dict[int, list[int]] = {}  # members of each block that skipped
+    skipped: dict[int, tuple[int, ...]] = {}
+    cursor, taken, span = 0, 0, total
+    while cursor + n <= total and taken < limit:
+        count = min(span, (total - cursor) // n, limit - taken)
+        windows = caps[cursor : cursor + count * n].reshape(count, n)
+        distinct = _first_uses(windows)
+        index: list[int] = []
+        for tup in map(tuple, (windows if distinct is None else windows[distinct[0]]).tolist()):
+            if (s := lookup(tup)) is None:
+                break
+            index.append(s)
+        if distinct is None:
+            stop = len(index)
+            ids = index
+        else:
+            first, rank = distinct
+            stop = count if len(index) == len(first) else int(first[len(index)])
+            ids = np.array(index)[rank[:stop]].tolist()
+        if stop:
+            runs.append((cursor, stop))
+            set_ids += ids
+            cursor += stop * n
+            taken += stop
+        if stop == count:
+            span *= 2
+            continue
+        span = _SHORT_PASS
+        # drop the (first) lowest-capacity letter, pull in the next one
+        window = list(range(cursor, cursor + n))
+        tup = tuple(windows[stop].tolist())
+        dropped: list[int] = []
+        while (s := lookup(tup)) is None:
+            drop = tup.index(min(tup))
+            dropped.append(window.pop(drop))
+            nxt = cursor + n + len(dropped) - 1
             if nxt >= total:
-                return
+                cursor = total
+                break
             window.append(nxt)
-            caps = tuple(capacities[i] for i in window)
-        yield Block(tuple(window), tuple(skipped), moduli)
-        cursor += n + len(skipped)
+            tup = tup[:drop] + tup[drop + 1 :] + (int(caps[nxt]),)
+        else:
+            runs.append((cursor, 1))
+            set_ids.append(s)
+            expanded[taken] = window
+            skipped[taken] = tuple(dropped)
+            cursor += n + len(dropped)
+            taken += 1
+    # block t of a run that starts at letter c after b blocks starts at c + n (t - b)
+    run_first, run_blocks = np.array(runs, dtype=np.intp).reshape(-1, 2).T
+    shift = np.repeat(run_first - n * (np.cumsum(run_blocks) - run_blocks), run_blocks)
+    members = (shift + n * np.arange(taken))[:, None] + np.arange(n)
+    if expanded:
+        members[list(expanded)] = list(expanded.values())
+    ids = np.array(set_ids, dtype=np.intp)
+    set_widths = np.array([m.payload_bound.bit_length() - 1 for m in sets], dtype=np.int64)
+    return _Layout(
+        members=members,
+        set_ids=ids,
+        sets=tuple(sets),
+        moduli=np.array([m.p for m in sets], dtype=np.int64).reshape(len(sets), n),
+        widths=set_widths[ids],
+        skipped=skipped,
+    )
 
 
 def partition_blocks(seq: LetterSequence, n: int = 5, k: int = 3) -> list[Block]:
-    """Block partition of a document's letter sequence (see :func:`_blocks`)."""
+    """Block partition of a document's letter sequence (see
+    :func:`_build_layout`)."""
     if not seq.letters:
         raise ContractViolation("letter sequence is empty")
-    return list(_blocks(seq.capacities, n, k))
+    return _build_layout(seq.capacities, n, k).blocks()
 
 
 def frame_message(bits: str, total_bits: int) -> str:
     """Length-prefix framing: 32-bit big-endian payload bit count, payload,
     zero padding out to the document's full coded width."""
-    if any(b not in "01" for b in bits):
+    if bits.count("0") + bits.count("1") != len(bits):
         raise ContractViolation("message must be a bit string of '0'/'1'")
     if len(bits) >= 1 << LENGTH_PREFIX_BITS:
         raise CapacityExceededError("message too long for the length prefix")
@@ -237,18 +374,39 @@ def unframe_message(bits: str) -> str:
     return bits[LENGTH_PREFIX_BITS : LENGTH_PREFIX_BITS + length]
 
 
+def _bit_matrix(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row per block, as wide as the widest: each column's big-endian
+    shift, and whether the column is one of the block's bits."""
+    shifts = widths[:, None] - 1 - np.arange(widths.max(initial=0))
+    return np.maximum(shifts, 0), shifts >= 0
+
+
+def _chunk(framed: str, widths: np.ndarray) -> np.ndarray:
+    """Cut widths[t] bits per block, big-endian; bits past the end of
+    ``framed`` read 0."""
+    digits = np.zeros(int(widths.sum()), dtype=np.uint8)
+    if len(framed) > len(digits):
+        raise ContractViolation("framed message exceeds total block width")
+    if framed.count("0") + framed.count("1") != len(framed):
+        raise ContractViolation("framed message must be a bit string of '0'/'1'")
+    digits[: len(framed)] = np.frombuffer(framed.encode("ascii"), dtype=np.uint8) - ord("0")
+    shifts, mine = _bit_matrix(widths)
+    at = np.cumsum(widths)[:, None] - 1 - shifts  # each bit's place in ``digits``
+    bits = np.where(mine, digits[at], 0).astype(_payload_dtype(widths))
+    return (bits << shifts).sum(axis=1)
+
+
+def _bits(payloads: np.ndarray, widths: np.ndarray) -> str:
+    """Each block's payload as its low widths[t] bits, big-endian, joined."""
+    shifts, mine = _bit_matrix(widths)
+    digits = ((payloads[:, None] >> shifts) & 1)[mine].astype(np.uint8)
+    return (digits + ord("0")).tobytes().decode("ascii")
+
+
 def chunk_message(framed: str, blocks: Sequence[Block]) -> list[int]:
     """Cut bit_width(t) bits per block, big-endian."""
-    widths = [b.bit_width for b in blocks]
-    if len(framed) > sum(widths):
-        raise ContractViolation("framed message exceeds total block width")
-    out: list[int] = []
-    at = 0
-    for w in widths:
-        chunk = framed[at : at + w].ljust(w, "0")
-        out.append(int(chunk, 2) if w else 0)
-        at += w
-    return out
+    widths = np.array([b.bit_width for b in blocks], dtype=np.int64)
+    return _chunk(framed, widths).tolist()
 
 
 def _check_text(text: str, codebook: Codebook) -> LetterSequence:
@@ -258,66 +416,134 @@ def _check_text(text: str, codebook: Codebook) -> LetterSequence:
     return seq
 
 
-def _encode_blocks(
+def _encode(
     seq: LetterSequence,
-    blocks: Sequence[Block],
-    payloads: Sequence[int],
+    layout: _Layout,
+    payloads: np.ndarray,
     codebook: Codebook,
     key=None,
 ) -> tuple[int, ...]:
     """Glyph index per letter: each block's payload as its residues, 0 for
     uncoded letters, then mapped through the key, which must fit the
     codebook."""
-    indices = [0] * len(seq.letters)
-    for block, m in zip(blocks, payloads):
-        for i, residue in zip(block.member_indices, encode_phi(m, block.moduli)):
-            indices[i] = residue
+    residues = payloads[:, None] % layout.moduli[layout.set_ids]
+    indices = np.zeros(len(seq.letters), dtype=residues.dtype)
+    indices[layout.members] = residues
+    out = indices.tolist()
     if key is not None:
-        indices = key.forward_letters(seq.letters, indices, _capacities(codebook))
-    return tuple(indices)
+        out = key.forward_letters(seq.letters, out, _capacities(codebook))
+    return tuple(out)
+
+
+def _received(values: Sequence[Optional[int]], count: int) -> np.ndarray:
+    """``values`` over ``count`` letters as int64.  A None, a value int64
+    cannot hold and a letter past the end of ``values`` read -1, which no
+    residue equals."""
+    vals = np.full(count, -1, dtype=np.int64)
+    try:
+        vals[: len(values)] = np.fromiter(values, dtype=np.int64, count=len(values))
+    except (OverflowError, TypeError):  # a None, or a value past int64
+        vals[: len(values)] = [
+            v if v is not None and 0 <= v < 1 << _INT64_BITS else -1 for v in values
+        ]
+    return vals
+
+
+def _inverse_mod(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a^-1 mod m elementwise, for coprime a < m, by the extended Euclidean
+    algorithm run on every element at once."""
+    r0, r1 = a, m
+    s0, s1 = np.ones_like(a), np.zeros_like(a)
+    while (live := r1 != 0).any():
+        q = r0 // np.where(live, r1, 1)
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - q * r1, 0)
+        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - q * s1, 0)
+    return s0 % m
+
+
+def _garner(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per distinct set: Garner's weights w_j = (P/p_j)((P/p_j)^-1 mod p_j),
+    P, M, and whether n * max(p) * P < 2^62, so that sum_j r_j w_j stays in
+    int64.  The other sets get weights 0 and P = 1, and decode per block."""
+    p = layout.moduli
+    # in floating point, with a margin that sends a set per block when in doubt
+    bound = np.prod(p, axis=1, dtype=float) * p.max(axis=1, initial=1) * p.shape[1]
+    safe = bound < 2.0**_INT64_BITS * (1 - 1e-9)
+    P = np.prod(np.where(safe[:, None], p, 1), axis=1)
+    cofactor = P[:, None] // p
+    weights = cofactor * _inverse_mod(cofactor % p, p)
+    M = np.array(
+        [s.payload_bound if ok else 0 for s, ok in zip(layout.sets, safe.tolist())],
+        dtype=np.int64,
+    )
+    return weights, P, M, safe
 
 
 def _uniform_row(capacity: int) -> np.ndarray:
     return np.full(capacity, 1.0 / capacity)
 
 
-def _decode_blocks(
+def _decode(
     seq: LetterSequence,
-    blocks: Sequence[Block],
+    layout: _Layout,
     values: Sequence[Optional[int]],
     row: Optional[Callable[[int], np.ndarray]] = None,
-) -> tuple[str, list[DecodeOutcome]]:
-    """Decode each block to its ``bit_width`` bits.
+    ends: Optional[Sequence[int]] = None,
+) -> tuple[np.ndarray, dict[int, DecodeOutcome], list[Optional[int]]]:
+    """Decode every block's payload.
 
     ``values`` gives each letter's received integer and ``row(i)`` letter i's
     likelihood row in the same order; rows are uniform when ``row`` is None.
-    Rows are read only on a Hamming tie, so they are built for those blocks
-    alone.  A block that holds a None (a glyph index the key could not map)
-    or reaches past the end of ``values`` fails.  Raises PartialDecodeError at
-    the first failed block.
+    Every block whose residues are all in range and reconstruct below M
+    takes the exact path in one pass.  The others go, in block order, to
+    :func:`hamming_decode`, and rows are built only for those whose Hamming
+    decode ties.  Blocks decode in groups that end before each of ``ends``
+    (ascending, the last the block count; one group by default).  A block
+    that holds a None (a glyph index the key could not map), reaches past
+    the end of ``values`` or stays ambiguous fails its group, whose later
+    blocks are then not decoded.
+
+    Returns the payloads (0 where none was decoded), the outcome of each
+    block off the exact path, and each group's first failed block or None.
     """
-    outcomes: list[DecodeOutcome] = []
-    bits = []
-    for t, block in enumerate(blocks):
-        members = block.member_indices
-        if members[-1] >= len(values):  # members ascend
-            raise PartialDecodeError(t)
-        vector = [values[i] for i in members]
+    ids = layout.set_ids
+    r = _received(values, len(seq.letters))[layout.members]
+    weights, P, M, safe = _garner(layout)
+    live = ((r >= 0) & (r < layout.moduli[ids])).all(axis=1) & safe[ids]
+    m = (np.where(live[:, None], r, 0) * weights[ids]).sum(axis=1) % P[ids]
+    exact = live & (m < M[ids])
+    payloads = np.where(exact, m, 0).astype(_payload_dtype(layout.widths))
+
+    slow: dict[int, DecodeOutcome] = {}
+    ends = [len(ids)] if ends is None else ends
+    failed: list[Optional[int]] = [None] * len(ends)
+    group = 0
+    pending = np.flatnonzero(~exact)
+    for t, members, s in zip(
+        pending.tolist(), layout.members[pending].tolist(), ids[pending].tolist()
+    ):
+        while t >= ends[group]:
+            group += 1
+        if failed[group] is not None:
+            continue
+        vector = [values[i] for i in members] if members[-1] < len(values) else [None]
         if None in vector:
-            raise PartialDecodeError(t)
-        outcome = hamming_decode(vector, block.moduli)
+            failed[group] = t
+            continue
+        moduli = layout.sets[s]
+        outcome = hamming_decode(vector, moduli)
         if outcome.status == "ambiguous-fail":
             g = [
                 row(i) if row is not None else _uniform_row(seq.capacities[i])
                 for i in members
             ]
-            outcome = _resolve_tie(outcome, vector, block.moduli, g)
-        outcomes.append(outcome)
+            outcome = _resolve_tie(outcome, vector, moduli, g)
+        slow[t] = outcome
         if outcome.m is None:
-            raise PartialDecodeError(t)
-        width = block.bit_width
-        bits.append(format(outcome.m, f"0{width}b")[-width:])
-    return "".join(bits), outcomes
+            failed[group] = t
+            continue
+        payloads[t] = outcome.m
+    return payloads, slow, failed
 
 
 def embed(
@@ -335,12 +561,12 @@ def embed(
     mapped to the glyph at the key's position i.
     """
     seq = _check_text(text, codebook)
-    blocks = partition_blocks(seq, n, k)
-    if not blocks:
+    layout = _build_layout(seq.capacities, n, k)
+    if not len(layout.widths):
         raise DocumentTooSmallError("document has zero complete blocks")
-    framed = frame_message(bits, sum(b.bit_width for b in blocks))
-    indices = _encode_blocks(seq, blocks, chunk_message(framed, blocks), codebook, key)
-    return EncodedDocument(text, indices, codebook.font_id)
+    framed = frame_message(bits, int(layout.widths.sum()))
+    payloads = _chunk(framed, layout.widths)
+    return EncodedDocument(text, _encode(seq, layout, payloads, codebook, key), codebook.font_id)
 
 
 def extract(
@@ -360,13 +586,14 @@ def extract(
     smallest m.  The key must fit the codebook, and every letter's glyph
     index and likelihood row is checked against the key and the codebook, in
     letter order, before any block is decoded; rows are built only for blocks
-    whose Hamming decode ties.
+    whose Hamming decode ties.  Raises PartialDecodeError at the first block
+    that cannot be decoded.
     """
     seq = _check_text(encoded.text, codebook)
     if len(encoded.glyph_indices) != len(seq.letters):
         raise ContractViolation("glyph index stream does not match the letter count")
-    blocks = partition_blocks(seq, n, k)
-    if not blocks:
+    layout = _build_layout(seq.capacities, n, k)
+    if not len(layout.widths):
         raise DocumentTooSmallError("document has zero complete blocks")
     if likelihoods is not None and len(likelihoods) != len(seq.letters):
         raise ContractViolation("likelihood table does not match the letter count")
@@ -388,10 +615,16 @@ def extract(
         r = np.asarray(likelihoods[i], dtype=float)
         return r if key is None else key.inverse_row(seq.letters[i], r)
 
-    bits, report = _decode_blocks(
-        seq, blocks, indices, row if likelihoods is not None else None
+    payloads, slow, (failed,) = _decode(
+        seq, layout, indices, row if likelihoods is not None else None
     )
-    return unframe_message(bits), report
+    if failed is not None:
+        raise PartialDecodeError(failed)
+    report = [
+        slow[t] if t in slow else DecodeOutcome("exact", m, 0, 1, (m,))
+        for t, m in enumerate(payloads.tolist())
+    ]
+    return unframe_message(_bits(payloads, layout.widths)), report
 
 
 def baseline_block_bits(capacities: Sequence[int]) -> int:
@@ -418,8 +651,7 @@ def capacity_report(
         raise ContractViolation("sample_blocks must be non-negative")
     if text is not None:
         seq = _check_text(text, codebook)
-        blocks = partition_blocks(seq, n, k)
-        total_bits = sum(b.bit_width for b in blocks)
+        total_bits = int(_build_layout(seq.capacities, n, k).widths.sum())
         letters = len(seq.letters)
     else:
         chars = sorted(frequencies)
@@ -427,13 +659,12 @@ def capacity_report(
         weights = weights / weights.sum()
         rng = np.random.default_rng(seed)
         draws = rng.choice(len(chars), size=sample_blocks * (n + 4), p=weights)
-        caps_by_char = {c: codebook.capacity(c) for c in chars}
-        draw_caps = [caps_by_char[chars[i]] for i in draws]
+        caps_by_char = np.array([codebook.capacity(c) for c in chars], dtype=np.int64)
         # the first sample_blocks blocks, or fewer if the draws run out first
-        total_bits = letters = 0
-        for block in islice(_blocks(draw_caps, n, k), sample_blocks):
-            total_bits += block.bit_width
-            letters = block.member_indices[-1] + 1  # draws used, skipped included
+        layout = _build_layout(caps_by_char[draws], n, k, limit=sample_blocks)
+        total_bits = int(layout.widths.sum())
+        # draws used, skipped included
+        letters = int(layout.members[-1, -1]) + 1 if len(layout.members) else 0
         if sample_blocks and not letters:
             raise ContractViolation("codebook capacities cannot form coprime blocks")
     bits_per_letter = total_bits / letters if letters else 0.0

@@ -44,6 +44,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import strategies as st
 
 from glyphcode.crc import (
     DecodeOutcome,
@@ -54,7 +55,7 @@ from glyphcode.crc import (
 )
 from glyphcode.channel import RecognitionResult, _probabilities
 from glyphcode.codebook import ConfusionGraph
-from glyphcode.crypto import Segment, SegmentResult, VerificationReport, _segment_digest
+from glyphcode.crypto import Segment, SegmentResult, VerificationReport, content_hash
 from glyphcode.errors import (
     ContractViolation,
     DocumentTooSmallError,
@@ -532,6 +533,16 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc), type(cause), str(cause)
 
 
+# glyph indices no int64 holds; a document may carry them, and they read as
+# misread letters
+BEYOND_INT64 = (10**30, 2**63, -(2**70))
+# (letter, glyph index) changes for the differential tests to apply
+GLYPH_CHANGES = st.lists(
+    st.tuples(st.integers(0, 10**4), st.integers(-1, 12) | st.sampled_from(BEYOND_INT64)),
+    max_size=4,
+)
+
+
 def _modinv(a, m):
     try:
         return pow(a, -1, m)
@@ -808,9 +819,13 @@ def loop_layout(text, codebook, config, payload_bits):
     return seq, blocks, segments
 
 
+def loop_segment_digest(seq, segment, hash_id):
+    return content_hash("".join(seq.letters[segment.seq_start : segment.seq_end]), hash_id)
+
+
 def loop_sign_scheme1(text, codebook, key, config):
     seq, blocks, segments = loop_layout(text, codebook, config, None)
-    payloads = [bits_from_bytes(_segment_digest(seq, s, config.hash_id)) for s in segments]
+    payloads = [bits_from_bytes(loop_segment_digest(seq, s, config.hash_id)) for s in segments]
     chunks = [m for s, bits in zip(segments, payloads) for m in chunk_message(bits, s.blocks)]
     return EncodedDocument(text, loop_encode_blocks(seq, blocks, chunks, key), codebook.font_id)
 
@@ -825,7 +840,7 @@ def loop_verify(encoded, codebook, config, key=None, verifier=None):
     results = []
     checked = set()  # letters whose key width is checked
     for s in segments:
-        digest = _segment_digest(seq, s, config.hash_id)
+        digest = loop_segment_digest(seq, s, config.hash_id)
         try:
             bits, _ = loop_decode_blocks(
                 seq,

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    GLYPH_CHANGES,
     IndexKey,
     loop_embed,
     loop_extract,
@@ -388,7 +389,7 @@ def test_sign_and_verify_build_the_layout_once(sig_codebook, monkeypatch, letter
     """Signing and verification cost stays linear in the document length:
     the letter sequence and the block partition are built once per call,
     whatever the number of segments."""
-    calls = {"letter_sequence": 0, "partition_blocks": 0}
+    calls = {"letter_sequence": 0, "_build_layout": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -406,7 +407,7 @@ def test_sign_and_verify_build_the_layout_once(sig_codebook, monkeypatch, letter
         for name in calls:
             calls[name] = 0
         out = run()
-        assert calls == {"letter_sequence": 1, "partition_blocks": 1}
+        assert calls == {"letter_sequence": 1, "_build_layout": 1}
         return out
 
     text = _sig_text(letters, seed=27)
@@ -516,7 +517,7 @@ def test_bad_keys_fail_like_the_letter_loop_oracle(monkeypatch):
     text_seed=st.integers(0, 10**4),
     key_seed=st.integers(0, 50),
     bad=st.sampled_from([None, "missing", "short", "long"]),
-    changes=st.lists(st.tuples(st.integers(0, 10**4), st.integers(-1, 12)), max_size=4),
+    changes=GLYPH_CHANGES,
 )
 def test_sign_and_verify_match_letter_loop_oracle(letters, text_seed, key_seed, bad, changes):
     """Segments, signed documents and verify reports are the per-letter
@@ -550,3 +551,30 @@ def test_sign_and_verify_match_letter_loop_oracle(letters, text_seed, key_seed, 
         assert got == outcome(loop_verify, tampered, DIFF_CODEBOOK, DIFF_CONFIG, key=loop_key)
     else:
         assert got == refusal
+
+
+SIGNER = ToyRsaProvider.generate(seed=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    letters=st.integers(40, 1000),
+    text_seed=st.integers(0, 10**4),
+    changes=GLYPH_CHANGES,
+)
+def test_scheme2_verify_matches_letter_loop_oracle(letters, text_seed, changes):
+    """Without a key, verify reports what the per-letter path reports on a
+    scheme-2 document with changed glyph indices, those past int64 included."""
+    text = _diff_text(letters, seed=text_seed)
+    signed = outcome(sign_scheme2, text, DIFF_CODEBOOK, SIGNER, DIFF_CONFIG)
+    if signed[0] != "returned":
+        return
+    indices = list(signed[1].glyph_indices)
+    for i, v in changes:
+        indices[i % len(indices)] = v
+    tampered = pipeline.EncodedDocument(text, tuple(indices), signed[1].codebook_id)
+    public = SIGNER.public()
+    got = outcome(verify, tampered, DIFF_CODEBOOK, DIFF_CONFIG, verifier=public)
+    assert got == outcome(loop_verify, tampered, DIFF_CODEBOOK, DIFF_CONFIG, verifier=public)
+    if not changes:
+        assert got[1].overall == "match"

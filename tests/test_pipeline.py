@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    BEYOND_INT64,
+    GLYPH_CHANGES,
     IndexKey,
     dfs_choose_moduli,
     loop_blocks,
+    loop_decode_blocks,
     loop_embed,
+    loop_encode_blocks,
     loop_extract,
     loop_letter_sequence,
     loop_partition_blocks,
@@ -131,6 +135,13 @@ def test_frame_and_unframe():
         frame_message("1" * 20, 40)
     with pytest.raises(CorruptFrameError):
         unframe_message(format(99, "032b") + "1010")
+
+
+def test_frame_message_refuses_anything_but_bits():
+    for bits in ("1021", "1 0", "\uff11"):  # the last is a full-width digit one
+        with pytest.raises(ContractViolation, match="bit string"):
+            frame_message(bits, 64)
+    assert frame_message("", 40) == "0" * 40
 
 
 def test_chunk_message():
@@ -279,7 +290,7 @@ def test_blocks_around_the_prime_count_match_letter_loop_oracle(n):
     """Six primes up to 13: n = 6 can still form blocks, n = 7 and 8 cannot."""
     cb = fixtures.channel_codebook()
     caps = letter_sequence(fixtures.random_text(300, seed=3), cb).capacities
-    got = list(pipeline._blocks(caps, n, 3))
+    got = pipeline._build_layout(caps, n, 3).blocks()
     assert got == list(loop_blocks(caps, n, 3))
     assert bool(got) == (n == 6)
 
@@ -300,7 +311,7 @@ def test_layout_matches_letter_loop_oracle(text, nk):
     seq = letter_sequence(text, DIFF_CODEBOOK)
     assert seq == loop_letter_sequence(text, DIFF_CODEBOOK)
     for caps in (seq.capacities, list(seq.capacities)):
-        assert list(pipeline._blocks(caps, n, k)) == list(loop_blocks(caps, n, k))
+        assert pipeline._build_layout(caps, n, k).blocks() == list(loop_blocks(caps, n, k))
     assert outcome(partition_blocks, seq, n, k) == outcome(loop_partition_blocks, seq, n, k)
 
 
@@ -317,7 +328,7 @@ def _tamper(doc, changes):
     text=DIFF_TEXTS,
     bits=st.text(alphabet="01", max_size=24),
     key_seed=st.none() | st.integers(0, 50),
-    changes=st.lists(st.tuples(st.integers(0, 10**4), st.integers(-1, 12)), max_size=4),
+    changes=GLYPH_CHANGES,
     rows_seed=st.none() | st.integers(0, 50),
 )
 def test_codec_matches_letter_loop_oracle(text, bits, key_seed, changes, rows_seed):
@@ -338,6 +349,116 @@ def test_codec_matches_letter_loop_oracle(text, bits, key_seed, changes, rows_se
     assert outcome(extract, doc, DIFF_CODEBOOK, key=key, likelihoods=rows) == outcome(
         loop_extract, doc, DIFF_CODEBOOK, key=loop_key, likelihoods=rows
     )
+
+
+@pytest.mark.parametrize("value", BEYOND_INT64)
+def test_glyph_index_beyond_int64_is_an_erasure(codebook, value):
+    """A glyph index no int64 holds reads as a misread letter: its block is
+    corrected, the message comes back, and the per-letter path agrees."""
+    text = fixtures.random_text(300, seed=4)
+    bits = "1011001110001111"
+    bad = _tamper(embed(text, codebook, bits), [(7, value)])
+    got, report = extract(bad, codebook)
+    assert got == bits
+    blocks = partition_blocks(letter_sequence(text, codebook))
+    t = next(t for t, b in enumerate(blocks) if 7 in b.member_indices)
+    assert report[t].status == "corrected"
+    assert outcome(extract, bad, codebook) == outcome(loop_extract, bad, codebook)
+
+
+# capacities 5-13 with 250-300 at n = 8, k = 3: every word forms a block; a
+# word of wide letters alone takes moduli whose n * max(p) * P passes 2^62,
+# so its block decodes on its own, and a word that mixes both does not
+WIDE_CODEBOOK = fixtures.fixture_codebook(
+    {"a": 5, "b": 7, "c": 11, "d": 13, "e": 9, "v": 250, "w": 263, "x": 277, "y": 289, "z": 300},
+    seed=3,
+)
+WIDE_WORDS = (
+    "vwxyzvwx", "zyxwvzyx", "yzvwxyzv", "abcdvwxy", "vawbxcyd", "evwxabyz", "abcvwxyz", "vwxyzabc",
+)
+
+
+def test_wide_document_mixes_both_decode_paths():
+    caps = letter_sequence(" ".join(WIDE_WORDS), WIDE_CODEBOOK).capacities
+    layout = pipeline._build_layout(caps, 8, 3)
+    assert len(layout.widths) == len(WIDE_WORDS)
+    in_int64 = pipeline._garner(layout)[3][layout.set_ids]
+    assert in_int64.tolist() == [False] * 3 + [True] * 5
+
+
+def test_long_wide_document_matches_letter_loop_oracle():
+    """Forty 8-letter windows whose capacities span 5-300, too many to take
+    one by one and too wide for one int64 key per window, partition and
+    code as the per-letter path does."""
+    text = " ".join(WIDE_WORDS * 5)
+    caps = letter_sequence(text, WIDE_CODEBOOK).capacities
+    assert pipeline._build_layout(caps, 8, 3).blocks() == list(loop_blocks(caps, 8, 3))
+    bits = "10" * 100
+    doc = embed(text, WIDE_CODEBOOK, bits, 8, 3)
+    assert doc == loop_embed(text, WIDE_CODEBOOK, bits, 8, 3)
+    bad = _tamper(doc, [(3, 2**63), (100, 1)])
+    assert outcome(extract, bad, WIDE_CODEBOOK, 8, 3) == outcome(
+        loop_extract, bad, WIDE_CODEBOOK, 8, 3
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.lists(st.sampled_from(WIDE_WORDS), min_size=1, max_size=10),
+    bits=st.text(alphabet="01", max_size=64),
+    key_seed=st.none() | st.integers(0, 50),
+    changes=GLYPH_CHANGES,
+    rows_seed=st.none() | st.integers(0, 50),
+)
+def test_codec_past_the_int64_guard_matches_letter_loop_oracle(
+    words, bits, key_seed, changes, rows_seed
+):
+    """Embed and extract at n = 8, k = 3 over blocks on both sides of the
+    int64 guard return the per-letter path's documents and reports, or
+    raise its errors."""
+    text = " ".join(words)
+    key = None if key_seed is None else keygen(WIDE_CODEBOOK, seed=key_seed)
+    loop_key = None if key is None else IndexKey(key)
+    got = outcome(embed, text, WIDE_CODEBOOK, bits, 8, 3, key=key)
+    assert got == outcome(loop_embed, text, WIDE_CODEBOOK, bits, 8, 3, key=loop_key)
+    if got[0] != "returned":
+        return
+    doc = _tamper(got[1], changes)
+    rows = None
+    if rows_seed is not None:
+        rng = np.random.default_rng(rows_seed)
+        rows = [rng.random(c) + 0.01 for c in letter_sequence(text, WIDE_CODEBOOK).capacities]
+    assert outcome(extract, doc, WIDE_CODEBOOK, 8, 3, key=key, likelihoods=rows) == outcome(
+        loop_extract, doc, WIDE_CODEBOOK, 8, 3, key=loop_key, likelihoods=rows
+    )
+
+
+def test_payloads_wider_than_int64_are_python_integers():
+    """Blocks whose payload bound passes 2^63 are cut, encoded and decoded
+    as Python integers, as the per-letter path does."""
+    caps = (3_000_001, 3_000_011, 3_000_013, 3_000_019, 3_000_023)
+    seq = LetterSequence(tuple("vwxyz" * 3), caps * 3, tuple(range(15)))
+    layout = pipeline._build_layout(seq.capacities, 5, 3)
+    blocks = layout.blocks()
+    assert blocks == loop_partition_blocks(seq, 5, 3)
+    assert min(b.bit_width for b in blocks) > 62
+    rng = np.random.default_rng(16)
+    framed = "".join(rng.choice(["0", "1"], size=sum(b.bit_width for b in blocks) - 9))
+    payloads = pipeline._chunk(framed, layout.widths)
+    assert payloads.tolist() == chunk_message(framed, blocks)
+    cb = fixtures.fixture_codebook({"a": 2})  # read only for a key
+    values = pipeline._encode(seq, layout, payloads, cb)
+    assert values == loop_encode_blocks(seq, blocks, payloads.tolist())
+    for changed in ([], [(1, 5)], [(1, 5), (6, 2**70)]):
+        received = list(values)
+        for i, v in changed:
+            received[i] = v
+        decoded, slow, failed = pipeline._decode(seq, layout, received)
+        want_bits, want_report = loop_decode_blocks(seq, blocks, received)
+        assert failed == [None]
+        assert pipeline._bits(decoded, layout.widths) == want_bits
+        assert want_bits == framed.ljust(len(want_bits), "0")
+        assert [slow[t] for t in sorted(slow)] == want_report
 
 
 def test_extract_raises_at_a_tie_no_likelihood_resolves(codebook):
@@ -367,6 +488,37 @@ def test_extract_raises_at_a_tie_no_likelihood_resolves(codebook):
     with pytest.raises(PartialDecodeError) as err:
         extract(tampered, codebook, likelihoods=rows)
     assert err.value.block_index == t
+
+
+def _tie(doc, block):
+    """The first two-letter change of ``block`` that leaves a Hamming tie."""
+    members = block.member_indices
+    sent = [doc.glyph_indices[i] for i in members]
+    for a, b in itertools.combinations(range(len(members)), 2):
+        for va in range(block.moduli.p[a]):
+            for vb in range(block.moduli.p[b]):
+                vector = list(sent)
+                vector[a], vector[b] = va, vb
+                if crc.hamming_decode(vector, block.moduli).status == "ambiguous-fail":
+                    return [(members[a], va), (members[b], vb)]
+    raise AssertionError("no two-letter change ties")
+
+
+def test_extract_names_the_first_of_several_failed_blocks(codebook):
+    """With blocks 1 and 3 left tied under a trace that resolves no tie,
+    PartialDecodeError names block 1, as the per-letter path does."""
+    text = fixtures.random_text(200, seed=7)
+    doc = embed(text, codebook, "1011001110001111")
+    seq = letter_sequence(text, codebook)
+    blocks = partition_blocks(seq)
+    tampered = _tamper(doc, _tie(doc, blocks[3]) + _tie(doc, blocks[1]))
+    rows = [np.eye(cap)[v] for cap, v in zip(seq.capacities, tampered.glyph_indices)]
+    with pytest.raises(PartialDecodeError) as err:
+        extract(tampered, codebook, likelihoods=rows)
+    assert err.value.block_index == 1
+    assert outcome(extract, tampered, codebook, likelihoods=rows) == outcome(
+        loop_extract, tampered, codebook, likelihoods=rows
+    )
 
 
 def test_extract_checks_rows_and_key_in_letter_order():
