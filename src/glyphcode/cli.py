@@ -182,15 +182,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _signature_config(args) -> crypto.SignatureConfig:
+    return crypto.SignatureConfig(
+        hash_id=args.hash_id, segment_min_letters=args.segment_min_letters,
+        n=args.n, k=args.k,
+    )
+
+
 def cmd_sign(args) -> int:
     cb = _read_codebook(args.codebook)
     text = _read_text(args.text)
     key = _read_key(args.key)
-    config = crypto.SignatureConfig(
-        hash_id=args.hash_id, segment_min_letters=args.segment_min_letters,
-        n=args.n, k=args.k,
-    )
-    doc = crypto.sign_scheme1(text, cb, key, config)
+    doc = crypto.sign_scheme1(text, cb, key, _signature_config(args))
     with _open(args.output, "w") as fh:
         formats.write_document(doc, fh, _argv_config(args))
     return EXIT_OK
@@ -201,11 +204,7 @@ def cmd_verify(args) -> int:
     with _open(args.document) as fh:
         doc = formats.read_document(fh)
     key = _read_key(args.key)
-    config = crypto.SignatureConfig(
-        hash_id=args.hash_id, segment_min_letters=args.segment_min_letters,
-        n=args.n, k=args.k,
-    )
-    report = crypto.verify(doc, cb, config, key=key)
+    report = crypto.verify(doc, cb, _signature_config(args), key=key)
     print(report.as_text())
     return EXIT_OK if report.overall == "match" else EXIT_DECODE
 
@@ -235,6 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--n", type=int, default=5)
         p.add_argument("--k", type=int, default=3)
+
+    def signature(p):
+        """The options :func:`_signature_config` reads."""
+        p.add_argument("--hash-id", default="md5")
+        p.add_argument("--segment-min-letters", type=int, default=80)
+        common(p)
 
     p = sub.add_parser("codebook-build", help="build a codebook and write it out")
     p.add_argument("--output", required=True)
@@ -294,19 +299,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codebook", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--key", required=True)
-    p.add_argument("--hash-id", default="md5")
-    p.add_argument("--segment-min-letters", type=int, default=80)
     p.add_argument("--output", required=True)
-    common(p)
+    signature(p)
     p.set_defaults(func=cmd_sign)
 
     p = sub.add_parser("verify", help="verify per-segment content hashes")
     p.add_argument("--codebook", required=True)
     p.add_argument("--document", required=True)
     p.add_argument("--key", required=True)
-    p.add_argument("--hash-id", default="md5")
-    p.add_argument("--segment-min-letters", type=int, default=80)
-    common(p)
+    signature(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="time extraction on the 176-letter fixture")

@@ -13,9 +13,10 @@ the module needs numpy alone.
 
 Signing and verification reuse the message pipeline's columnar block layout
 and its array codec.  Each call builds the letter sequence and the layout
-once, finds every segment's end by a binary search over the blocks' running
-letter and bit counts, and encodes or decodes the whole document in one pass
-that it then slices by segment, so the cost is linear in the document length.
+once.  A :class:`Segment` is a range of blocks, of letters and of coded bits;
+each segment's end is found by a binary search over the blocks' running
+letter and bit counts.  The whole document is encoded or decoded in one pass
+that is then sliced by segment, so the cost is linear in the document length.
 A segment's decode stops at its first block that fails, as a per-segment
 decode would.
 """
@@ -25,15 +26,14 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .codebook import Codebook
 from .errors import ContractViolation, KeyMismatchError, SigningError
 from .pipeline import (
-    Block,
     EncodedDocument,
     LetterSequence,
     _bits,
@@ -209,10 +209,16 @@ class SignatureConfig:
 
 @dataclass(frozen=True)
 class Segment:
-    index: int
-    blocks: tuple[Block, ...]
-    seq_start: int  # letter-sequence index range covered, [start, end)
+    """A segment's blocks, letters and bits, each as a [start, end) range:
+    block indices, letter-sequence indices and offsets into the document's
+    coded bits."""
+
+    block_start: int
+    block_end: int
+    seq_start: int
     seq_end: int
+    bit_start: int
+    bit_end: int
 
 
 @dataclass(frozen=True)
@@ -253,23 +259,7 @@ def segment_text(
     trailing blocks (and trailing uncoded letters) join the last segment so
     every letter is covered by exactly one segment.
     """
-    _, layout, spans = _layout(text, codebook, config, payload_bits)
-    blocks = layout.blocks()
-    return [
-        Segment(g, tuple(blocks[s.first : s.end]), s.seq_start, s.seq_end)
-        for g, s in enumerate(spans)
-    ]
-
-
-class _Span(NamedTuple):
-    """A segment's blocks, letters and bits, each as a [start, end) range."""
-
-    first: int
-    end: int
-    seq_start: int
-    seq_end: int
-    bit_start: int
-    bit_end: int
+    return _layout(text, codebook, config, payload_bits)[2]
 
 
 def _layout(
@@ -277,7 +267,7 @@ def _layout(
     codebook: Codebook,
     config: SignatureConfig,
     payload_bits: Optional[int],
-) -> tuple[LetterSequence, _Layout, list[_Span]]:
+) -> tuple[LetterSequence, _Layout, list[Segment]]:
     """Letter sequence, block layout and segments, each computed once.
 
     A segment closes at its first block where it spans at least
@@ -295,7 +285,7 @@ def _layout(
     # the last letter it pulled in, so it ends the newest block
     letter_ends = (layout.members[:, -1] + 1).tolist()
     bit_ends = np.cumsum(layout.widths).tolist()
-    spans: list[_Span] = []
+    segments: list[Segment] = []
     first = start = held = 0
     while (
         t := max(
@@ -304,31 +294,31 @@ def _layout(
             bisect_left(bit_ends, held + need),
         )
     ) < len(letter_ends):
-        spans.append(_Span(first, t + 1, start, letter_ends[t], held, bit_ends[t]))
+        segments.append(Segment(first, t + 1, start, letter_ends[t], held, bit_ends[t]))
         first, start, held = t + 1, letter_ends[t], bit_ends[t]
-    if not spans:
+    if not segments:
         raise SigningError(f"segment 0 holds {bit_ends[-1]} bits, payload needs {need}")
-    spans[-1] = spans[-1]._replace(
-        end=len(letter_ends), seq_end=len(seq.letters), bit_end=bit_ends[-1]
+    segments[-1] = replace(
+        segments[-1], block_end=len(letter_ends), seq_end=len(seq.letters), bit_end=bit_ends[-1]
     )
-    return seq, layout, spans
+    return seq, layout, segments
 
 
-def _segment_digest(seq: LetterSequence, segment: _Span, hash_id: str) -> bytes:
+def _segment_digest(seq: LetterSequence, segment: Segment, hash_id: str) -> bytes:
     return content_hash("".join(seq.letters[segment.seq_start : segment.seq_end]), hash_id)
 
 
 def _embed_payloads(
     text: str,
     codebook: Codebook,
-    laid_out: tuple[LetterSequence, _Layout, list[_Span]],
+    laid_out: tuple[LetterSequence, _Layout, list[Segment]],
     payloads: Sequence[str],
     key: Optional[PermutationKey],
 ) -> EncodedDocument:
     """Embed one payload per segment, zero-padded to the segment's width."""
-    seq, layout, spans = laid_out
+    seq, layout, segments = laid_out
     framed = []
-    for s, bits in zip(spans, payloads):
+    for s, bits in zip(segments, payloads):
         if len(bits) > s.bit_end - s.bit_start:
             raise ContractViolation("framed message exceeds total block width")
         framed.append(bits.ljust(s.bit_end - s.bit_start, "0"))
@@ -344,8 +334,8 @@ def sign_scheme1(
 ) -> EncodedDocument:
     """Embed each segment's content hash into that segment under a private key."""
     laid_out = _layout(text, codebook, config, None)
-    seq, _, spans = laid_out
-    payloads = [bits_from_bytes(_segment_digest(seq, s, config.hash_id)) for s in spans]
+    seq, _, segments = laid_out
+    payloads = [bits_from_bytes(_segment_digest(seq, s, config.hash_id)) for s in segments]
     return _embed_payloads(text, codebook, laid_out, payloads, key)
 
 
@@ -357,8 +347,8 @@ def sign_scheme2(
 ) -> EncodedDocument:
     """Embed an asymmetric signature over each segment's hash, public codebook."""
     laid_out = _layout(text, codebook, config, signer.signature_bits)
-    seq, _, spans = laid_out
-    payloads = [signer.sign(_segment_digest(seq, s, config.hash_id)) for s in spans]
+    seq, _, segments = laid_out
+    payloads = [signer.sign(_segment_digest(seq, s, config.hash_id)) for s in segments]
     return _embed_payloads(text, codebook, laid_out, payloads, key=None)
 
 
@@ -383,17 +373,17 @@ def verify(
     if (key is None) == (verifier is None):
         raise ContractViolation("verify needs exactly one of key and verifier")
     payload_bits = config.digest_bits if verifier is None else verifier.signature_bits
-    seq, layout, spans = _layout(encoded.text, codebook, config, payload_bits)
+    seq, layout, segments = _layout(encoded.text, codebook, config, payload_bits)
     values = encoded.glyph_indices
     if len(values) > len(seq.letters):
         raise ContractViolation("glyph index stream does not match the letter count")
     if key is not None:
         # mapped once for every segment
         values = key.inverse_letters(seq.letters, values, _capacities(codebook))
-    payloads, _, failed = _decode(seq, layout, values, ends=[s.end for s in spans])
+    payloads, _, failed = _decode(seq, layout, values, ends=[s.block_end for s in segments])
     bits = _bits(payloads, layout.widths)
     results: list[SegmentResult] = []
-    for s, failed_block in zip(spans, failed):
+    for s, failed_block in zip(segments, failed):
         if failed_block is not None:
             results.append(
                 SegmentResult(s.seq_start, s.seq_end, "mismatch", "extraction-failed")

@@ -94,6 +94,21 @@ def _check_header(line: str, kind: str) -> None:
         raise FormatError(f"not a glyphcode {kind} file: {line!r}")
 
 
+def _field(line: str, label: str) -> str:
+    """What follows ``label`` on a ``label value`` record."""
+    parts = line.split(None, 1)
+    if not parts or parts[0] != label:
+        raise FormatError(f"expected a {label} record, got {line[:40]!r}")
+    return parts[1] if len(parts) > 1 else ""
+
+
+def _no_more(lines: list[str], kind: str) -> None:
+    """Refuse a record after the last one a ``kind`` file holds."""
+    for line in lines:
+        if line.strip():
+            raise FormatError(f"record past the end of a {kind} file: {line[:40]!r}")
+
+
 def _string(token: str) -> str:
     value = json.loads(token)
     if not isinstance(value, str):
@@ -123,8 +138,8 @@ def write_codebook(cb: Codebook, fh: TextIO, config: str = "") -> None:
             )
 
 
-def _parse_glyph(parts: list[str]) -> PerturbedGlyphEntry:
-    if parts[2] != "point" or parts[5] != "accuracy" or parts[7] != "outline":
+def _parse_glyph(parts: list[str], tag: str) -> PerturbedGlyphEntry:
+    if parts[0] != tag or parts[2] != "point" or parts[5] != "accuracy" or parts[7] != "outline":
         raise FormatError(f"bad glyph record: {' '.join(parts[:8])!r}")
     point = ManifoldPoint(float(parts[3]), float(parts[4]))
     coords = np.array([float(t) for t in parts[8:]]).reshape(-1, 2)
@@ -133,9 +148,9 @@ def _parse_glyph(parts: list[str]) -> PerturbedGlyphEntry:
 
 @_reader("codebook")
 def read_codebook(lines: list[str]) -> Codebook:
-    font_id = _string(lines[0].split(None, 1)[1])
-    version = _string(lines[1].split(None, 1)[1])
-    resample_count = int(lines[2].split()[1])
+    font_id = _string(_field(lines[0], "font_id"))
+    version = _string(_field(lines[1], "version"))
+    resample_count = int(_field(lines[2], "resample_count"))
     entries: dict[str, CharacterEntry] = {}
     i = 3
     while i < len(lines):
@@ -143,13 +158,13 @@ def read_codebook(lines: list[str]) -> Codebook:
         if not parts:
             i += 1
             continue
-        if parts[0] != "character":
+        if parts[0] != "character" or parts[2] != "glyphs":
             raise FormatError(f"expected character record at line {i + 2}")
         ch = _string(parts[1])
         count = int(parts[3])
-        original = _parse_glyph(lines[i + 1].split())
+        original = _parse_glyph(lines[i + 1].split(), "original")
         glyphs = tuple(
-            _parse_glyph(lines[i + 2 + j].split()) for j in range(count)
+            _parse_glyph(lines[i + 2 + j].split(), "glyph") for j in range(count)
         )
         # recognition stacks a letter's outlines, so they must share one count
         for g in (original, *glyphs):
@@ -173,7 +188,7 @@ def write_key(key: PermutationKey, fh: TextIO, config: str = "") -> None:
 
 @_reader("key")
 def read_key(lines: list[str]) -> PermutationKey:
-    key_id = _string(lines[0].split(None, 1)[1])
+    key_id = _string(_field(lines[0], "key_id"))
     perms = {}
     for line in lines[1:]:
         if not line.strip():
@@ -194,9 +209,10 @@ def write_document(doc: EncodedDocument, fh: TextIO, config: str = "") -> None:
 
 @_reader("document")
 def read_document(lines: list[str]) -> EncodedDocument:
-    codebook_id = _string(lines[0].split(None, 1)[1])
-    text = _string(lines[1].split(None, 1)[1])
-    indices = tuple(int(v) for v in lines[2].split()[1:])
+    codebook_id = _string(_field(lines[0], "codebook_id"))
+    text = _string(_field(lines[1], "text"))
+    indices = tuple(int(v) for v in _field(lines[2], "indices").split())
+    _no_more(lines[3:], "document")
     return EncodedDocument(text, indices, codebook_id)
 
 
@@ -218,10 +234,14 @@ def write_trace(rows: Sequence[np.ndarray], fh: TextIO, config: str = "") -> Non
 
 @_reader("trace")
 def read_trace(lines: list[str]) -> list[np.ndarray]:
-    rows = [np.array([float(v) for v in line.split()[1:]]) for line in lines if line.strip()]
-    for i, row in enumerate(rows):
+    rows = []
+    for i, parts in enumerate(line.split() for line in lines if line.strip()):
+        row = np.array([float(v) for v in parts[1:]])
         if not np.isfinite(row).all():  # float() reads nan and inf
             raise FormatError(f"trace row {i} holds a non-finite likelihood")
+        if not len(row) or int(parts[0]) != np.argmax(row):
+            raise FormatError(f"trace row {i} does not lead with its likelihoods' argmax")
+        rows.append(row)
     return rows
 
 
@@ -275,4 +295,5 @@ def read_message_bits(lines: list[str]) -> str:
     bits = lines[0].strip() if lines else ""
     if any(b not in "01" for b in bits):
         raise FormatError("message payload must be a bit string")
+    _no_more(lines[1:], "message")
     return bits

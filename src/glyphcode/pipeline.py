@@ -12,16 +12,16 @@ capacity estimate partitions its sampled letters with the same rule.
 
 The partition is held as arrays (:class:`_Layout`): a (B, n) array of each
 block's letters, a moduli-set id per block, the distinct sets and the few
-skipped letters.  :func:`_build_layout` makes it in passes over aligned
-windows that look each distinct capacity tuple up once, and applies the
-expansion rule one block at a time where a window cannot form.  Embedding
-chunks the framed message and encodes every block in array passes.
-Extraction decodes every block with no misread letter in one pass by Garner's
-weights, m = sum_j r_j w_j mod P, kept where every residue is in range and
-m < M; only the other blocks go, in block order, to the Hamming decoder and
-its likelihood tie-break.  A set whose weighted sum could reach 2^62 decodes
-block by block, and payloads wider than 62 bits are Python integers.
-:func:`partition_blocks` returns the layout as :class:`Block` views.
+skipped letters.  :func:`_build_layout` makes it in one walk over the
+letters, looking each window's capacity tuple up by a key in one dict per
+call.  Embedding chunks the framed message and encodes every block in array
+passes.  Extraction decodes every block with no misread letter in one pass
+by Garner's weights, m = sum_j r_j w_j mod P, kept where every residue is in
+range and m < M; only the other blocks go, in block order, to the Hamming
+decoder and its likelihood tie-break.  A set whose weighted sum could reach
+2^62 decodes block by block, and payloads wider than 62 bits are Python
+integers.  :func:`partition_blocks` returns the layout as :class:`Block`
+views.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codebook import Codebook
 from .crc import DecodeOutcome, ModuliSet, _resolve_tie, hamming_decode
@@ -61,9 +62,6 @@ __all__ = [
 
 LENGTH_PREFIX_BITS = 32
 _INT64_BITS = 62  # payload widths and weighted sums below 2^62 stay in int64
-# aligned windows a pass takes after a skip, doubling while none skips; a
-# pass this short looks its windows up without sorting them first
-_SHORT_PASS = 32
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,8 @@ def choose_moduli(capacities: Sequence[int], k: int) -> Optional[ModuliSet]:
 
 
 # holds every tuple of a 5-level codebook at n=5 (5**5 = 3125); wider fonts
-# mostly meet new tuples, which the search handles in well under a millisecond
+# mostly meet new tuples, and the search of one can take seconds where an
+# 8-letter window mixes wide and narrow capacities
 @lru_cache(maxsize=4096)
 def _choose_moduli_cached(capacities: tuple[int, ...], k: int) -> Optional[ModuliSet]:
     return choose_moduli(capacities, k)
@@ -214,25 +213,6 @@ def _payload_dtype(widths: np.ndarray):
     return np.int64 if widths.max(initial=0) <= _INT64_BITS else object
 
 
-def _first_uses(windows: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Each distinct row's first index, ascending, and each row's index into
-    that list, with rows compared as one mixed-radix key.  None for a few
-    rows, which are cheaper to take one by one, and for rows whose key
-    int64 cannot hold."""
-    if len(windows) <= _SHORT_PASS:
-        return None
-    lo = windows.min()
-    base = int(windows.max() - lo) + 1
-    if base ** windows.shape[1] >= 1 << 63:
-        return None
-    keys = (windows - lo) @ (base ** np.arange(windows.shape[1], dtype=np.int64))
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse.reshape(-1)]
-
-
 def _build_layout(
     capacities: Sequence[int], n: int, k: int, limit: Optional[int] = None
 ) -> _Layout:
@@ -240,20 +220,21 @@ def _build_layout(
 
     Takes blocks over indices into ``capacities`` and stops once fewer than n
     letters remain, also when that happens while a block is still expanding,
-    or once ``limit`` blocks are taken; the remainder is uncoded.  Each pass
-    takes aligned windows and looks their distinct capacity tuples up in
-    first-use order, each tuple once per call, stopping at the first that
-    cannot form: the windows before it are blocks, and that one window is
-    expanded letter by letter.  The first pass takes every window; after an
-    expansion the lookahead restarts at ``_SHORT_PASS`` windows and doubles
-    with each pass that expands none, so a text with many skips still
-    partitions in linear time.  Takes nothing at once when no window could ever form a
-    block: n pairwise-coprime values >= 2 have n distinct prime factors, so
-    they need n primes <= the largest capacity.
+    or once ``limit`` blocks are taken; the remainder is uncoded.  A cursor
+    walks block by block.  Each window of n letters has a mixed-radix key of
+    its capacities, computed for every letter position at once; a dict maps
+    each key met to its moduli set's index, so the moduli search sees each
+    distinct capacity tuple once per call.  A window that cannot form drops
+    its (first) lowest-capacity letter and pulls in the next one until it
+    can, looking each tried window up by the same key.  Takes nothing at
+    once when no window could ever form a block: n pairwise-coprime values
+    >= 2 have n distinct prime factors, so they need n primes <= the largest
+    capacity.
     """
     caps = np.asarray(capacities, dtype=np.int64).reshape(-1)
     total = len(caps)
     limit = total if limit is None else limit
+    keys: list[int] = []  # keys[i]: the key of the window that starts at letter i
     if total >= n and limit > 0:
         if n < 2 or not 1 <= k < n:
             raise ContractViolation("need n >= 2 and 1 <= k < n")
@@ -261,71 +242,53 @@ def _build_layout(
         # and mostly settles the check without scanning every letter
         if n > _prime_count(int(caps[:n].max())) and n > _prime_count(int(caps.max())):
             total = 0
+        else:
+            # digits from 0, so that distinct tuples get distinct keys
+            digits = caps - caps.min()
+            base = int(digits.max()) + 1
+            powers = [base**j for j in range(n)]
+            place = np.array(powers, dtype=np.int64 if base**n < 1 << 63 else object)
+            keys = (sliding_window_view(digits, n) @ place).tolist()
     sets: list[ModuliSet] = []
-    found: dict[tuple[int, ...], Optional[int]] = {}  # tuple -> index into sets
+    found: dict[int, Optional[int]] = {}  # window key -> index into sets
 
-    def lookup(tup: tuple[int, ...]) -> Optional[int]:
-        if tup not in found:
-            moduli = _choose_moduli_cached(tup, k)
-            found[tup] = None if moduli is None else len(sets)
-            if moduli is not None:
-                sets.append(moduli)
-        return found[tup]
+    def search(key: int, letters: slice | list[int]) -> Optional[int]:
+        """Record and return the index into ``sets`` of a window met first."""
+        moduli = _choose_moduli_cached(tuple(caps[letters].tolist()), k)
+        found[key] = None if moduli is None else len(sets)
+        if moduli is not None:
+            sets.append(moduli)
+        return found[key]
 
-    runs: list[tuple[int, int]] = []  # (first letter, blocks) of each run of blocks
+    starts: list[int] = []  # each block's first letter
     set_ids: list[int] = []
     expanded: dict[int, list[int]] = {}  # members of each block that skipped
     skipped: dict[int, tuple[int, ...]] = {}
-    cursor, taken, span = 0, 0, total
-    while cursor + n <= total and taken < limit:
-        count = min(span, (total - cursor) // n, limit - taken)
-        windows = caps[cursor : cursor + count * n].reshape(count, n)
-        distinct = _first_uses(windows)
-        index: list[int] = []
-        for tup in map(tuple, (windows if distinct is None else windows[distinct[0]]).tolist()):
-            if (s := lookup(tup)) is None:
+    cursor = 0  # the next letter to take
+    while cursor + n <= total and len(set_ids) < limit:
+        key = keys[cursor]
+        s = found[key] if key in found else search(key, slice(cursor, cursor + n))
+        start, cursor = cursor, cursor + n
+        if s is None:
+            # drop the (first) lowest-capacity letter, pull in the next one
+            window, row = list(range(start, cursor)), digits[start:cursor].tolist()
+            dropped: list[int] = []
+            while s is None and cursor < total:
+                drop = row.index(min(row))
+                dropped.append(window.pop(drop))
+                del row[drop]
+                window.append(cursor)
+                row.append(int(digits[cursor]))
+                cursor += 1
+                key = sum(d * p for d, p in zip(row, powers))
+                s = found[key] if key in found else search(key, window)
+            if s is None:
                 break
-            index.append(s)
-        if distinct is None:
-            stop = len(index)
-            ids = index
-        else:
-            first, rank = distinct
-            stop = count if len(index) == len(first) else int(first[len(index)])
-            ids = np.array(index)[rank[:stop]].tolist()
-        if stop:
-            runs.append((cursor, stop))
-            set_ids += ids
-            cursor += stop * n
-            taken += stop
-        if stop == count:
-            span *= 2
-            continue
-        span = _SHORT_PASS
-        # drop the (first) lowest-capacity letter, pull in the next one
-        window = list(range(cursor, cursor + n))
-        tup = tuple(windows[stop].tolist())
-        dropped: list[int] = []
-        while (s := lookup(tup)) is None:
-            drop = tup.index(min(tup))
-            dropped.append(window.pop(drop))
-            nxt = cursor + n + len(dropped) - 1
-            if nxt >= total:
-                cursor = total
-                break
-            window.append(nxt)
-            tup = tup[:drop] + tup[drop + 1 :] + (int(caps[nxt]),)
-        else:
-            runs.append((cursor, 1))
-            set_ids.append(s)
-            expanded[taken] = window
-            skipped[taken] = tuple(dropped)
-            cursor += n + len(dropped)
-            taken += 1
-    # block t of a run that starts at letter c after b blocks starts at c + n (t - b)
-    run_first, run_blocks = np.array(runs, dtype=np.intp).reshape(-1, 2).T
-    shift = np.repeat(run_first - n * (np.cumsum(run_blocks) - run_blocks), run_blocks)
-    members = (shift + n * np.arange(taken))[:, None] + np.arange(n)
+            expanded[len(set_ids)] = window
+            skipped[len(set_ids)] = tuple(dropped)
+        starts.append(start)
+        set_ids.append(s)
+    members = np.array(starts, dtype=np.intp)[:, None] + np.arange(n)
     if expanded:
         members[list(expanded)] = list(expanded.values())
     ids = np.array(set_ids, dtype=np.intp)

@@ -800,21 +800,18 @@ def loop_layout(text, codebook, config, payload_bits):
         raise SigningError("document has zero complete blocks")
     need = config.digest_bits if payload_bits is None else payload_bits
     segments = []
-    cur = []
-    start = bits = 0
-    for block in blocks:
-        cur.append(block)
+    first = start = held = bits = 0
+    for t, block in enumerate(blocks):
         # blocks cover consecutive letter ranges, so the newest one ends last
         end = max(block.member_indices + block.skipped_indices) + 1
         bits += block.bit_width
-        if end - start >= config.segment_min_letters and bits >= need:
-            segments.append(Segment(len(segments), tuple(cur), start, end))
-            cur, start, bits = [], end, 0
+        if end - start >= config.segment_min_letters and bits - held >= need:
+            segments.append(Segment(first, t + 1, start, end, held, bits))
+            first, start, held = t + 1, end, bits
     if not segments:
         raise SigningError(f"segment 0 holds {bits} bits, payload needs {need}")
-    last = segments.pop()
-    segments.append(
-        Segment(last.index, last.blocks + tuple(cur), last.seq_start, len(seq.letters))
+    segments[-1] = replace(
+        segments[-1], block_end=len(blocks), seq_end=len(seq.letters), bit_end=bits
     )
     return seq, blocks, segments
 
@@ -826,7 +823,11 @@ def loop_segment_digest(seq, segment, hash_id):
 def loop_sign_scheme1(text, codebook, key, config):
     seq, blocks, segments = loop_layout(text, codebook, config, None)
     payloads = [bits_from_bytes(loop_segment_digest(seq, s, config.hash_id)) for s in segments]
-    chunks = [m for s, bits in zip(segments, payloads) for m in chunk_message(bits, s.blocks)]
+    chunks = [
+        m
+        for s, bits in zip(segments, payloads)
+        for m in chunk_message(bits, blocks[s.block_start : s.block_end])
+    ]
     return EncodedDocument(text, loop_encode_blocks(seq, blocks, chunks, key), codebook.font_id)
 
 
@@ -834,7 +835,7 @@ def loop_verify(encoded, codebook, config, key=None, verifier=None):
     if (key is None) == (verifier is None):
         raise ContractViolation("verify needs exactly one of key and verifier")
     payload_bits = config.digest_bits if verifier is None else verifier.signature_bits
-    seq, _, segments = loop_layout(encoded.text, codebook, config, payload_bits)
+    seq, blocks, segments = loop_layout(encoded.text, codebook, config, payload_bits)
     if len(encoded.glyph_indices) > len(seq.letters):
         raise ContractViolation("glyph index stream does not match the letter count")
     results = []
@@ -844,7 +845,7 @@ def loop_verify(encoded, codebook, config, key=None, verifier=None):
         try:
             bits, _ = loop_decode_blocks(
                 seq,
-                s.blocks,
+                blocks[s.block_start : s.block_end],
                 encoded.glyph_indices,
                 key=key,
                 checked=checked,

@@ -203,6 +203,50 @@ def test_readers_raise_only_format_error(case):
         pass
 
 
+def _relabelled(name, label, new):
+    """A sample file whose first ``label`` record is labelled ``new``."""
+    lines = SAMPLE_FILES[name].split("\n")
+    i = next(i for i, line in enumerate(lines) if line.startswith(label + " "))
+    lines[i] = new + lines[i][len(label) :]
+    return "\n".join(lines)
+
+
+def _with_line(name, line):
+    return SAMPLE_FILES[name] + line + "\n"
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        pytest.param("document", _relabelled("document", "codebook_id", "foo"), id="codebook-id"),
+        pytest.param("document", _relabelled("document", "text", "bar"), id="text"),
+        pytest.param("document", _relabelled("document", "indices", "baz"), id="indices"),
+        pytest.param(
+            "document",
+            _with_line("document", SAMPLE_FILES["document"].splitlines()[-1]),
+            id="second-indices",
+        ),
+        pytest.param("codebook", _relabelled("codebook", "font_id", "foo"), id="font-id"),
+        pytest.param("codebook", _relabelled("codebook", "version", "foo"), id="version"),
+        pytest.param(
+            "codebook", _relabelled("codebook", "resample_count", "foo"), id="resample-count"
+        ),
+        pytest.param("codebook", _relabelled("codebook", "original", "glyph"), id="glyph-tag"),
+        pytest.param("key", _relabelled("key", "key_id", "foo"), id="key-id"),
+        pytest.param("message_bits", _with_line("message_bits", "not bits"), id="second-bits"),
+        pytest.param("trace", _with_line("trace", "0"), id="empty-row"),
+        pytest.param("trace", _with_line("trace", "0 0.25 0.75"), id="wrong-argmax"),
+    ],
+)
+def test_readers_check_labels_and_refuse_extra_records(name, text):
+    """A record under another label, a record after the last one a file
+    holds and a trace row that is not its argmax and likelihoods are
+    malformed."""
+    assert text != SAMPLE_FILES[name]
+    with pytest.raises(FormatError):
+        getattr(formats, f"read_{name}")(io.StringIO(text))
+
+
 def test_malformed_fields_raise_format_error():
     lines = SAMPLE_FILES["codebook"].split("\n")
     header = next(i for i, line in enumerate(lines) if line.startswith("character"))

@@ -183,8 +183,9 @@ def _verify_reports(cb_name, letters, seed, scheme):
     segments = segment_text(text, cb, config, payload_bits=payload_bits)
     target = segments[len(segments) // 2]
     mid = (target.seq_start + target.seq_end) // 2
-    member = target.blocks[0].member_indices[1]
     seq = pipeline.letter_sequence(text, cb)
+    blocks = pipeline.partition_blocks(seq, config.n, config.k)
+    member = blocks[target.block_start].member_indices[1]
     out_of_range = seq.capacities[member]
     tampered = EncodedDocument(
         _tamper_text(text, cb, mid), doc.glyph_indices, doc.codebook_id

@@ -295,6 +295,29 @@ def test_blocks_around_the_prime_count_match_letter_loop_oracle(n):
     assert bool(got) == (n == 6)
 
 
+def test_layout_holds_one_set_per_distinct_capacity_tuple():
+    """On a text with many skips, the layout holds one moduli set per
+    distinct member-capacity tuple, in first-use order, each the object the
+    moduli search's cache returned for it, also where an expanded block and
+    an aligned one have the same tuple."""
+    capacity = {"a": 1, "b": 2, "c": 3, "d": 5, "e": 7, "f": 11}
+    freqs = {"a": 0.2, "b": 0.1, "c": 0.2, "d": 0.2, "e": 0.15, "f": 0.15}
+    text = fixtures.random_text(10_000, seed=7, frequencies=freqs)
+    caps = [capacity[ch] for ch in text if ch in capacity]
+    layout = pipeline._build_layout(caps, 5, 3)
+    blocks = layout.blocks()
+    assert blocks == list(loop_blocks(caps, 5, 3))
+    tuples = [tuple(caps[i] for i in b.member_indices) for b in blocks]
+    first_use = {t: s for s, t in enumerate(dict.fromkeys(tuples))}
+    assert layout.set_ids.tolist() == [first_use[t] for t in tuples]
+    assert len(layout.sets) == len(first_use)
+    assert len({id(s) for s in layout.sets}) == len(layout.sets)
+    for moduli, t in zip(layout.sets, first_use):
+        assert moduli is pipeline._choose_moduli_cached(t, 3)
+    aligned = {t for t, b in zip(tuples, blocks) if not b.skipped_indices}
+    assert any(t in aligned for t, b in zip(tuples, blocks) if b.skipped_indices)
+
+
 # capacity 1 ("a") admits no modulus, so windows holding it drop letters; the
 # non-ASCII "é" is a codebook letter, the other non-ASCII characters are not
 DIFF_CAPACITIES = {"a": 1, "b": 2, "c": 3, "d": 5, "é": 4, "f": 7, "g": 11}
@@ -387,11 +410,12 @@ def test_wide_document_mixes_both_decode_paths():
 
 
 def test_long_wide_document_matches_letter_loop_oracle():
-    """Forty 8-letter windows whose capacities span 5-300, too many to take
-    one by one and too wide for one int64 key per window, partition and
-    code as the per-letter path does."""
+    """Forty 8-letter words whose capacities span 5-300, so that the
+    partition's window keys pass int64 and are Python integers, partition
+    and code as the per-letter path does."""
     text = " ".join(WIDE_WORDS * 5)
     caps = letter_sequence(text, WIDE_CODEBOOK).capacities
+    assert (max(caps) - min(caps) + 1) ** 8 >= 2**63
     assert pipeline._build_layout(caps, 8, 3).blocks() == list(loop_blocks(caps, 8, 3))
     bits = "10" * 100
     doc = embed(text, WIDE_CODEBOOK, bits, 8, 3)
