@@ -161,6 +161,8 @@ def read_codebook(lines: list[str]) -> Codebook:
         if parts[0] != "character" or parts[2] != "glyphs":
             raise FormatError(f"expected character record at line {i + 2}")
         ch = _string(parts[1])
+        if ch in entries:
+            raise FormatError(f"second character record for {ch!r}")
         count = int(parts[3])
         original = _parse_glyph(lines[i + 1].split(), "original")
         glyphs = tuple(
@@ -196,7 +198,10 @@ def read_key(lines: list[str]) -> PermutationKey:
         parts = line.split()
         if parts[0] != "character" or parts[2] != "perm":
             raise FormatError(f"bad key record: {line!r}")
-        perms[_string(parts[1])] = tuple(int(v) for v in parts[3:])
+        ch = _string(parts[1])
+        if ch in perms:
+            raise FormatError(f"second perm record for {ch!r}")
+        perms[ch] = tuple(int(v) for v in parts[3:])
     return PermutationKey(key_id, perms)
 
 
@@ -281,7 +286,12 @@ def read_scores(lines: list[str]) -> tuple[SimilarityScores, RaterReliabilities]
     for line in lines:
         if line.strip():
             kind, name, value = line.split()
-            tables[kind][json.loads(name)] = float(value)
+            table, name, value = tables[kind], json.loads(name), float(value)
+            if name in table:
+                raise FormatError(f"second {kind} record for {name!r}")
+            if not np.isfinite(value):  # float() reads nan and inf
+                raise FormatError(f"{kind} of {name!r} is not finite")
+            table[name] = value
     return SimilarityScores(tables["score"]), RaterReliabilities(tables["reliability"])
 
 

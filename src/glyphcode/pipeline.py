@@ -13,15 +13,15 @@ capacity estimate partitions its sampled letters with the same rule.
 The partition is held as arrays (:class:`_Layout`): a (B, n) array of each
 block's letters, a moduli-set id per block, the distinct sets and the few
 skipped letters.  :func:`_build_layout` makes it in one walk over the
-letters, looking each window's capacity tuple up by a key in one dict per
-call.  Embedding chunks the framed message and encodes every block in array
-passes.  Extraction decodes every block with no misread letter in one pass
-by Garner's weights, m = sum_j r_j w_j mod P, kept where every residue is in
-range and m < M; only the other blocks go, in block order, to the Hamming
-decoder and its likelihood tie-break.  A set whose weighted sum could reach
-2^62 decodes block by block, and payloads wider than 62 bits are Python
-integers.  :func:`partition_blocks` returns the layout as :class:`Block`
-views.
+letters, keying one dict per call by each window's capacity tuple, so that
+the moduli search sees each distinct tuple once.  Embedding chunks the
+framed message and encodes every block in array passes.  Extraction decodes
+every block with no misread letter in one pass by Garner's weights,
+m = sum_j r_j w_j mod P, kept where every residue is in range and m < M; only
+the other blocks go, in block order, to the Hamming decoder and its
+likelihood tie-break.  A set whose weighted sum could reach 2^62 decodes
+block by block, and payloads wider than 62 bits are Python integers.
+:func:`partition_blocks` returns the layout as :class:`Block` views.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .codebook import Codebook
 from .crc import DecodeOutcome, ModuliSet, _resolve_tie, hamming_decode
@@ -214,51 +213,41 @@ def _payload_dtype(widths: np.ndarray):
 
 
 def _build_layout(
-    capacities: Sequence[int], n: int, k: int, limit: Optional[int] = None
+    caps: Sequence[int], n: int, k: int, limit: Optional[int] = None
 ) -> _Layout:
     """Greedy left-to-right block partition with the capacity-expansion rule.
 
-    Takes blocks over indices into ``capacities`` and stops once fewer than n
+    Takes blocks over indices into ``caps`` and stops once fewer than n
     letters remain, also when that happens while a block is still expanding,
     or once ``limit`` blocks are taken; the remainder is uncoded.  A cursor
-    walks block by block.  Each window of n letters has a mixed-radix key of
-    its capacities, computed for every letter position at once; a dict maps
-    each key met to its moduli set's index, so the moduli search sees each
-    distinct capacity tuple once per call.  A window that cannot form drops
-    its (first) lowest-capacity letter and pulls in the next one until it
-    can, looking each tried window up by the same key.  Takes nothing at
-    once when no window could ever form a block: n pairwise-coprime values
-    >= 2 have n distinct prime factors, so they need n primes <= the largest
-    capacity.
+    walks block by block.  A dict maps each window's capacity tuple met so
+    far to its moduli set's index, so the moduli search sees each distinct
+    tuple once per call.  A window that cannot form drops its (first)
+    lowest-capacity letter and pulls in the next one until it can, looking
+    each tried window up the same way.  Takes nothing at once when no window
+    could ever form a block: n pairwise-coprime values >= 2 have n distinct
+    prime factors, so they need n primes <= the largest capacity.
     """
-    caps = np.asarray(capacities, dtype=np.int64).reshape(-1)
+    if n < 2 or not 1 <= k < n:
+        raise ContractViolation("need n >= 2 and 1 <= k < n")
     total = len(caps)
     limit = total if limit is None else limit
-    keys: list[int] = []  # keys[i]: the key of the window that starts at letter i
+    # the first window's largest capacity bounds the largest from below and
+    # mostly settles the check without scanning every letter
     if total >= n and limit > 0:
-        if n < 2 or not 1 <= k < n:
-            raise ContractViolation("need n >= 2 and 1 <= k < n")
-        # the first window's largest capacity bounds the largest from below
-        # and mostly settles the check without scanning every letter
-        if n > _prime_count(int(caps[:n].max())) and n > _prime_count(int(caps.max())):
+        if n > _prime_count(max(caps[:n])) and n > _prime_count(max(caps)):
             total = 0
-        else:
-            # digits from 0, so that distinct tuples get distinct keys
-            digits = caps - caps.min()
-            base = int(digits.max()) + 1
-            powers = [base**j for j in range(n)]
-            place = np.array(powers, dtype=np.int64 if base**n < 1 << 63 else object)
-            keys = (sliding_window_view(digits, n) @ place).tolist()
     sets: list[ModuliSet] = []
-    found: dict[int, Optional[int]] = {}  # window key -> index into sets
+    found: dict[tuple[int, ...], Optional[int]] = {}  # capacity tuple -> index into sets
 
-    def search(key: int, letters: slice | list[int]) -> Optional[int]:
-        """Record and return the index into ``sets`` of a window met first."""
-        moduli = _choose_moduli_cached(tuple(caps[letters].tolist()), k)
-        found[key] = None if moduli is None else len(sets)
-        if moduli is not None:
-            sets.append(moduli)
-        return found[key]
+    def lookup(window: tuple[int, ...]) -> Optional[int]:
+        """The index into ``sets`` of the window's moduli set, or None."""
+        if window not in found:
+            moduli = _choose_moduli_cached(window, k)
+            found[window] = None if moduli is None else len(sets)
+            if moduli is not None:
+                sets.append(moduli)
+        return found[window]
 
     starts: list[int] = []  # each block's first letter
     set_ids: list[int] = []
@@ -266,22 +255,20 @@ def _build_layout(
     skipped: dict[int, tuple[int, ...]] = {}
     cursor = 0  # the next letter to take
     while cursor + n <= total and len(set_ids) < limit:
-        key = keys[cursor]
-        s = found[key] if key in found else search(key, slice(cursor, cursor + n))
+        s = lookup(tuple(caps[cursor : cursor + n]))
         start, cursor = cursor, cursor + n
         if s is None:
             # drop the (first) lowest-capacity letter, pull in the next one
-            window, row = list(range(start, cursor)), digits[start:cursor].tolist()
+            window, row = list(range(start, cursor)), list(caps[start:cursor])
             dropped: list[int] = []
             while s is None and cursor < total:
                 drop = row.index(min(row))
                 dropped.append(window.pop(drop))
                 del row[drop]
                 window.append(cursor)
-                row.append(int(digits[cursor]))
+                row.append(caps[cursor])
                 cursor += 1
-                key = sum(d * p for d, p in zip(row, powers))
-                s = found[key] if key in found else search(key, window)
+                s = lookup(tuple(row))
             if s is None:
                 break
             expanded[len(set_ids)] = window
@@ -624,7 +611,7 @@ def capacity_report(
         draws = rng.choice(len(chars), size=sample_blocks * (n + 4), p=weights)
         caps_by_char = np.array([codebook.capacity(c) for c in chars], dtype=np.int64)
         # the first sample_blocks blocks, or fewer if the draws run out first
-        layout = _build_layout(caps_by_char[draws], n, k, limit=sample_blocks)
+        layout = _build_layout(caps_by_char[draws].tolist(), n, k, limit=sample_blocks)
         total_bits = int(layout.widths.sum())
         # draws used, skipped included
         letters = int(layout.members[-1, -1]) + 1 if len(layout.members) else 0

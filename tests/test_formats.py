@@ -215,6 +215,16 @@ def _with_line(name, line):
     return SAMPLE_FILES[name] + line + "\n"
 
 
+def _repeated(name, prefix):
+    """A sample file with a second copy of the record whose first line starts
+    ``prefix``, its lines up to the next record of that label, at the end."""
+    lines = SAMPLE_FILES[name].splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    label = prefix.split()[0] + " "
+    j = next((j for j in range(i + 1, len(lines)) if lines[j].startswith(label)), len(lines))
+    return "\n".join(lines + lines[i:j]) + "\n"
+
+
 @pytest.mark.parametrize(
     "name, text",
     [
@@ -236,12 +246,18 @@ def _with_line(name, line):
         pytest.param("message_bits", _with_line("message_bits", "not bits"), id="second-bits"),
         pytest.param("trace", _with_line("trace", "0"), id="empty-row"),
         pytest.param("trace", _with_line("trace", "0 0.25 0.75"), id="wrong-argmax"),
+        pytest.param("codebook", _repeated("codebook", 'character "a"'), id="second-character"),
+        # another permutation of "a"'s three glyphs, which the last record would set
+        pytest.param("key", _with_line("key", 'character "a" perm 0 1 2'), id="second-perm"),
+        pytest.param("scores", _with_line("scores", 'score "a" 0.25'), id="second-score"),
+        pytest.param("scores", _with_line("scores", 'score "c" nan'), id="nan-score"),
+        pytest.param("scores", _with_line("scores", 'score "c" inf'), id="inf-score"),
     ],
 )
 def test_readers_check_labels_and_refuse_extra_records(name, text):
     """A record under another label, a record after the last one a file
-    holds and a trace row that is not its argmax and likelihoods are
-    malformed."""
+    holds, a second record for one character or name, a non-finite score
+    and a trace row that is not its argmax and likelihoods are malformed."""
     assert text != SAMPLE_FILES[name]
     with pytest.raises(FormatError):
         getattr(formats, f"read_{name}")(io.StringIO(text))

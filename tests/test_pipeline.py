@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import (
     BEYOND_INT64,
     GLYPH_CHANGES,
@@ -193,6 +194,20 @@ def test_embed_too_small(codebook):
         embed("0123 456!", codebook, "1")
 
 
+@pytest.mark.parametrize("n, k", [(5, 7), (5, 5), (3, 0), (1, 1)])
+def test_bad_block_shape_is_refused_on_every_call(codebook, n, k):
+    """A bad (n, k) is refused also on a text of fewer than n letters and
+    when no block is sampled, before any block is looked for."""
+    with pytest.raises(ContractViolation, match="n >= 2"):
+        pipeline.capacity_report(codebook, text="zq", n=n, k=k)
+    with pytest.raises(ContractViolation, match="n >= 2"):
+        pipeline.capacity_report(
+            codebook, frequencies=fixtures.ENGLISH_FREQUENCIES, n=n, k=k, sample_blocks=0
+        )
+    with pytest.raises(ContractViolation, match="n >= 2"):
+        embed("zq", codebook, "1", n=n, k=k)
+
+
 def test_layout_determinism(codebook):
     text = fixtures.random_text(200, seed=4)
     seq = letter_sequence(text, codebook)
@@ -318,6 +333,33 @@ def test_layout_holds_one_set_per_distinct_capacity_tuple():
     assert any(t in aligned for t, b in zip(tuples, blocks) if b.skipped_indices)
 
 
+def test_layout_searches_each_tuple_once_per_call(monkeypatch):
+    """On a text with many skips, the walk asks the moduli search once for
+    each window the per-letter partition tries, failed expansions included,
+    in the order that partition first tries them."""
+    capacity = {"a": 1, "b": 2, "c": 3, "d": 5, "e": 7, "f": 11}
+    freqs = {"a": 0.2, "b": 0.1, "c": 0.2, "d": 0.2, "e": 0.15, "f": 0.15}
+    text = fixtures.random_text(10_000, seed=7, frequencies=freqs)
+    caps = [capacity[ch] for ch in text if ch in capacity]
+    search = pipeline._choose_moduli_cached
+
+    def counted(calls):
+        def choose(window, k):
+            calls.append(window)
+            return search(window, k)
+
+        return choose
+
+    asked, tried = [], []
+    monkeypatch.setattr(pipeline, "_choose_moduli_cached", counted(asked))
+    monkeypatch.setattr(oracles, "_choose_moduli_cached", counted(tried))
+    blocks = pipeline._build_layout(caps, 5, 3).blocks()
+    assert blocks == list(loop_blocks(caps, 5, 3))
+    assert len(set(asked)) == len(asked)
+    assert asked == list(dict.fromkeys(tried))
+    assert any(search(t, 3) is None for t in asked) and len(tried) > len(asked)
+
+
 # capacity 1 ("a") admits no modulus, so windows holding it drop letters; the
 # non-ASCII "é" is a codebook letter, the other non-ASCII characters are not
 DIFF_CAPACITIES = {"a": 1, "b": 2, "c": 3, "d": 5, "é": 4, "f": 7, "g": 11}
@@ -410,12 +452,11 @@ def test_wide_document_mixes_both_decode_paths():
 
 
 def test_long_wide_document_matches_letter_loop_oracle():
-    """Forty 8-letter words whose capacities span 5-300, so that the
-    partition's window keys pass int64 and are Python integers, partition
-    and code as the per-letter path does."""
+    """Forty 8-letter words whose capacities span 5-300, with blocks on both
+    sides of the int64 guard, partition, embed and extract as the per-letter
+    path does, also with a glyph index past int64 and a misread letter."""
     text = " ".join(WIDE_WORDS * 5)
     caps = letter_sequence(text, WIDE_CODEBOOK).capacities
-    assert (max(caps) - min(caps) + 1) ** 8 >= 2**63
     assert pipeline._build_layout(caps, 8, 3).blocks() == list(loop_blocks(caps, 8, 3))
     bits = "10" * 100
     doc = embed(text, WIDE_CODEBOOK, bits, 8, 3)
