@@ -205,13 +205,12 @@ def confusion_test(
     candidates: Iterable[int],
     oracle: Callable[[tuple[int, int]], float],
     pair_count: int = PAIR_COUNT,
-    threshold: float = PAIR_THRESHOLD,
     rng: np.random.Generator | None = None,
 ) -> set[frozenset[int]]:
     """Sample up to ``pair_count`` candidate pairs and return the confusable ones.
 
     Pairs are drawn without replacement; a pair lands in the result set when
-    the oracle's accuracy estimate falls below ``threshold``.
+    the oracle's accuracy estimate falls below ``PAIR_THRESHOLD``.
     """
     ids = sorted(set(candidates))
     if len(ids) < 2:
@@ -228,7 +227,7 @@ def confusion_test(
         acc = float(oracle((a, b)))
         if not (0.0 <= acc <= 1.0):
             raise ContractViolation("oracle accuracy must be in [0, 1]")
-        if acc < threshold:
+        if acc < PAIR_THRESHOLD:
             confused.add(frozenset((a, b)))
     return confused
 
@@ -296,9 +295,7 @@ def build_codebook(
                     f"character {character!r} did not converge in {max_iterations} iterations"
                 )
             rng = np.random.default_rng(stable_seed(seed, character, iteration))
-            confused = confusion_test(
-                current, pair_oracle, PAIR_COUNT, PAIR_THRESHOLD, rng
-            )
+            confused = confusion_test(current, pair_oracle, PAIR_COUNT, rng)
             for edge in confused:
                 a, b = sorted(edge)
                 graph.remove_edge(a, b)

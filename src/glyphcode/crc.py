@@ -10,8 +10,9 @@ likelihood table resolves ties beyond that bound.
 Both decoders search the payloads m < M and nothing else: the range is the
 moduli set's own payload bound, never a caller's.  Hamming decoding never
 tabulates the M codewords: it lists candidates by CRT on subsets of the
-received positions and holds only those candidates.  The module keeps no
-cache; each ``ModuliSet`` derives its payload bound once, when it is made.
+received positions and holds only those candidates.  :func:`_lift` is the
+one CRT, for one block or for every block at once.  The module keeps no
+cache; each ``ModuliSet`` derives its payload bound and inverses once.
 """
 
 from __future__ import annotations
@@ -43,13 +44,15 @@ __all__ = [
 class ModuliSet:
     """Ordered pairwise-coprime moduli with k payload positions.
 
-    ``payload_bound`` (M, the product of the k smallest moduli) is derived
-    once, when the set is made, and kept in a slot.
+    ``payload_bound`` (M, the product of the k smallest moduli) and Garner's
+    ``inverses`` ((p_0 ... p_{j-1})^-1 mod p_j for j = 1 .. n - 1) are
+    derived once, when the set is made, and kept in slots.
     """
 
     p: tuple[int, ...]
     k: int
     payload_bound: int = field(init=False, repr=False, compare=False)
+    inverses: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = tuple(int(x) for x in self.p)
@@ -58,13 +61,15 @@ class ModuliSet:
             raise ContractViolation("moduli must be positive")
         if not (1 <= self.k < len(p)):
             raise ContractViolation("need 1 <= k < n")
-        for i in range(len(p)):
-            for j in range(i + 1, len(p)):
-                if math.gcd(p[i], p[j]) != 1:
-                    raise ContractViolation(
-                        f"moduli {p[i]} and {p[j]} are not coprime"
-                    )
+        for a, b in combinations(p, 2):
+            if math.gcd(a, b) != 1:
+                raise ContractViolation(f"moduli {a} and {b} are not coprime")
         object.__setattr__(self, "payload_bound", math.prod(sorted(p)[: self.k]))
+        inverses, step = [], p[0]
+        for pj in p[1:]:
+            inverses.append(pow(step, -1, pj))
+            step *= pj
+        object.__setattr__(self, "inverses", tuple(inverses))
 
     @property
     def n(self) -> int:
@@ -93,32 +98,33 @@ class DecodeOutcome:
         )
 
 
-def _lift(
-    r: Sequence[int], p: Sequence[int], positions: Sequence[int]
-) -> tuple[int, int]:
+def _lift(r, p, positions: Sequence[int], inverses: Optional[Sequence] = None):
     """Garner's CRT over ``positions``: (m0, step) with step the product of
-    their moduli and m0 < step the unique value with m0 mod p_j = r_j there.
-    The residues must be in range; no positions give (0, 1)."""
+    their moduli and m0 < step the unique value with m0 mod p_j = r_j there,
+    for one block's integers or for int64 columns of every block's.  The
+    residues must be in range; no positions give (0, 1).  ``inverses`` are
+    the set's own, given only over every position; else ``pow`` finds each."""
     if not positions:
         return 0, 1
     m0, step = r[positions[0]], p[positions[0]]
     for j in positions[1:]:  # lift m0 mod step to mod step * p_j
         pj = p[j]
-        m0 += step * ((r[j] - m0) * pow(step, -1, pj) % pj)
-        step *= pj
+        inverse = pow(step, -1, pj) if inverses is None else inverses[j - 1]
+        m0 = m0 + step * ((r[j] - m0) * inverse % pj)
+        step = step * pj
     return m0, step
 
 
 def crt_reconstruct(r: Sequence[int], moduli: ModuliSet) -> int:
     """Unique m in [0, P) with m mod p_i = r_i, by Garner's lifting with
-    ``pow`` inverses."""
+    the set's own inverses."""
     p = moduli.p
     if len(r) != len(p):
         raise ContractViolation("residue count does not match moduli count")
     for ri, pi in zip(r, p):
         if not (0 <= ri < pi):
             raise ContractViolation(f"residue {ri} out of range for modulus {pi}")
-    return _lift(r, p, range(len(p)))[0]
+    return _lift(r, p, range(len(p)), moduli.inverses)[0]
 
 
 def encode_phi(m: int, moduli: ModuliSet) -> tuple[int, ...]:
@@ -161,7 +167,7 @@ def hamming_decode(r: Sequence[int], moduli: ModuliSet) -> DecodeOutcome:
     r = tuple(map(int, r))
     live = [j for j in range(n) if 0 <= r[j] < p[j]]
     if len(live) == n:
-        m_tilde = _lift(r, p, live)[0]
+        m_tilde = _lift(r, p, live, moduli.inverses)[0]
         if m_tilde < M:
             return DecodeOutcome("exact", m_tilde, 0, 1, (m_tilde,))
     # any other payload is at least n - k + 1 from a codeword

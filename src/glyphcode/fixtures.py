@@ -23,6 +23,7 @@ from .codebook import (
     PerturbedGlyphEntry,
 )
 from .crc import ModuliSet, encode_phi, hamming_decode, ml_decode
+from .errors import ContractViolation
 from .outline import GlyphOutline
 from .util import stable_seed
 
@@ -249,7 +250,9 @@ def block_success_empirical(
     probability 1 - p1; decoding is plain Hamming or likelihood-resolved.
     """
     if not (0.0 < p1 <= 1.0):
-        raise ValueError("p1 must be in (0, 1]")
+        raise ContractViolation("p1 must be in (0, 1]")
+    if trials < 1:
+        raise ContractViolation("trials must be positive")
     rng = np.random.default_rng(stable_seed(seed, "curve", moduli.p, ml))
     M = moduli.payload_bound
     hits = 0

@@ -16,11 +16,12 @@ skipped letters.  :func:`_build_layout` makes it in one walk over the
 letters, keying one dict per call by each window's capacity tuple, so that
 the moduli search sees each distinct tuple once.  Embedding chunks the
 framed message and encodes every block in array passes.  Extraction decodes
-every block with no misread letter in one pass by Garner's weights,
-m = sum_j r_j w_j mod P, kept where every residue is in range and m < M; only
-the other blocks go, in block order, to the Hamming decoder and its
-likelihood tie-break.  A set whose weighted sum could reach 2^62 decodes
-block by block, and payloads wider than 62 bits are Python integers.
+every block with no misread letter in one pass: the CRT's Garner lifting
+(:func:`crc._lift`) runs on int64 columns of every block at once, and keeps
+m where every residue is in range and m < M; only the other blocks go, in
+block order, to the Hamming decoder and its likelihood tie-break.  A set
+with P * max(p) >= 2^62 decodes block by block, and payloads wider than 62
+bits are Python integers.
 :func:`partition_blocks` returns the layout as :class:`Block` views.
 """
 
@@ -34,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .codebook import Codebook
-from .crc import DecodeOutcome, ModuliSet, _resolve_tie, hamming_decode
+from .crc import DecodeOutcome, ModuliSet, _lift, _resolve_tie, hamming_decode
 from .errors import (
     CapacityExceededError,
     ContractViolation,
@@ -60,7 +61,7 @@ __all__ = [
 ]
 
 LENGTH_PREFIX_BITS = 32
-_INT64_BITS = 62  # payload widths and weighted sums below 2^62 stay in int64
+_INT64_BITS = 62  # payload widths and lifting steps below 2^62 stay in int64
 
 
 @dataclass(frozen=True)
@@ -399,34 +400,17 @@ def _received(values: Sequence[Optional[int]], count: int) -> np.ndarray:
     return vals
 
 
-def _inverse_mod(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """a^-1 mod m elementwise, for coprime a < m, by the extended Euclidean
-    algorithm run on every element at once."""
-    r0, r1 = a, m
-    s0, s1 = np.ones_like(a), np.zeros_like(a)
-    while (live := r1 != 0).any():
-        q = r0 // np.where(live, r1, 1)
-        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - q * r1, 0)
-        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - q * s1, 0)
-    return s0 % m
-
-
-def _garner(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per distinct set: Garner's weights w_j = (P/p_j)((P/p_j)^-1 mod p_j),
-    P, M, and whether n * max(p) * P < 2^62, so that sum_j r_j w_j stays in
-    int64.  The other sets get weights 0 and P = 1, and decode per block."""
-    p = layout.moduli
-    # in floating point, with a margin that sends a set per block when in doubt
-    bound = np.prod(p, axis=1, dtype=float) * p.max(axis=1, initial=1) * p.shape[1]
-    safe = bound < 2.0**_INT64_BITS * (1 - 1e-9)
-    P = np.prod(np.where(safe[:, None], p, 1), axis=1)
-    cofactor = P[:, None] // p
-    weights = cofactor * _inverse_mod(cofactor % p, p)
-    M = np.array(
-        [s.payload_bound if ok else 0 for s, ok in zip(layout.sets, safe.tolist())],
-        dtype=np.int64,
-    )
-    return weights, P, M, safe
+def _garner(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per distinct set: its moduli, Garner inverses and M where P max(p) <
+    2^62, else moduli 1 and M = 0, so its blocks decode one by one.  The
+    bound keeps :func:`crc._lift` in int64: at position j, m0 < step, r_j < p_j
+    (out-of-range residues are zeroed) and inv < p_j, so |(r_j - m0) inv| <
+    max(step, p_j) p_j <= P max(p); the new m0 and step stay below P."""
+    safe = [math.prod(s.p) * max(s.p) < 1 << _INT64_BITS for s in layout.sets]
+    M = [s.payload_bound if ok else 0 for s, ok in zip(layout.sets, safe)]
+    inverses = np.array([s.inverses for s in layout.sets], dtype=np.int64)
+    moduli = np.where(np.array(safe, dtype=bool)[:, None], layout.moduli, 1)
+    return moduli, inverses.reshape(-1, moduli.shape[1] - 1), np.array(M, dtype=np.int64)
 
 
 def _uniform_row(capacity: int) -> np.ndarray:
@@ -458,10 +442,10 @@ def _decode(
     """
     ids = layout.set_ids
     r = _received(values, len(seq.letters))[layout.members]
-    weights, P, M, safe = _garner(layout)
-    live = ((r >= 0) & (r < layout.moduli[ids])).all(axis=1) & safe[ids]
-    m = (np.where(live[:, None], r, 0) * weights[ids]).sum(axis=1) % P[ids]
-    exact = live & (m < M[ids])
+    p, inverses, M = (a[ids] for a in _garner(layout))
+    live = ((r >= 0) & (r < p)).all(axis=1)
+    m = _lift(np.where(live[:, None], r, 0).T, p.T, range(p.shape[1]), inverses.T)[0]
+    exact = live & (m < M)
     payloads = np.where(exact, m, 0).astype(_payload_dtype(layout.widths))
 
     slow: dict[int, DecodeOutcome] = {}

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import (
     scan_hamming_decode,
 )
 
+from glyphcode import fixtures
 from glyphcode.crc import (
     DecodeOutcome,
     ModuliSet,
@@ -178,6 +180,27 @@ def test_crt_matches_inverse_sum_oracle():
                     del r[j]
             got = outcome(crt_reconstruct, r, moduli)
             assert got == outcome(inverse_sum_crt_reconstruct, r, moduli), (moduli, r)
+
+
+@pytest.mark.parametrize("p", [(1, 3, 5, 7), (3, 1, 5, 7), (3, 5, 7, 1)])
+def test_modulus_one_round_trips(p):
+    """A set that holds the modulus 1, whose Garner inverse is pow(x, -1, 1)
+    = 0 past the first position, reconstructs every m < P and decodes every
+    payload, clean and with one residue changed, as the oracles do."""
+    moduli = ModuliSet(p, 2)
+    assert moduli.inverses == tuple(pow(math.prod(p[:j]), -1, p[j]) for j in range(1, 4))
+    if p.index(1):
+        assert moduli.inverses[p.index(1) - 1] == 0
+    for m in range(moduli.total_product):
+        r = tuple(m % pj for pj in p)
+        assert crt_reconstruct(r, moduli) == inverse_sum_crt_reconstruct(r, moduli) == m
+    for m in range(moduli.payload_bound):
+        r = encode_phi(m, moduli)
+        assert hamming_decode(r, moduli) == DecodeOutcome("exact", m, 0, 1, (m,))
+        for j, pj in enumerate(p):
+            for v in range(pj + 1):  # every other residue, and one out of range
+                bad = r[:j] + (v,) + r[j + 1 :]
+                assert hamming_decode(bad, moduli) == scan_hamming_decode(bad, moduli)
 
 
 def _likelihood_rows(rng, moduli, zeros):
@@ -362,3 +385,11 @@ def test_block_success_forms():
     assert block_success_cumulative(p1, ml=True) == pytest.approx(
         p1**5 + 5 * p1**4 * 0.1 + 10 * p1**3 * 0.01
     )
+
+
+@pytest.mark.parametrize("p1, trials", [(0.0, 10), (math.nan, 10), (1.5, 10), (0.9, 0), (0.9, -1)])
+def test_block_success_empirical_refuses_bad_arguments(p1, trials):
+    """An accuracy outside (0, 1], NaN included, or fewer than one trial is
+    refused with a typed error."""
+    with pytest.raises(ContractViolation):
+        fixtures.block_success_empirical(p1, P5, trials=trials)

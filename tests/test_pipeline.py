@@ -432,7 +432,7 @@ def test_glyph_index_beyond_int64_is_an_erasure(codebook, value):
 
 
 # capacities 5-13 with 250-300 at n = 8, k = 3: every word forms a block; a
-# word of wide letters alone takes moduli whose n * max(p) * P passes 2^62,
+# word of wide letters alone takes moduli whose P * max(p) passes 2^62,
 # so its block decodes on its own, and a word that mixes both does not
 WIDE_CODEBOOK = fixtures.fixture_codebook(
     {"a": 5, "b": 7, "c": 11, "d": 13, "e": 9, "v": 250, "w": 263, "x": 277, "y": 289, "z": 300},
@@ -447,8 +447,46 @@ def test_wide_document_mixes_both_decode_paths():
     caps = letter_sequence(" ".join(WIDE_WORDS), WIDE_CODEBOOK).capacities
     layout = pipeline._build_layout(caps, 8, 3)
     assert len(layout.widths) == len(WIDE_WORDS)
-    in_int64 = pipeline._garner(layout)[3][layout.set_ids]
+    in_int64 = pipeline._garner(layout)[2][layout.set_ids] > 0  # M = 0 off the mask
     assert in_int64.tolist() == [False] * 3 + [True] * 5
+
+
+# capacity windows whose moduli sets sit either side of the int64 guard
+# P * max(p) = 2^62: the first takes (1234, 1211, 1317, 1243, 1373), at
+# 0.999994 of it, and the second (1224, 1237, 1319, 1373, 1225), at 1.00003
+BELOW_GUARD = (1234, 1212, 1317, 1244, 1380)
+ABOVE_GUARD = (1224, 1239, 1319, 1374, 1225)
+
+
+def test_int64_guard_boundary_matches_letter_loop_oracle():
+    """Blocks of the set just below P * max(p) = 2^62 take the one-pass exact
+    path and blocks of the set above it decode one by one; on both sides,
+    exact, misread, out-of-range and past-int64 glyph indices decode as the
+    per-block path does."""
+    caps = (BELOW_GUARD + ABOVE_GUARD) * 4
+    layout = pipeline._build_layout(caps, 5, 3)
+    below, above = (math.prod(s.p) * max(s.p) for s in layout.sets)
+    assert 2**62 - 2**46 < below < 2**62 < above < 2**62 + 2**48
+    in_int64 = pipeline._garner(layout)[2][layout.set_ids] > 0  # M = 0 off the mask
+    assert in_int64.tolist() == [True, False] * 4
+    seq = LetterSequence(("x",) * len(caps), caps, tuple(range(len(caps))))
+    blocks = layout.blocks()
+    rng = np.random.default_rng(18)
+    payloads = [int(rng.integers(b.payload_bound)) for b in blocks]
+    values = list(loop_encode_blocks(seq, blocks, payloads))
+    # blocks 0-1 stay exact; 2-3 misread a letter, 4-5 read one past every
+    # modulus inside int64, 6-7 one past int64
+    for t, change in zip(range(2, 8), [None, None, 2**62 - 1, 2**62 - 1, 2**63, 2**63]):
+        i = blocks[t].member_indices[t % 5]
+        values[i] = (values[i] + 1) % caps[i] if change is None else change
+    got, slow, (failed,) = pipeline._decode(seq, layout, values)
+    bits, outcomes = loop_decode_blocks(seq, blocks, values)
+    assert failed is None and sorted(slow) == list(range(1, 8))
+    report = [
+        slow.get(t, crc.DecodeOutcome("exact", m, 0, 1, (m,))) for t, m in enumerate(got.tolist())
+    ]
+    assert report == outcomes and got.tolist() == payloads
+    assert pipeline._bits(got, layout.widths) == bits
 
 
 def test_long_wide_document_matches_letter_loop_oracle():
@@ -655,3 +693,32 @@ def test_full_moduli_cache_memory_is_bounded():
         pipeline._choose_moduli_cached.cache_clear()
     # 1460 KB when every access derived the payload bound afresh, plus 0.5 MB
     assert held < (1460 + 512) * 1024, f"{held / 1024:.0f} KB"
+
+
+def _best_extract_seconds(codebook, letters, misread):
+    """Best of three extract times on ``random_text(letters)``, clean or with
+    one misread letter in every block."""
+    text = fixtures.random_text(letters, seed=19)
+    bits = "10" * (letters // 10)
+    doc = embed(text, codebook, bits)
+    if misread:
+        seq = letter_sequence(text, codebook)
+        firsts = [b.member_indices[0] for b in partition_blocks(seq)]
+        doc = _tamper(doc, [(i, (doc.glyph_indices[i] + 1) % seq.capacities[i]) for i in firsts])
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert extract(doc, codebook)[0] == bits
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+@pytest.mark.parametrize("misread", [False, True])
+def test_extract_cost_grows_linearly(codebook, misread):
+    """Extract at 40k letters takes under 24 times as long as at 5k, clean and
+    with one misread letter per block: linear code reads about 6-11 on a
+    2-core host, and a quadratic step would read about 64."""
+    ratio = _best_extract_seconds(codebook, 40_000, misread) / _best_extract_seconds(
+        codebook, 5_000, misread
+    )
+    assert ratio < 24, f"{ratio:.1f}"
