@@ -44,15 +44,20 @@ __all__ = [
 class ModuliSet:
     """Ordered pairwise-coprime moduli with k payload positions.
 
-    ``payload_bound`` (M, the product of the k smallest moduli) and Garner's
-    ``inverses`` ((p_0 ... p_{j-1})^-1 mod p_j for j = 1 .. n - 1) are
-    derived once, when the set is made, and kept in slots.
+    ``payload_bound`` (M, the product of the k smallest moduli), Garner's
+    ``inverses`` ((p_0 ... p_{j-1})^-1 mod p_j for j = 1 .. n - 1) and
+    ``lifts_in_int64`` are derived once, when the set is made, and kept in
+    slots.  ``lifts_in_int64`` is P max(p) < 2^62, which keeps
+    :func:`_lift` over every position in int64 for residues in range: at
+    position j, m0 < step, r_j < p_j and inv < p_j, so |(r_j - m0) inv| <
+    max(step, p_j) p_j <= P max(p); the new m0 and step stay below P.
     """
 
     p: tuple[int, ...]
     k: int
     payload_bound: int = field(init=False, repr=False, compare=False)
     inverses: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    lifts_in_int64: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = tuple(int(x) for x in self.p)
@@ -70,6 +75,7 @@ class ModuliSet:
             inverses.append(pow(step, -1, pj))
             step *= pj
         object.__setattr__(self, "inverses", tuple(inverses))
+        object.__setattr__(self, "lifts_in_int64", step * max(p) < 1 << 62)
 
     @property
     def n(self) -> int:

@@ -11,14 +11,15 @@ hashes and localizes tampering to the segment level.  The scheme-2 provider is
 a toy textbook RSA whose 32-bit primes come from a trial-division search, so
 the module needs numpy alone.
 
-Signing and verification reuse the message pipeline's columnar block layout
-and its array codec.  Each call builds the letter sequence and the layout
-once.  A :class:`Segment` is a range of blocks, of letters and of coded bits;
-each segment's end is found by a binary search over the blocks' running
-letter and bit counts.  The whole document is encoded or decoded in one pass
-that is then sliced by segment, so the cost is linear in the document length.
-A segment's decode stops at its first block that fails, as a per-segment
-decode would.
+Signing and verification reuse the message pipeline's letter arrays,
+columnar block layout and array codec.  Each call runs the code-point pass
+over the letters and builds the layout once, and a segment's digest hashes
+a slice of the coded letters joined into one string.  A :class:`Segment` is
+a range of blocks, of letters and of coded bits; each segment's end is found
+by a binary search over the blocks' running letter and bit counts.  The
+whole document is encoded or decoded in one pass that is then sliced by
+segment, so the cost is linear in the document length.  A segment's decode
+stops at its first block that fails, as a per-segment decode would.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .codebook import Codebook
 from .errors import ContractViolation, KeyMismatchError, SigningError
 from .pipeline import (
     EncodedDocument,
-    LetterSequence,
     _bits,
     _build_layout,
     _capacities,
@@ -43,7 +43,9 @@ from .pipeline import (
     _decode,
     _encode,
     _Layout,
-    letter_sequence,
+    _letters,
+    _Letters,
+    _received,
 )
 from .util import bits_from_bytes, stable_seed
 
@@ -72,11 +74,15 @@ class PermutationKey:
     Integer i of character ``ch`` is stored as glyph ``perms[ch][i]``.  A key
     fits a codebook when it holds, for every codebook character, a
     permutation of exactly that character's glyph count; characters the
-    codebook lacks are allowed.  The sequence maps check the fit first, so a
-    key that does not fit raises KeyMismatchError before any letter is
-    mapped.  An inverse table (glyph index -> integer) and the permutation as
-    an index array for likelihood rows are built once, when the key is made,
-    so ``perms`` must not change after that.
+    codebook lacks are allowed.  The sequence maps take letters as ids into
+    a tuple of characters and map them all by one gather from a 2-D table
+    built per call: forward indexed by [id, integer], inverse by [id, glyph
+    index], where a glyph index out of a character's range is refused.  They
+    check the fit first, so a key that does not fit raises KeyMismatchError
+    before any letter is mapped.  An inverse dict (glyph index -> integer)
+    and the permutation as an index array, for the tables and likelihood
+    rows, are built once, when the key is made, so ``perms`` must not change
+    after that.
     """
 
     key_id: str
@@ -125,25 +131,39 @@ class PermutationKey:
             )
         return self._inverse[character][value]
 
-    def forward_letters(
-        self, letters: Sequence[str], values: Sequence[int], widths: dict[str, int]
-    ) -> list[int]:
-        """:meth:`forward` over a letter sequence of ``widths``' characters,
+    def _table(self, chars: Sequence[str], widths: dict[str, int], fill: int) -> np.ndarray:
+        """A (C, width) array filled with ``fill``, one row per character of
+        ``chars``, once the key is checked to fit ``widths``."""
+        self._check_fits(widths)
+        width = max([len(self.perms[ch]) for ch in chars], default=0)
+        return np.full((len(chars), max(width, 1)), fill, dtype=np.int64)
+
+    def forward_ids(
+        self, chars: Sequence[str], ids: np.ndarray, values: np.ndarray, widths: dict[str, int]
+    ) -> np.ndarray:
+        """:meth:`forward` over letters given as ids into ``chars``, which are
+        characters of ``widths``, as one gather from an [id, integer] table,
         once the key is checked to fit ``widths``; each value must be below
         its letter's width."""
-        self._check_fits(widths)
-        perms = self.perms
-        return [perms[ch][v] for ch, v in zip(letters, values)]
+        table = self._table(chars, widths, 0)
+        for c, ch in enumerate(chars):
+            perm = self._rows[ch]
+            table[c, : len(perm)] = perm
+        return table[ids, values]
 
-    def inverse_letters(
-        self, letters: Sequence[str], values: Sequence[int], widths: dict[str, int]
-    ) -> list[Optional[int]]:
-        """:meth:`inverse` over a letter sequence of ``widths``' characters,
-        once the key is checked to fit ``widths``, with None at each letter
-        whose glyph index is out of range."""
-        self._check_fits(widths)
-        table = self._inverse
-        return [table[ch].get(v) for ch, v in zip(letters, values)]
+    def inverse_ids(
+        self, chars: Sequence[str], ids: np.ndarray, values: np.ndarray, widths: dict[str, int]
+    ) -> np.ndarray:
+        """:meth:`inverse` over letters given as ids into ``chars``, which are
+        characters of ``widths``, as one gather from an [id, glyph index]
+        table, once the key is checked to fit ``widths``; a letter whose
+        glyph index is out of range reads -1."""
+        table = self._table(chars, widths, -1)
+        for c, ch in enumerate(chars):
+            perm = self._rows[ch]
+            table[c, perm] = np.arange(len(perm))
+        inside = (values >= 0) & (values < table.shape[1])
+        return np.where(inside, table[ids, np.where(inside, values, 0)], -1)
 
     def inverse_row(self, character: str, row: np.ndarray) -> np.ndarray:
         """Reorder a per-glyph likelihood row into embedded-integer order."""
@@ -267,17 +287,17 @@ def _layout(
     codebook: Codebook,
     config: SignatureConfig,
     payload_bits: Optional[int],
-) -> tuple[LetterSequence, _Layout, list[Segment]]:
-    """Letter sequence, block layout and segments, each computed once.
+) -> tuple[_Letters, _Layout, list[Segment]]:
+    """Letters, block layout and segments, each computed once.
 
     A segment closes at its first block where it spans at least
     ``segment_min_letters`` letters and holds the payload.  Both counts grow
     with every block, so that block is the later of two binary searches.
     """
-    seq = letter_sequence(text, codebook)
-    if not seq.letters:
+    letters = _letters(text, codebook)
+    if not letters.coded:
         raise ContractViolation("letter sequence is empty")
-    layout = _build_layout(seq.capacities, config.n, config.k)
+    layout = _build_layout(letters.capacities.tolist(), config.n, config.k)
     if not len(layout.widths):
         raise SigningError("document has zero complete blocks")
     need = config.digest_bits if payload_bits is None else payload_bits
@@ -299,31 +319,33 @@ def _layout(
     if not segments:
         raise SigningError(f"segment 0 holds {bit_ends[-1]} bits, payload needs {need}")
     segments[-1] = replace(
-        segments[-1], block_end=len(letter_ends), seq_end=len(seq.letters), bit_end=bit_ends[-1]
+        segments[-1], block_end=len(letter_ends), seq_end=len(letters.coded), bit_end=bit_ends[-1]
     )
-    return seq, layout, segments
+    return letters, layout, segments
 
 
-def _segment_digest(seq: LetterSequence, segment: Segment, hash_id: str) -> bytes:
-    return content_hash("".join(seq.letters[segment.seq_start : segment.seq_end]), hash_id)
+def _segment_digest(letters: _Letters, segment: Segment, hash_id: str) -> bytes:
+    return content_hash(letters.coded[segment.seq_start : segment.seq_end], hash_id)
 
 
 def _embed_payloads(
     text: str,
     codebook: Codebook,
-    laid_out: tuple[LetterSequence, _Layout, list[Segment]],
+    laid_out: tuple[_Letters, _Layout, list[Segment]],
     payloads: Sequence[str],
     key: Optional[PermutationKey],
 ) -> EncodedDocument:
     """Embed one payload per segment, zero-padded to the segment's width."""
-    seq, layout, segments = laid_out
+    letters, layout, segments = laid_out
     framed = []
     for s, bits in zip(segments, payloads):
         if len(bits) > s.bit_end - s.bit_start:
             raise ContractViolation("framed message exceeds total block width")
         framed.append(bits.ljust(s.bit_end - s.bit_start, "0"))
     chunks = _chunk("".join(framed), layout.widths)
-    return EncodedDocument(text, _encode(seq, layout, chunks, codebook, key), codebook.font_id)
+    return EncodedDocument(
+        text, _encode(letters, layout, chunks, codebook, key), codebook.font_id
+    )
 
 
 def sign_scheme1(
@@ -334,8 +356,8 @@ def sign_scheme1(
 ) -> EncodedDocument:
     """Embed each segment's content hash into that segment under a private key."""
     laid_out = _layout(text, codebook, config, None)
-    seq, _, segments = laid_out
-    payloads = [bits_from_bytes(_segment_digest(seq, s, config.hash_id)) for s in segments]
+    letters, _, segments = laid_out
+    payloads = [bits_from_bytes(_segment_digest(letters, s, config.hash_id)) for s in segments]
     return _embed_payloads(text, codebook, laid_out, payloads, key)
 
 
@@ -347,8 +369,8 @@ def sign_scheme2(
 ) -> EncodedDocument:
     """Embed an asymmetric signature over each segment's hash, public codebook."""
     laid_out = _layout(text, codebook, config, signer.signature_bits)
-    seq, _, segments = laid_out
-    payloads = [signer.sign(_segment_digest(seq, s, config.hash_id)) for s in segments]
+    letters, _, segments = laid_out
+    payloads = [signer.sign(_segment_digest(letters, s, config.hash_id)) for s in segments]
     return _embed_payloads(text, codebook, laid_out, payloads, key=None)
 
 
@@ -373,14 +395,16 @@ def verify(
     if (key is None) == (verifier is None):
         raise ContractViolation("verify needs exactly one of key and verifier")
     payload_bits = config.digest_bits if verifier is None else verifier.signature_bits
-    seq, layout, segments = _layout(encoded.text, codebook, config, payload_bits)
-    values = encoded.glyph_indices
-    if len(values) > len(seq.letters):
+    letters, layout, segments = _layout(encoded.text, codebook, config, payload_bits)
+    count = len(letters.coded)
+    if len(encoded.glyph_indices) > count:
         raise ContractViolation("glyph index stream does not match the letter count")
-    if key is not None:
-        # mapped once for every segment
-        values = key.inverse_letters(seq.letters, values, _capacities(codebook))
-    payloads, _, failed = _decode(seq, layout, values, ends=[s.block_end for s in segments])
+    received = _received(encoded.glyph_indices, count)
+    if key is not None:  # mapped once for every segment
+        received = key.inverse_ids(letters.chars, letters.ids, received, _capacities(codebook))
+    payloads, _, failed = _decode(
+        letters.capacities, layout, received, ends=[s.block_end for s in segments]
+    )
     bits = _bits(payloads, layout.widths)
     results: list[SegmentResult] = []
     for s, failed_block in zip(segments, failed):
@@ -389,7 +413,7 @@ def verify(
                 SegmentResult(s.seq_start, s.seq_end, "mismatch", "extraction-failed")
             )
             continue
-        digest = _segment_digest(seq, s, config.hash_id)
+        digest = _segment_digest(letters, s, config.hash_id)
         embedded = bits[s.bit_start : s.bit_end][:payload_bits]
         if verifier is None:
             ok = embedded == bits_from_bytes(digest)[: len(embedded)]

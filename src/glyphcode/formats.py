@@ -216,7 +216,7 @@ def write_document(doc: EncodedDocument, fh: TextIO, config: str = "") -> None:
 def read_document(lines: list[str]) -> EncodedDocument:
     codebook_id = _string(_field(lines[0], "codebook_id"))
     text = _string(_field(lines[1], "text"))
-    indices = tuple(int(v) for v in _field(lines[2], "indices").split())
+    indices = tuple(map(int, _field(lines[2], "indices").split()))
     _no_more(lines[3:], "document")
     return EncodedDocument(text, indices, codebook_id)
 

@@ -10,6 +10,12 @@ payload.  The block layout is a pure function of (text, codebook, n, k), so
 the extractor recomputes it instead of transmitting it.  The Monte-Carlo
 capacity estimate partitions its sampled letters with the same rule.
 
+A document's letters are integer arrays (:class:`_Letters`) from one pass
+over the text's UTF-32 code points (:func:`_letters`): each letter's
+character id, glyph count and position.  Embedding, extraction and signing
+use the arrays, a key maps them by table gathers on the character ids, and
+:func:`letter_sequence` turns them into tuples.
+
 The partition is held as arrays (:class:`_Layout`): a (B, n) array of each
 block's letters, a moduli-set id per block, the distinct sets and the few
 skipped letters.  :func:`_build_layout` makes it in one walk over the
@@ -21,7 +27,7 @@ every block with no misread letter in one pass: the CRT's Garner lifting
 m where every residue is in range and m < M; only the other blocks go, in
 block order, to the Hamming decoder and its likelihood tie-break.  A set
 with P * max(p) >= 2^62 decodes block by block, and payloads wider than 62
-bits are Python integers.
+bits are Python integers; residues and glyph indices are int64 throughout.
 :func:`partition_blocks` returns the layout as :class:`Block` views.
 """
 
@@ -100,12 +106,49 @@ def _capacities(codebook: Codebook) -> dict[str, int]:
     return {ch: entry.capacity for ch, entry in codebook.entries.items()}
 
 
+@dataclass(frozen=True, eq=False)
+class _Letters:
+    """A text's codebook letters as arrays.
+
+    Letter i is the text's character ``positions[i]``, which is the
+    codebook's one-character key ``chars[ids[i]]`` and has ``capacities[i]``
+    glyphs; ``coded`` is the letters joined into one string.
+    """
+
+    chars: tuple[str, ...]  # the codebook's one-character keys, by code point
+    ids: np.ndarray
+    capacities: np.ndarray
+    positions: np.ndarray
+    coded: str
+
+
+def _letters(text: str, codebook: Codebook) -> _Letters:
+    """One pass over the text's UTF-32 code points: a gather from a table,
+    indexed by code point up to one past the codebook's largest
+    one-character key, that holds each key's index into ``chars`` and
+    len(chars) elsewhere.  Lone surrogates are code points of their own, and
+    a longer key matches no letter.  The table is built per call; a key past
+    the Basic Multilingual Plane makes it up to 4.4 MB."""
+    entries = codebook.entries
+    chars = tuple(sorted(ch for ch in entries if len(ch) == 1))
+    points = [ord(ch) for ch in chars]
+    table = np.full(max(points, default=0) + 2, len(chars), dtype=np.int32)
+    table[points] = np.arange(len(chars))
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    at = table.take(codes, mode="clip")  # larger code points read the last entry
+    positions = np.flatnonzero(at < len(chars))
+    ids = at[positions]
+    caps = np.array([entries[ch].capacity for ch in chars], dtype=np.int64)
+    coded = codes[positions].tobytes().decode("utf-32-le", "surrogatepass")
+    return _Letters(chars, ids, caps[ids], positions, coded)
+
+
 def letter_sequence(text: str, codebook: Codebook) -> LetterSequence:
-    caps = _capacities(codebook)
-    positions = [pos for pos, ch in enumerate(text) if ch in caps]
-    letters = [text[pos] for pos in positions]
+    letters = _letters(text, codebook)
     return LetterSequence(
-        tuple(letters), tuple([caps[ch] for ch in letters]), tuple(positions)
+        tuple(letters.coded),
+        tuple(letters.capacities.tolist()),
+        tuple(letters.positions.tolist()),
     )
 
 
@@ -360,15 +403,15 @@ def chunk_message(framed: str, blocks: Sequence[Block]) -> list[int]:
     return _chunk(framed, widths).tolist()
 
 
-def _check_text(text: str, codebook: Codebook) -> LetterSequence:
-    seq = letter_sequence(text, codebook)
-    if not seq.letters:
+def _check_text(text: str, codebook: Codebook) -> _Letters:
+    letters = _letters(text, codebook)
+    if not letters.coded:
         raise DocumentTooSmallError("document contains no codebook letters")
-    return seq
+    return letters
 
 
 def _encode(
-    seq: LetterSequence,
+    letters: _Letters,
     layout: _Layout,
     payloads: np.ndarray,
     codebook: Codebook,
@@ -376,41 +419,45 @@ def _encode(
 ) -> tuple[int, ...]:
     """Glyph index per letter: each block's payload as its residues, 0 for
     uncoded letters, then mapped through the key, which must fit the
-    codebook."""
-    residues = payloads[:, None] % layout.moduli[layout.set_ids]
-    indices = np.zeros(len(seq.letters), dtype=residues.dtype)
-    indices[layout.members] = residues
-    out = indices.tolist()
+    codebook.  Residues are below their moduli, so int64 holds them also
+    where the payloads are Python integers."""
+    indices = np.zeros(len(letters.capacities), dtype=np.int64)
+    indices[layout.members] = payloads[:, None] % layout.moduli[layout.set_ids]
     if key is not None:
-        out = key.forward_letters(seq.letters, out, _capacities(codebook))
-    return tuple(out)
+        indices = key.forward_ids(letters.chars, letters.ids, indices, _capacities(codebook))
+    return tuple(indices.tolist())
 
 
-def _received(values: Sequence[Optional[int]], count: int) -> np.ndarray:
-    """``values`` over ``count`` letters as int64.  A None, a value int64
-    cannot hold and a letter past the end of ``values`` read -1, which no
-    residue equals."""
-    vals = np.full(count, -1, dtype=np.int64)
+# a letter that fails its block: past the end, or a glyph index the key
+# cannot map, which the key's inverse_ids marks -1
+_REFUSED = -1
+_MISREAD = -2  # a received value that no residue equals
+
+
+def _received(values: Sequence[int], count: int) -> np.ndarray:
+    """``values`` over ``count`` letters as int64.  A negative value and one
+    int64 cannot hold read _MISREAD, and a None and a letter past the end of
+    ``values`` read _REFUSED."""
+    vals = np.full(count, _REFUSED, dtype=np.int64)
     try:
-        vals[: len(values)] = np.fromiter(values, dtype=np.int64, count=len(values))
+        got = np.fromiter(values, dtype=np.int64, count=len(values))
+        vals[: len(values)] = np.where(got < 0, _MISREAD, got)
     except (OverflowError, TypeError):  # a None, or a value past int64
         vals[: len(values)] = [
-            v if v is not None and 0 <= v < 1 << _INT64_BITS else -1 for v in values
+            _REFUSED if v is None else v if 0 <= v < 1 << _INT64_BITS else _MISREAD
+            for v in values
         ]
     return vals
 
 
 def _garner(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per distinct set: its moduli, Garner inverses and M where P max(p) <
-    2^62, else moduli 1 and M = 0, so its blocks decode one by one.  The
-    bound keeps :func:`crc._lift` in int64: at position j, m0 < step, r_j < p_j
-    (out-of-range residues are zeroed) and inv < p_j, so |(r_j - m0) inv| <
-    max(step, p_j) p_j <= P max(p); the new m0 and step stay below P."""
-    safe = [math.prod(s.p) * max(s.p) < 1 << _INT64_BITS for s in layout.sets]
-    M = [s.payload_bound if ok else 0 for s, ok in zip(layout.sets, safe)]
-    inverses = np.array([s.inverses for s in layout.sets], dtype=np.int64)
-    moduli = np.where(np.array(safe, dtype=bool)[:, None], layout.moduli, 1)
-    return moduli, inverses.reshape(-1, moduli.shape[1] - 1), np.array(M, dtype=np.int64)
+    """Per distinct set: its moduli, Garner inverses and M where the set
+    ``lifts_in_int64`` (out-of-range residues are zeroed before the lift),
+    else moduli 1 and M = 0, so its blocks decode one by one."""
+    sets = layout.sets
+    M = np.array([s.payload_bound if s.lifts_in_int64 else 0 for s in sets], dtype=np.int64)
+    inverses = np.array([s.inverses for s in sets], dtype=np.int64).reshape(len(sets), -1)
+    return np.where(M[:, None] > 0, layout.moduli, 1), inverses, M
 
 
 def _uniform_row(capacity: int) -> np.ndarray:
@@ -418,30 +465,30 @@ def _uniform_row(capacity: int) -> np.ndarray:
 
 
 def _decode(
-    seq: LetterSequence,
+    capacities: Sequence[int],
     layout: _Layout,
-    values: Sequence[Optional[int]],
+    received: np.ndarray,
     row: Optional[Callable[[int], np.ndarray]] = None,
     ends: Optional[Sequence[int]] = None,
 ) -> tuple[np.ndarray, dict[int, DecodeOutcome], list[Optional[int]]]:
     """Decode every block's payload.
 
-    ``values`` gives each letter's received integer and ``row(i)`` letter i's
-    likelihood row in the same order; rows are uniform when ``row`` is None.
-    Every block whose residues are all in range and reconstruct below M
-    takes the exact path in one pass.  The others go, in block order, to
-    :func:`hamming_decode`, and rows are built only for those whose Hamming
-    decode ties.  Blocks decode in groups that end before each of ``ends``
-    (ascending, the last the block count; one group by default).  A block
-    that holds a None (a glyph index the key could not map), reaches past
-    the end of ``values`` or stays ambiguous fails its group, whose later
-    blocks are then not decoded.
+    ``received`` gives each letter's received integer as :func:`_received`
+    makes it, and ``row(i)`` letter i's likelihood row; rows are uniform
+    over ``capacities[i]`` glyphs when ``row`` is None.  Every block whose
+    residues are all in range and reconstruct below M takes the exact path
+    in one pass.  The others go, in block order, to :func:`hamming_decode`,
+    and rows are built only for those whose Hamming decode ties.  Blocks
+    decode in groups that end before each of ``ends`` (ascending, the last
+    the block count; one group by default).  A block that holds a _REFUSED
+    letter or stays ambiguous fails its group, whose later blocks are then
+    not decoded.
 
     Returns the payloads (0 where none was decoded), the outcome of each
     block off the exact path, and each group's first failed block or None.
     """
     ids = layout.set_ids
-    r = _received(values, len(seq.letters))[layout.members]
+    r = received[layout.members]
     p, inverses, M = (a[ids] for a in _garner(layout))
     live = ((r >= 0) & (r < p)).all(axis=1)
     m = _lift(np.where(live[:, None], r, 0).T, p.T, range(p.shape[1]), inverses.T)[0]
@@ -453,23 +500,20 @@ def _decode(
     failed: list[Optional[int]] = [None] * len(ends)
     group = 0
     pending = np.flatnonzero(~exact)
-    for t, members, s in zip(
-        pending.tolist(), layout.members[pending].tolist(), ids[pending].tolist()
-    ):
+    for t, vector, s in zip(pending.tolist(), r[pending].tolist(), ids[pending].tolist()):
         while t >= ends[group]:
             group += 1
         if failed[group] is not None:
             continue
-        vector = [values[i] for i in members] if members[-1] < len(values) else [None]
-        if None in vector:
+        if _REFUSED in vector:
             failed[group] = t
             continue
         moduli = layout.sets[s]
         outcome = hamming_decode(vector, moduli)
         if outcome.status == "ambiguous-fail":
             g = [
-                row(i) if row is not None else _uniform_row(seq.capacities[i])
-                for i in members
+                row(i) if row is not None else _uniform_row(capacities[i])
+                for i in layout.members[t].tolist()
             ]
             outcome = _resolve_tie(outcome, vector, moduli, g)
         slow[t] = outcome
@@ -494,13 +538,15 @@ def embed(
     closest glyph).  With a permutation key, every embedded integer i is
     mapped to the glyph at the key's position i.
     """
-    seq = _check_text(text, codebook)
-    layout = _build_layout(seq.capacities, n, k)
+    letters = _check_text(text, codebook)
+    layout = _build_layout(letters.capacities.tolist(), n, k)
     if not len(layout.widths):
         raise DocumentTooSmallError("document has zero complete blocks")
     framed = frame_message(bits, int(layout.widths.sum()))
     payloads = _chunk(framed, layout.widths)
-    return EncodedDocument(text, _encode(seq, layout, payloads, codebook, key), codebook.font_id)
+    return EncodedDocument(
+        text, _encode(letters, layout, payloads, codebook, key), codebook.font_id
+    )
 
 
 def extract(
@@ -523,34 +569,35 @@ def extract(
     whose Hamming decode ties.  Raises PartialDecodeError at the first block
     that cannot be decoded.
     """
-    seq = _check_text(encoded.text, codebook)
-    if len(encoded.glyph_indices) != len(seq.letters):
+    letters = _check_text(encoded.text, codebook)
+    count = len(letters.coded)
+    if len(encoded.glyph_indices) != count:
         raise ContractViolation("glyph index stream does not match the letter count")
-    layout = _build_layout(seq.capacities, n, k)
+    layout = _build_layout(letters.capacities.tolist(), n, k)
     if not len(layout.widths):
         raise DocumentTooSmallError("document has zero complete blocks")
-    if likelihoods is not None and len(likelihoods) != len(seq.letters):
+    if likelihoods is not None and len(likelihoods) != count:
         raise ContractViolation("likelihood table does not match the letter count")
 
-    indices = encoded.glyph_indices
-    refused = len(indices)  # the first letter whose glyph index the key cannot map
+    received = _received(encoded.glyph_indices, count)
+    refused = count  # the first letter whose glyph index the key cannot map
     if key is not None:
-        indices = key.inverse_letters(seq.letters, indices, _capacities(codebook))
-        if None in indices:
-            refused = indices.index(None)
+        received = key.inverse_ids(letters.chars, letters.ids, received, _capacities(codebook))
+        marked = np.flatnonzero(received == _REFUSED)
+        refused = int(marked[0]) if len(marked) else count
     if likelihoods is not None:  # each row is checked before its letter's key
-        for i, cap in enumerate(seq.capacities[: refused + 1]):
+        for i, cap in enumerate(letters.capacities[: refused + 1].tolist()):
             if np.asarray(likelihoods[i], dtype=float).shape != (cap,):
                 raise ContractViolation(f"likelihood row {i} has wrong length")
-    if refused < len(indices):  # raises the key's error for that glyph index
-        key.inverse(seq.letters[refused], encoded.glyph_indices[refused])
+    if refused < count:  # raises the key's error for that glyph index
+        key.inverse(letters.coded[refused], encoded.glyph_indices[refused])
 
     def row(i: int) -> np.ndarray:
         r = np.asarray(likelihoods[i], dtype=float)
-        return r if key is None else key.inverse_row(seq.letters[i], r)
+        return r if key is None else key.inverse_row(letters.coded[i], r)
 
     payloads, slow, (failed,) = _decode(
-        seq, layout, indices, row if likelihoods is not None else None
+        letters.capacities, layout, received, row if likelihoods is not None else None
     )
     if failed is not None:
         raise PartialDecodeError(failed)
@@ -584,9 +631,9 @@ def capacity_report(
     if sample_blocks < 0:
         raise ContractViolation("sample_blocks must be non-negative")
     if text is not None:
-        seq = _check_text(text, codebook)
-        total_bits = int(_build_layout(seq.capacities, n, k).widths.sum())
-        letters = len(seq.letters)
+        caps = _check_text(text, codebook).capacities
+        total_bits = int(_build_layout(caps.tolist(), n, k).widths.sum())
+        letters = len(caps)
     else:
         chars = sorted(frequencies)
         weights = np.array([frequencies[c] for c in chars], dtype=float)

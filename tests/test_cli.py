@@ -409,6 +409,31 @@ def test_malformed_files_exit_with_format_error(workspace, tmp_path):
     assert main(args) == EXIT_FORMAT
 
 
+def test_document_with_a_bad_index_exits_with_format_error(workspace, tmp_path):
+    doc = tmp_path / "doc.txt"
+    args = [
+        "embed",
+        "--codebook", str(workspace / "codebook.txt"),
+        "--text", str(workspace / "text.txt"),
+        "--message", str(workspace / "message.txt"),
+        "--output", str(doc),
+    ]
+    assert main(args) == EXIT_OK
+    lines = doc.read_text().splitlines()
+    assert lines[-1].startswith("indices ")
+    tokens = lines[-1].split()
+    tokens[5] = "7.0"
+    doc.write_text("\n".join(lines[:-1] + [" ".join(tokens)]) + "\n")
+    args = [
+        "extract",
+        "--codebook", str(workspace / "codebook.txt"),
+        "--document", str(doc),
+        "--output", str(tmp_path / "never.txt"),
+    ]
+    assert main(args) == EXIT_FORMAT
+    assert not (tmp_path / "never.txt").exists()
+
+
 def _write_key(path, key):
     with open(path, "w", encoding="utf-8") as fh:
         formats.write_key(key, fh)

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    BEYOND_INT64,
     GLYPH_CHANGES,
     IndexKey,
     loop_embed,
@@ -339,14 +340,22 @@ def test_next_prime_matches_sympy():
 
 
 def test_library_imports_without_sympy():
-    """The library and its CLI need numpy alone; sympy is a test tool."""
+    """The library and its CLI need numpy alone: importing them loads no
+    top-level module outside the standard library but glyphcode and numpy,
+    so sympy stays a test tool."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, glyphcode, glyphcode.cli; print('sympy' in sys.modules)"
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import glyphcode, glyphcode.cli\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(*sorted(loaded - set(sys.stdlib_module_names)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["glyphcode", "numpy"]
 
 
 def test_signing_capacity_shortfall(sig_codebook):
@@ -387,9 +396,9 @@ def test_key_round_trip_property(seed):
 @pytest.mark.parametrize("letters", [176, 704])
 def test_sign_and_verify_build_the_layout_once(sig_codebook, monkeypatch, letters):
     """Signing and verification cost stays linear in the document length:
-    the letter sequence and the block partition are built once per call,
-    whatever the number of segments."""
-    calls = {"letter_sequence": 0, "_build_layout": 0}
+    the code-point pass over the letters and the block partition run once
+    per call, whatever the number of segments."""
+    calls = {"_letters": 0, "_build_layout": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -407,7 +416,7 @@ def test_sign_and_verify_build_the_layout_once(sig_codebook, monkeypatch, letter
         for name in calls:
             calls[name] = 0
         out = run()
-        assert calls == {"letter_sequence": 1, "_build_layout": 1}
+        assert calls == {"_letters": 1, "_build_layout": 1}
         return out
 
     text = _sig_text(letters, seed=27)
@@ -578,3 +587,129 @@ def test_scheme2_verify_matches_letter_loop_oracle(letters, text_seed, changes):
     assert got == outcome(loop_verify, tampered, DIFF_CODEBOOK, DIFF_CONFIG, verifier=public)
     if not changes:
         assert got[1].overall == "match"
+
+
+# "\U0001F600" is a letter past the Basic Multilingual Plane and "ab" a
+# two-character key, which no letter equals but every key must fit
+KEYED_CODEBOOK = fixtures.fixture_codebook(
+    {"a": 1, "b": 2, "c": 3, "d": 5, "\U0001F600": 4, "f": 7, "g": 11, "ab": 3}, seed=2
+)
+
+
+def _keyed_text(letters, seed):
+    freqs = {"a": 0.05, "b": 0.05, "c": 0.1, "d": 0.15, "\U0001F600": 0.1, "f": 0.25, "g": 0.3}
+    text = fixtures.random_text(letters, seed=seed, frequencies=freqs)
+    return text.replace(" ", " 日 ", 3) + "1€\U0001F601"
+
+
+def _with_extra_characters(key):
+    """The key with permutations for characters the codebook lacks."""
+    extra = {"z": (1, 0), "xy": (0,), "\U0001F601": (2, 0, 1), "é": tuple(range(40))}
+    return PermutationKey(key.key_id, {**extra, **key.perms})
+
+
+def _changed(doc, changes, past, caps):
+    """The document with glyph index i set to v for each (i, v) of
+    ``changes``, then to letter i's capacity plus o for each (i, o) of
+    ``past``."""
+    indices = list(doc.glyph_indices)
+    for i, v in changes:
+        indices[i % len(indices)] = v
+    for i, o in past:
+        indices[i % len(indices)] = caps[i % len(indices)] + o
+    return pipeline.EncodedDocument(doc.text, tuple(indices), doc.codebook_id)
+
+
+def _keyed_round_trips(text, codebook, config, key, bits, changes, past):
+    """Keyed embed, extract, sign and verify give the per-letter path's
+    documents, messages, reports and errors (type, message and cause, so
+    the letter and block where each is raised), on documents with changed
+    glyph indices."""
+    loop_key = IndexKey(key)
+    n, k = config.n, config.k
+    caps = pipeline.letter_sequence(text, codebook).capacities
+    doc = outcome(pipeline.embed, text, codebook, bits, n, k, key=key)
+    assert doc == outcome(loop_embed, text, codebook, bits, n, k, key=loop_key)
+    signed = outcome(sign_scheme1, text, codebook, key, config)
+    assert signed == outcome(loop_sign_scheme1, text, codebook, loop_key, config)
+    got = set()
+    if doc[0] == "returned":
+        bad = _changed(doc[1], changes, past, caps)
+        extracted = outcome(pipeline.extract, bad, codebook, n, k, key=key)
+        assert extracted == outcome(loop_extract, bad, codebook, n, k, key=loop_key)
+        got.add(extracted[0])
+    if signed[0] == "returned":
+        bad = _changed(signed[1], changes, past, caps)
+        report = outcome(verify, bad, codebook, config, key=key)
+        assert report == outcome(loop_verify, bad, codebook, config, key=loop_key)
+        got.add(report[1].overall)
+    return got
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    letters=st.integers(40, 600),
+    text_seed=st.integers(0, 10**4),
+    key_seed=st.integers(0, 50),
+    extra=st.booleans(),
+    bits=st.text(alphabet="01", max_size=40),
+    changes=GLYPH_CHANGES,
+    past=st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from([0, 3])), max_size=2),
+)
+def test_key_table_gathers_match_index_key_oracle(
+    letters, text_seed, key_seed, extra, bits, changes, past
+):
+    """The keyed round trip, whose key maps whole letter sequences by table
+    gathers, is the one-letter-at-a-time path's, with keys that also permute
+    characters the codebook lacks and with glyph indices -1, at and past a
+    letter's capacity and past int64."""
+    key = keygen(KEYED_CODEBOOK, seed=key_seed)
+    key = _with_extra_characters(key) if extra else key
+    text = _keyed_text(letters, text_seed)
+    _keyed_round_trips(text, KEYED_CODEBOOK, DIFF_CONFIG, key, bits, changes, past)
+
+
+@pytest.mark.parametrize("value", [-1, "cap", "cap+3", *BEYOND_INT64])
+def test_key_refusals_match_index_key_oracle(value):
+    """A glyph index the key cannot map, at the first, a middle and the last
+    letter, fails extract and verify as the per-letter path fails them."""
+    text = _keyed_text(700, seed=41)
+    caps = pipeline.letter_sequence(text, KEYED_CODEBOOK).capacities
+    key = _with_extra_characters(keygen(KEYED_CODEBOOK, seed=9))
+    offset = {"cap": 0, "cap+3": 3}.get(value)
+    got = set()
+    for i in (0, len(caps) // 2, len(caps) - 1):
+        changes, past = ([], [(i, offset)]) if offset is not None else ([(i, value)], [])
+        got |= _keyed_round_trips(text, KEYED_CODEBOOK, DIFF_CONFIG, key, "1101", changes, past)
+    assert got >= {KeyMismatchError, "mismatch"}  # an uncoded last letter fails no block
+
+
+# ten primes 127-173: every ten-letter word forms a block whose nine
+# smallest moduli multiply past 2^64, so payloads are Python integers
+PRIME_CODEBOOK = fixtures.fixture_codebook(
+    dict(zip("abcdefghij", (127, 131, 137, 139, 149, 151, 157, 163, 167, 173))), seed=6
+)
+PRIME_WORDS = ("abcdefghij", "jihgfedcba", "bcdefghija", "fghijabcde", "acegibdfhj")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    words=st.lists(st.sampled_from(PRIME_WORDS), min_size=1, max_size=8),
+    key_seed=st.integers(0, 50),
+    extra=st.booleans(),
+    bits=st.text(alphabet="01", max_size=200),
+    changes=GLYPH_CHANGES,
+    past=st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from([0, 3])), max_size=2),
+)
+def test_key_table_gathers_on_payloads_past_int64_match_index_key_oracle(
+    words, key_seed, extra, bits, changes, past
+):
+    """The keyed round trip on payloads wider than 62 bits, whose residues
+    are taken from Python integers, is the per-letter path's."""
+    config = SignatureConfig(segment_min_letters=10, n=10, k=9)
+    caps = pipeline.letter_sequence("".join(words), PRIME_CODEBOOK).capacities
+    layout = pipeline._build_layout(caps, 10, 9)
+    assert pipeline._payload_dtype(layout.widths) is object
+    key = keygen(PRIME_CODEBOOK, seed=key_seed)
+    key = _with_extra_characters(key) if extra else key
+    _keyed_round_trips(" ".join(words), PRIME_CODEBOOK, config, key, bits, changes, past)

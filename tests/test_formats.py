@@ -284,6 +284,17 @@ def test_malformed_fields_raise_format_error():
         formats.read_document(io.StringIO(doc))
 
 
+@pytest.mark.parametrize("token", ["x", "1.5", "1e3", "0x1f", "nan", "--1", "1,2", '"1"'])
+def test_document_index_that_is_not_an_integer_is_a_format_error(token):
+    """Every index token must parse as an integer; a written document reads
+    back as it was."""
+    text = SAMPLE_FILES["document"]
+    assert text.endswith("indices 1 0 2\n")
+    assert formats.read_document(io.StringIO(text)).glyph_indices == (1, 0, 2)
+    with pytest.raises(FormatError, match="ValueError"):
+        formats.read_document(io.StringIO(text.replace("indices 1 0 2", f"indices 1 {token} 2")))
+
+
 def test_one_version_string():
     import glyphcode
     from setuptools.config import pyprojecttoml

@@ -380,6 +380,60 @@ def test_layout_matches_letter_loop_oracle(text, nk):
     assert outcome(partition_blocks, seq, n, k) == outcome(loop_partition_blocks, seq, n, k)
 
 
+# the code-point pass reads each of these as one code point: a high and a
+# low lone surrogate, a surrogate pair left as two code points, letters
+# past the Basic Multilingual Plane and the last code point; "ab" is a
+# two-character key, which no letter equals, and "a" is not a key
+CODE_POINT_CODEBOOK = fixtures.fixture_codebook(
+    {"b": 2, "c": 3, "é": 4, "\ud800": 5, "\U0001F600": 7, "\U0010FFFF": 4, "ab": 3}, seed=5
+)
+CODE_POINT_TEXTS = st.text(
+    alphabet=st.sampled_from(
+        ["a", "b", "c", "é", " ", "日", "\ud800", "\udfff", "\ud83d", "\ude00"]
+        + ["\U0001F600", "\U0001F601", "\U0010FFFF", "\U0010FFFE"]
+    )
+    | st.characters(),
+    max_size=120,
+)
+
+
+def _same_as_letter_loop(text, codebook):
+    """The code-point pass and letter_sequence give the per-letter loop's
+    letters, capacities and positions."""
+    want = loop_letter_sequence(text, codebook)
+    assert letter_sequence(text, codebook) == want
+    letters = pipeline._letters(text, codebook)
+    assert letters.coded == "".join(want.letters)
+    assert [letters.chars[i] for i in letters.ids.tolist()] == list(want.letters)
+    assert letters.capacities.tolist() == list(want.capacities)
+    assert letters.positions.tolist() == list(want.positions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=CODE_POINT_TEXTS)
+def test_code_point_pass_matches_letter_loop_oracle(text):
+    _same_as_letter_loop(text, CODE_POINT_CODEBOOK)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "xyz 日 €",  # no codebook letter
+        "ab aab",  # the two-character key matches no letter, its "b" does
+        "\udfff\ud800",  # lone surrogates
+        "\ud83d\ude00\U0001F600",  # a surrogate pair as two code points, then the letter
+        "\U0010FFFF\U0010FFFE c\U0001F601é",
+    ],
+)
+def test_code_point_pass_edge_cases_match_letter_loop_oracle(text):
+    _same_as_letter_loop(text, CODE_POINT_CODEBOOK)
+    _same_as_letter_loop(text, DIFF_CODEBOOK)
+    only_long = fixtures.fixture_codebook({"ab": 3, "\udfff\ud800": 2})  # no one-character key
+    _same_as_letter_loop(text, only_long)
+    assert not pipeline._letters(text, only_long).coded
+
+
 def _tamper(doc, changes):
     """The document with glyph index i replaced by v for each (i, v)."""
     indices = list(doc.glyph_indices)
@@ -431,6 +485,17 @@ def test_glyph_index_beyond_int64_is_an_erasure(codebook, value):
     assert outcome(extract, bad, codebook) == outcome(loop_extract, bad, codebook)
 
 
+@pytest.mark.parametrize("value", [-2, -5, -(2**62), 2**62 + 1])
+def test_glyph_index_past_every_modulus_is_an_erasure(codebook, value):
+    """Without a key, a negative glyph index, and one past 2^62 that int64
+    holds, read as a misread letter, as the per-letter path reads them."""
+    text = fixtures.random_text(300, seed=4)
+    bits = "1011001110001111"
+    bad = _tamper(embed(text, codebook, bits), [(7, value), (40, value)])
+    assert extract(bad, codebook)[0] == bits
+    assert outcome(extract, bad, codebook) == outcome(loop_extract, bad, codebook)
+
+
 # capacities 5-13 with 250-300 at n = 8, k = 3: every word forms a block; a
 # word of wide letters alone takes moduli whose P * max(p) passes 2^62,
 # so its block decodes on its own, and a word that mixes both does not
@@ -479,7 +544,7 @@ def test_int64_guard_boundary_matches_letter_loop_oracle():
     for t, change in zip(range(2, 8), [None, None, 2**62 - 1, 2**62 - 1, 2**63, 2**63]):
         i = blocks[t].member_indices[t % 5]
         values[i] = (values[i] + 1) % caps[i] if change is None else change
-    got, slow, (failed,) = pipeline._decode(seq, layout, values)
+    got, slow, (failed,) = pipeline._decode(caps, layout, pipeline._received(values, len(caps)))
     bits, outcomes = loop_decode_blocks(seq, blocks, values)
     assert failed is None and sorted(slow) == list(range(1, 8))
     report = [
@@ -556,7 +621,9 @@ def test_payloads_wider_than_int64_are_python_integers():
         received = list(values)
         for i, v in changed:
             received[i] = v
-        decoded, slow, failed = pipeline._decode(seq, layout, received)
+        decoded, slow, failed = pipeline._decode(
+            seq.capacities, layout, pipeline._received(received, len(received))
+        )
         want_bits, want_report = loop_decode_blocks(seq, blocks, received)
         assert failed == [None]
         assert pipeline._bits(decoded, layout.widths) == want_bits
