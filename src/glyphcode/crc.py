@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -86,15 +86,21 @@ class ModuliSet:
         return math.prod(self.p)
 
 
-@dataclass(frozen=True)
-class DecodeOutcome:
-    """Result of decoding one block's code vector."""
+class DecodeOutcome(NamedTuple):
+    """Result of decoding one block's code vector: an immutable, hashable
+    record whose repr leaves out the candidates."""
 
     status: str  # exact | corrected | corrected-ml | ambiguous-fail
     m: Optional[int]
     min_hamming: int
     candidate_count: int
-    candidates: tuple[int, ...] = field(default=(), repr=False)
+    candidates: tuple[int, ...] = ()
+
+    def __repr__(self) -> str:
+        return (
+            f"DecodeOutcome(status={self.status!r}, m={self.m!r}, "
+            f"min_hamming={self.min_hamming!r}, candidate_count={self.candidate_count!r})"
+        )
 
     def as_text(self) -> str:
         m = "-" if self.m is None else str(self.m)
@@ -152,18 +158,18 @@ def hamming_decode(r: Sequence[int], moduli: ModuliSet) -> DecodeOutcome:
     """Decode a code vector by minimum Hamming distance over the payloads
     m < M, with M the moduli set's payload bound.
 
-    Fast path: if the residues are all in range and CRT-reconstruct below M,
-    the vector is a valid codeword (distance 0).  Otherwise the nearest
-    payloads are found by subset CRT (Goldreich, Ron & Sudan, "Chinese
-    Remaindering with Errors"): a payload at distance d agrees with the vector
-    on n - d in-range positions, so CRT on every s-subset of in-range
-    positions, stepped by the subset's product below M, lists every payload
-    within distance n - s.  Subsets start at size k, where each yields at most
-    one payload, and shrink only while they yield no candidate at all; size 0
-    lists all of [0, M).  Within the unique-decoding radius floor((n-k)/2)
-    the first candidate found is the answer.  Nothing is tabulated.  A
-    non-unique minimum is reported as ambiguous-fail with every tied
-    candidate recorded, in ascending order.
+    The nearest payloads are found by subset CRT (Goldreich, Ron & Sudan,
+    "Chinese Remaindering with Errors"): a payload at distance d agrees with
+    the vector on n - d in-range positions, so CRT on every s-subset of
+    in-range positions, stepped by the subset's product below M, lists every
+    payload within distance n - s.  Subsets start at size k, where each
+    yields at most one payload, and shrink only while they yield no
+    candidate at all; size 0 lists all of [0, M).  Within the
+    unique-decoding radius floor((n-k)/2) the first candidate found is the
+    answer, reported exact at distance 0: a codeword's payload is below
+    every k-subset's product, so its first subset lifts to it.  Nothing is
+    tabulated.  A non-unique minimum is reported as ambiguous-fail with
+    every tied candidate recorded, in ascending order.
     """
     p = moduli.p
     n = len(p)
@@ -172,11 +178,7 @@ def hamming_decode(r: Sequence[int], moduli: ModuliSet) -> DecodeOutcome:
     M = moduli.payload_bound
     r = tuple(map(int, r))
     live = [j for j in range(n) if 0 <= r[j] < p[j]]
-    if len(live) == n:
-        m_tilde = _lift(r, p, live, moduli.inverses)[0]
-        if m_tilde < M:
-            return DecodeOutcome("exact", m_tilde, 0, 1, (m_tilde,))
-    # any other payload is at least n - k + 1 from a codeword
+    # any two payloads are at least n - k + 1 apart
     radius = (n - moduli.k) // 2
     dist: dict[int, int] = {}
     for size in range(min(moduli.k, len(live)), -1, -1):
@@ -187,7 +189,7 @@ def hamming_decode(r: Sequence[int], moduli: ModuliSet) -> DecodeOutcome:
                     continue
                 d = sum(m % pj != rj for pj, rj in zip(p, r))
                 if d <= radius:
-                    return DecodeOutcome("corrected", m, d, 1, (m,))
+                    return DecodeOutcome("corrected" if d else "exact", m, d, 1, (m,))
                 dist[m] = d
         if dist:  # each candidate agrees on its subset, so lies within n - size
             break

@@ -28,6 +28,7 @@ import hashlib
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,7 +39,6 @@ from .pipeline import (
     EncodedDocument,
     _bits,
     _build_layout,
-    _capacities,
     _chunk,
     _decode,
     _encode,
@@ -71,49 +71,32 @@ __all__ = [
 class PermutationKey:
     """Per-character bijection over glyph indices.
 
-    Integer i of character ``ch`` is stored as glyph ``perms[ch][i]``.  A key
-    fits a codebook when it holds, for every codebook character, a
-    permutation of exactly that character's glyph count; characters the
-    codebook lacks are allowed.  The sequence maps take letters as ids into
-    a tuple of characters and map them all by one gather from a 2-D table
-    built per call: forward indexed by [id, integer], inverse by [id, glyph
-    index], where a glyph index out of a character's range is refused.  They
-    check the fit first, so a key that does not fit raises KeyMismatchError
-    before any letter is mapped.  An inverse dict (glyph index -> integer)
-    and the permutation as an index array, for the tables and likelihood
-    rows, are built once, when the key is made, so ``perms`` must not change
-    after that.
+    Integer i of character ``ch`` is stored as glyph ``perms[ch][i]``; the
+    key holds its permutations and nothing derived from them, so every map
+    reads ``perms`` as it stands.  A key fits a codebook when it holds, for
+    every codebook character, a permutation of exactly that character's
+    glyph count; characters the codebook lacks are allowed.  The sequence
+    maps take letters as ids into a tuple of the codebook's characters and
+    map them all by one gather from a 2-D table filled from ``perms`` per
+    call: forward indexed by [id, integer], inverse by [id, glyph index],
+    where a glyph index out of a character's range is refused.  They check
+    the fit first, so a key that does not fit raises KeyMismatchError before
+    any letter is mapped.
     """
 
     key_id: str
     perms: dict[str, tuple[int, ...]]
 
     def __post_init__(self):
-        inverse, rows = {}, {}
         for ch, perm in self.perms.items():
             if sorted(perm) != list(range(len(perm))):
                 raise ContractViolation(f"mapping for {ch!r} is not a permutation")
-            inverse[ch] = {g: i for i, g in enumerate(perm)}
-            rows[ch] = np.asarray(perm, dtype=np.intp)
-        object.__setattr__(self, "_inverse", inverse)
-        object.__setattr__(self, "_rows", rows)
 
     def _perm(self, character: str) -> tuple[int, ...]:
         try:
             return self.perms[character]
         except KeyError:
             raise KeyMismatchError(f"key has no entry for character {character!r}")
-
-    def _check_fits(self, widths: dict[str, int]) -> None:
-        """Raise KeyMismatchError unless the key permutes exactly
-        ``widths[ch]`` glyphs for every character ``ch`` of ``widths``."""
-        for ch, width in widths.items():
-            perm = self._perm(ch)
-            if len(perm) != width:
-                raise KeyMismatchError(
-                    f"key permutes {len(perm)} glyphs for character {ch!r}, "
-                    f"which has capacity {width}"
-                )
 
     def forward(self, character: str, value: int) -> int:
         perm = self._perm(character)
@@ -129,41 +112,51 @@ class PermutationKey:
             raise KeyMismatchError(
                 f"glyph index {value} out of range for character {character!r}"
             )
-        return self._inverse[character][value]
+        return perm.index(value)
 
-    def _table(self, chars: Sequence[str], widths: dict[str, int], fill: int) -> np.ndarray:
-        """A (C, width) array filled with ``fill``, one row per character of
-        ``chars``, once the key is checked to fit ``widths``."""
-        self._check_fits(widths)
-        width = max([len(self.perms[ch]) for ch in chars], default=0)
-        return np.full((len(chars), max(width, 1)), fill, dtype=np.int64)
+    def _table(self, chars: Sequence[str], codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
+        """The forward [id, integer] table of ``chars``, 0 past a character's
+        width, and the mask of the entries within it, once the key is
+        checked to fit ``codebook``: it must permute exactly
+        ``codebook.capacity(ch)`` glyphs for every codebook character."""
+        for ch, entry in codebook.entries.items():
+            perm = self._perm(ch)
+            if len(perm) != entry.capacity:
+                raise KeyMismatchError(
+                    f"key permutes {len(perm)} glyphs for character {ch!r}, "
+                    f"which has capacity {entry.capacity}"
+                )
+        perms = [self.perms[ch] for ch in chars]
+        widths = np.array([len(perm) for perm in perms], dtype=np.int64)
+        inside = np.arange(widths.max(initial=1)) < widths[:, None]
+        table = np.zeros(inside.shape, dtype=np.int64)
+        table[inside] = np.fromiter(chain.from_iterable(perms), np.int64, int(widths.sum()))
+        return table, inside
 
     def forward_ids(
-        self, chars: Sequence[str], ids: np.ndarray, values: np.ndarray, widths: dict[str, int]
+        self, chars: Sequence[str], ids: np.ndarray, values: np.ndarray, codebook: Codebook
     ) -> np.ndarray:
         """:meth:`forward` over letters given as ids into ``chars``, which are
-        characters of ``widths``, as one gather from an [id, integer] table,
-        once the key is checked to fit ``widths``; each value must be below
-        its letter's width."""
-        table = self._table(chars, widths, 0)
-        for c, ch in enumerate(chars):
-            perm = self._rows[ch]
-            table[c, : len(perm)] = perm
-        return table[ids, values]
+        characters of ``codebook``, as one gather from an [id, integer]
+        table, once the key is checked to fit ``codebook``; each value must
+        be below its letter's width."""
+        table = self._table(chars, codebook)[0]
+        return table.take(ids * table.shape[1] + values)
 
     def inverse_ids(
-        self, chars: Sequence[str], ids: np.ndarray, values: np.ndarray, widths: dict[str, int]
+        self, chars: Sequence[str], ids: np.ndarray, values: np.ndarray, codebook: Codebook
     ) -> np.ndarray:
         """:meth:`inverse` over letters given as ids into ``chars``, which are
-        characters of ``widths``, as one gather from an [id, glyph index]
-        table, once the key is checked to fit ``widths``; a letter whose
-        glyph index is out of range reads -1."""
-        table = self._table(chars, widths, -1)
-        for c, ch in enumerate(chars):
-            perm = self._rows[ch]
-            table[c, perm] = np.arange(len(perm))
-        inside = (values >= 0) & (values < table.shape[1])
-        return np.where(inside, table[ids, np.where(inside, values, 0)], -1)
+        characters of ``codebook``, as one gather from an [id, glyph index]
+        table scattered from the forward one, once the key is checked to fit
+        ``codebook``; a letter whose glyph index is out of range reads -1."""
+        forward, inside = self._table(chars, codebook)
+        width = forward.shape[1]
+        table = np.full(forward.shape, -1, dtype=np.int64)
+        rows, integers = np.nonzero(inside)
+        table[rows, forward[inside]] = integers
+        readable = (values >= 0) & (values < width)
+        return np.where(readable, table.take(ids * width + np.where(readable, values, 0)), -1)
 
     def inverse_row(self, character: str, row: np.ndarray) -> np.ndarray:
         """Reorder a per-glyph likelihood row into embedded-integer order."""
@@ -173,11 +166,12 @@ class PermutationKey:
             raise KeyMismatchError(
                 f"likelihood row length {row.shape} does not match key for {character!r}"
             )
-        return row[self._rows[character]]
+        return row[np.asarray(perm)]
 
 
-def keygen(codebook: Codebook, seed: int = 0, key_id: Optional[str] = None) -> PermutationKey:
-    """Seeded Fisher-Yates permutation per character; reproducible."""
+def keygen(codebook: Codebook, seed: int = 0) -> PermutationKey:
+    """Seeded Fisher-Yates permutation per character; reproducible, with
+    key id ``key-<seed>``."""
     perms: dict[str, tuple[int, ...]] = {}
     for ch in codebook.characters():
         n = codebook.capacity(ch)
@@ -187,7 +181,7 @@ def keygen(codebook: Codebook, seed: int = 0, key_id: Optional[str] = None) -> P
             j = int(rng.integers(0, i + 1))
             perm[i], perm[j] = perm[j], perm[i]
         perms[ch] = tuple(perm)
-    return PermutationKey(key_id or f"key-{seed}", perms)
+    return PermutationKey(f"key-{seed}", perms)
 
 
 def identity_key(codebook: Codebook) -> PermutationKey:
@@ -401,7 +395,7 @@ def verify(
         raise ContractViolation("glyph index stream does not match the letter count")
     received = _received(encoded.glyph_indices, count)
     if key is not None:  # mapped once for every segment
-        received = key.inverse_ids(letters.chars, letters.ids, received, _capacities(codebook))
+        received = key.inverse_ids(letters.chars, letters.ids, received, codebook)
     payloads, _, failed = _decode(
         letters.capacities, layout, received, ends=[s.block_end for s in segments]
     )

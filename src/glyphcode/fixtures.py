@@ -205,9 +205,8 @@ def random_text(
     letters: int,
     seed: int = 0,
     frequencies: Optional[dict[str, float]] = None,
-    word_length: int = 5,
 ) -> str:
-    """English-frequency random text with spaces every few letters."""
+    """English-frequency random text with a space after every five letters."""
     freqs = ENGLISH_FREQUENCIES if frequencies is None else frequencies
     chars = sorted(freqs)
     w = np.array([freqs[c] for c in chars], dtype=float)
@@ -216,7 +215,7 @@ def random_text(
     picks = rng.choice(len(chars), size=letters, p=w)
     out = []
     for i, p in enumerate(picks):
-        if i and i % word_length == 0:
+        if i and i % 5 == 0:
             out.append(" ")
         out.append(chars[p])
     return "".join(out)

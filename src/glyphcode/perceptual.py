@@ -71,12 +71,17 @@ class RaterReliabilities:
     r: dict[Hashable, float]
 
 
+REL_TOLERANCE = 1e-9  # relative objective decrease at which the fit stops
+REGULARIZATION = 1e-6  # weight of the quadratic gauge penalty
+INITIAL_STEP = 1.0  # the line search's first step
+
+
 @dataclass(frozen=True)
 class FitConfig:
+    """The fit's one setting, its iteration cap; the stopping tolerance,
+    gauge penalty and first step are the module constants above."""
+
     max_iterations: int = 2000
-    rel_tolerance: float = 1e-9
-    regularization: float = 1e-6
-    initial_step: float = 1.0
 
 
 def choice_likelihood(q: int, s_i: float, s_j: float, r_u: float) -> float:
@@ -197,9 +202,9 @@ def fit(
     s = np.full(len(glyphs), 0.5)
     r = np.full(len(raters), -1.0)
 
-    objective = _objective(idx_i, idx_j, idx_u, q, config.regularization)
+    objective = _objective(idx_i, idx_j, idx_u, q, REGULARIZATION)
     value, gradients = objective(s, r)
-    step = config.initial_step
+    step = INITIAL_STEP
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         # only accepted points need gradients; dropping the closures frees
@@ -223,7 +228,7 @@ def fit(
         rel = (value - v_new) / max(abs(value), 1.0)
         s, r, value, gradients = s_new, r_new, v_new, gradients_new
         step *= 1.3  # let the step grow back after cautious stretches
-        if rel < config.rel_tolerance:
+        if rel < REL_TOLERANCE:
             break
 
     components = _connected_components(len(glyphs), idx_i, idx_j)

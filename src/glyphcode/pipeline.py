@@ -101,11 +101,6 @@ class EncodedDocument:
     codebook_id: str
 
 
-def _capacities(codebook: Codebook) -> dict[str, int]:
-    """Each codebook character's glyph count."""
-    return {ch: entry.capacity for ch, entry in codebook.entries.items()}
-
-
 @dataclass(frozen=True, eq=False)
 class _Letters:
     """A text's codebook letters as arrays.
@@ -424,7 +419,7 @@ def _encode(
     indices = np.zeros(len(letters.capacities), dtype=np.int64)
     indices[layout.members] = payloads[:, None] % layout.moduli[layout.set_ids]
     if key is not None:
-        indices = key.forward_ids(letters.chars, letters.ids, indices, _capacities(codebook))
+        indices = key.forward_ids(letters.chars, letters.ids, indices, codebook)
     return tuple(indices.tolist())
 
 
@@ -582,7 +577,7 @@ def extract(
     received = _received(encoded.glyph_indices, count)
     refused = count  # the first letter whose glyph index the key cannot map
     if key is not None:
-        received = key.inverse_ids(letters.chars, letters.ids, received, _capacities(codebook))
+        received = key.inverse_ids(letters.chars, letters.ids, received, codebook)
         marked = np.flatnonzero(received == _REFUSED)
         refused = int(marked[0]) if len(marked) else count
     if likelihoods is not None:  # each row is checked before its letter's key

@@ -65,6 +65,7 @@ from glyphcode.errors import (
     SigningError,
 )
 from glyphcode.outline import GlyphOutline, OutlineStack
+from glyphcode import perceptual
 from glyphcode.perceptual import (
     FitConfig,
     RaterReliabilities,
@@ -302,9 +303,9 @@ def printed_fit(responses, config=FitConfig()):
     r = np.full(len(raters), -1.0)
 
     value, gs, gr = printed_objective_and_gradients(
-        s, r, idx_i, idx_j, idx_u, q, config.regularization
+        s, r, idx_i, idx_j, idx_u, q, perceptual.REGULARIZATION
     )
-    step = config.initial_step
+    step = perceptual.INITIAL_STEP
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         grad_norm_sq = float(gs @ gs + gr @ gr)
@@ -315,7 +316,7 @@ def printed_fit(responses, config=FitConfig()):
             s_new = s - step * gs
             r_new = r - step * gr
             v_new, gs_new, gr_new = printed_objective_and_gradients(
-                s_new, r_new, idx_i, idx_j, idx_u, q, config.regularization
+                s_new, r_new, idx_i, idx_j, idx_u, q, perceptual.REGULARIZATION
             )
             if v_new <= value - 1e-4 * step * grad_norm_sq:
                 accepted = True
@@ -326,7 +327,7 @@ def printed_fit(responses, config=FitConfig()):
         rel = (value - v_new) / max(abs(value), 1.0)
         s, r, value, gs, gr = s_new, r_new, v_new, gs_new, gr_new
         step *= 1.3  # let the step grow back after cautious stretches
-        if rel < config.rel_tolerance:
+        if rel < perceptual.REL_TOLERANCE:
             break
 
     components = response_loop_connected_components(len(glyphs), idx_i, idx_j)

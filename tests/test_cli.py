@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glyphcode import crypto, fixtures, formats, perceptual, pipeline
 from glyphcode.cli import (
@@ -506,3 +510,110 @@ def test_codebook_build_refuses_zero_candidates(tmp_path):
     args = ["codebook-build", "--mode", "construct", "--candidates", "0", "--output", str(out)]
     assert main(args) == EXIT_USAGE
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """One valid input of every kind the subcommands read, by file name."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "text.txt").write_text(fixtures.random_text(176, seed=7))
+    with open(root / "codebook.txt", "w", encoding="utf-8") as fh:
+        formats.write_codebook(fixtures.signature_codebook(), fh)
+    with open(root / "message.txt", "w", encoding="utf-8") as fh:
+        formats.write_message_bits("1101001110001011", fh)
+    planted_s = {f"g{i}": i / 3 for i in range(4)}
+    planted_r = {f"r{i}": -6.0 for i in range(3)}
+    with open(root / "responses.txt", "w", encoding="utf-8") as fh:
+        formats.write_responses(perceptual.synth_responses(planted_s, planted_r, seed=3), fh)
+    cb, text = str(root / "codebook.txt"), str(root / "text.txt")
+    made = [
+        ["keygen", "--codebook", cb, "--output", str(root / "key.txt")],
+        ["embed", "--codebook", cb, "--text", text, "--message", str(root / "message.txt"),
+         "--key", str(root / "key.txt"), "--output", str(root / "document.txt")],
+        ["simulate", "--codebook", cb, "--document", str(root / "document.txt"),
+         "--output", str(root / "noisy.txt"), "--trace", str(root / "trace.txt")],
+        ["sign", "--codebook", cb, "--text", text, "--key", str(root / "key.txt"),
+         "--output", str(root / "signed.txt")],
+    ]
+    for args in made:
+        assert main(args) == EXIT_OK
+    return {path.name: path.read_bytes() for path in root.iterdir()}, root
+
+
+# each subcommand's input options, as (option, file name), then any output
+# options; the outputs go to the fuzz directory
+_FUZZ_COMMANDS = {
+    "capacity": ([("--codebook", "codebook.txt"), ("--text", "text.txt")], []),
+    "keygen": ([("--codebook", "codebook.txt")], ["--output"]),
+    "embed": (
+        [("--codebook", "codebook.txt"), ("--text", "text.txt"),
+         ("--message", "message.txt"), ("--key", "key.txt")],
+        ["--output"],
+    ),
+    "extract": (
+        [("--codebook", "codebook.txt"), ("--document", "noisy.txt"),
+         ("--key", "key.txt"), ("--trace", "trace.txt")],
+        ["--output"],
+    ),
+    "simulate": (
+        [("--codebook", "codebook.txt"), ("--document", "document.txt")],
+        ["--output", "--trace"],
+    ),
+    "sign": (
+        [("--codebook", "codebook.txt"), ("--text", "text.txt"), ("--key", "key.txt")],
+        ["--output"],
+    ),
+    "verify": (
+        [("--codebook", "codebook.txt"), ("--document", "signed.txt"), ("--key", "key.txt")],
+        [],
+    ),
+    "fit-perceptual": ([("--responses", "responses.txt")], ["--output"]),
+}
+
+
+@st.composite
+def _mutated_run(draw):
+    """A subcommand, the one of its inputs to mutate, and the mutation: a
+    truncation, a byte flip or a swap of two whitespace-separated tokens."""
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    inputs, _ = _FUZZ_COMMANDS[command]
+    target = draw(st.sampled_from([name for _, name in inputs]))
+    kind = draw(st.sampled_from(["truncate", "flip", "swap"]))
+    where = draw(st.floats(0.0, 1.0, exclude_max=True))
+    other = draw(st.floats(0.0, 1.0, exclude_max=True))
+    mask = draw(st.integers(1, 255))
+    return command, target, kind, where, other, mask
+
+
+def _mutate(data, kind, where, other, mask):
+    if kind == "truncate":
+        return data[: int(where * len(data))]
+    if kind == "flip":
+        at = int(where * len(data))
+        return data[:at] + bytes([data[at] ^ mask]) + data[at + 1 :]
+    parts = re.split(rb"(\s+)", data)  # tokens at even positions
+    tokens = range(0, len(parts), 2)
+    i, j = tokens[int(where * len(tokens))], tokens[int(other * len(tokens))]
+    parts[i], parts[j] = parts[j], parts[i]
+    return b"".join(parts)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(run=_mutated_run())
+def test_cli_survives_mutated_inputs(fuzz_files, run):
+    """Every subcommand, given valid inputs with one file truncated, one byte
+    flipped or two tokens swapped, returns a documented exit code and raises
+    nothing."""
+    files, root = fuzz_files
+    command, target, kind, where, other, mask = run
+    mutated = root / f"mutated-{target}"
+    mutated.write_bytes(_mutate(files[target], kind, where, other, mask))
+    inputs, outputs = _FUZZ_COMMANDS[command]
+    args = [command]
+    for option, name in inputs:
+        args += [option, str(mutated if name == target else root / name)]
+    for option in outputs:
+        args += [option, str(root / f"out{option}.txt")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(args)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_CAPACITY, EXIT_DECODE, EXIT_KEY, EXIT_FORMAT)

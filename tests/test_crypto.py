@@ -82,6 +82,25 @@ def test_inverse_row_tracks_inverse(codebook):
         assert moved[v] == row[key.forward(ch, v)]
 
 
+def test_key_maps_follow_a_replaced_permutation(codebook):
+    """A key holds its permutations and nothing derived from them, so
+    replacing one moves every map, per letter and per document, to it."""
+    key = keygen(codebook, seed=2)
+    ch = "e"
+    perm = key.perms[ch][1:] + key.perms[ch][:1]  # same width, other order
+    assert perm != key.perms[ch]
+    key.perms[ch] = perm
+    integers = list(range(len(perm)))
+    assert [key.forward(ch, v) for v in integers] == list(perm)
+    assert [key.inverse(ch, g) for g in perm] == integers
+    assert key.inverse_row(ch, np.arange(len(perm), dtype=float)).tolist() == list(perm)
+    letters = pipeline._letters(ch * len(perm), codebook)
+    mapped = key.forward_ids(letters.chars, letters.ids, np.array(integers), codebook)
+    assert mapped.tolist() == list(perm)
+    back = key.inverse_ids(letters.chars, letters.ids, np.array(perm), codebook)
+    assert back.tolist() == integers
+
+
 def test_key_validation_and_mismatch(codebook):
     with pytest.raises(ContractViolation):
         PermutationKey("bad", {"a": (0, 0, 1)})

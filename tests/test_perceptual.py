@@ -11,6 +11,7 @@ from oracles import (
     response_loop_connected_components,
 )
 
+from glyphcode import perceptual
 from glyphcode.errors import ContractViolation
 from glyphcode.perceptual import (
     FitConfig,
@@ -197,10 +198,14 @@ def _response_sets(rng):
     yield [Response("a", "b", "u", 1), Response("c", "d", "u", 0), Response("d", "e", "v", 1)]
 
 
-def test_fit_matches_printed_oracle():
+def test_fit_matches_printed_oracle(monkeypatch):
+    """Also with the gauge penalty off: the fit and the oracle both read
+    the module's ``REGULARIZATION``."""
     rng = np.random.default_rng(6)
+    runs = ((FitConfig(), perceptual.REGULARIZATION), (FitConfig(max_iterations=7), 0.0))
     for responses in _response_sets(rng):
-        for config in (FitConfig(), FitConfig(max_iterations=7, regularization=0.0)):
+        for config, regularization in runs:
+            monkeypatch.setattr(perceptual, "REGULARIZATION", regularization)
             with np.errstate(over="ignore", invalid="ignore"):
                 want = printed_fit(responses, config)
             assert fit(responses, config) == want
