@@ -17,7 +17,7 @@ import numpy as np
 from .codebook import CharacterEntry, Codebook
 from .errors import ContractViolation
 from .outline import GlyphOutline, OutlineStack
-from .pipeline import EncodedDocument, letter_sequence, partition_blocks
+from .pipeline import EncodedDocument, _build_layout, letter_sequence
 from .util import stable_seed
 
 __all__ = [
@@ -230,10 +230,11 @@ def simulate_document(
     seq = letter_sequence(doc.text, codebook)
     if len(doc.glyph_indices) != len(seq.letters):
         raise ContractViolation("glyph index stream does not match the letter count")
+    if not seq.letters:
+        raise ContractViolation("letter sequence is empty")
     indices = list(doc.glyph_indices)
     rows = [np.full(c, 1.0 / c) for c in seq.capacities]
-    for block, params in zip(partition_blocks(seq, n, k), block_params):
-        members = block.member_indices
+    for members, params in zip(_build_layout(seq.capacities, n, k).members.tolist(), block_params):
         vector = [indices[i] for i in members]
         entries = [codebook.entry(seq.letters[i]) for i in members]
         observed, table = inject_errors(vector, entries, errors, params)

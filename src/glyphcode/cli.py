@@ -214,8 +214,8 @@ def cmd_bench(args) -> int:
     text = fixtures.bench_text(seed=args.seed)
     rng = np.random.default_rng(args.seed)
     seq = pipeline.letter_sequence(text, cb)
-    blocks = pipeline.partition_blocks(seq, args.n, args.k)
-    bits = "".join(rng.choice(["0", "1"], size=max(1, sum(b.bit_width for b in blocks) - 40)))
+    total_bits = pipeline.capacity_report(cb, text=text, n=args.n, k=args.k)["total_bits"]
+    bits = "".join(rng.choice(["0", "1"], size=max(1, total_bits - 40)))
     doc = pipeline.embed(text, cb, bits, n=args.n, k=args.k)
     rows = [np.full(c, 1.0 / c) for c in seq.capacities]
     start = time.perf_counter()

@@ -11,10 +11,11 @@ hashes and localizes tampering to the segment level.  The scheme-2 provider is
 a toy textbook RSA whose 32-bit primes come from a trial-division search, so
 the module needs numpy alone.
 
-Signing and verification reuse the message pipeline's letter arrays,
-columnar block layout and array codec.  Each call runs the code-point pass
-over the letters and builds the layout once, and a segment's digest hashes
-a slice of the coded letters joined into one string.  A :class:`Segment` is
+Signing and verification reuse the message pipeline's letter record
+(:class:`~glyphcode.pipeline.LetterSequence`), columnar block layout and
+array codec.  Each call runs the code-point pass over the letters and builds
+the layout once, and a segment's digest hashes a slice of the record's
+letters, which are joined into one string.  A :class:`Segment` is
 a range of blocks, of letters and of coded bits; each segment's end is found
 by a binary search over the blocks' running letter and bit counts.  The
 whole document is encoded or decoded in one pass that is then sliced by
@@ -37,15 +38,15 @@ from .codebook import Codebook
 from .errors import ContractViolation, KeyMismatchError, SigningError
 from .pipeline import (
     EncodedDocument,
+    LetterSequence,
     _bits,
     _build_layout,
     _chunk,
     _decode,
     _encode,
     _Layout,
-    _letters,
-    _Letters,
     _received,
+    letter_sequence,
 )
 from .util import bits_from_bytes, stable_seed
 
@@ -66,6 +67,8 @@ __all__ = [
     "content_hash",
 ]
 
+_INTEGERS = (int, np.integer)  # the values a key maps; any other is refused
+
 
 @dataclass(frozen=True)
 class PermutationKey:
@@ -75,7 +78,9 @@ class PermutationKey:
     key holds its permutations and nothing derived from them, so every map
     reads ``perms`` as it stands.  A key fits a codebook when it holds, for
     every codebook character, a permutation of exactly that character's
-    glyph count; characters the codebook lacks are allowed.  The sequence
+    glyph count; characters the codebook lacks are allowed.  :meth:`forward`
+    and :meth:`inverse` map one value, which must be an integer in the
+    character's range, else KeyMismatchError is raised.  The sequence
     maps take letters as ids into a tuple of the codebook's characters and
     map them all by one gather from a 2-D table filled from ``perms`` per
     call: forward indexed by [id, integer], inverse by [id, glyph index],
@@ -100,7 +105,7 @@ class PermutationKey:
 
     def forward(self, character: str, value: int) -> int:
         perm = self._perm(character)
-        if not (0 <= value < len(perm)):
+        if not (isinstance(value, _INTEGERS) and 0 <= value < len(perm)):
             raise KeyMismatchError(
                 f"integer {value} out of range for character {character!r}"
             )
@@ -108,7 +113,7 @@ class PermutationKey:
 
     def inverse(self, character: str, value: int) -> int:
         perm = self._perm(character)
-        if not (0 <= value < len(perm)):
+        if not (isinstance(value, _INTEGERS) and 0 <= value < len(perm)):
             raise KeyMismatchError(
                 f"glyph index {value} out of range for character {character!r}"
             )
@@ -281,17 +286,17 @@ def _layout(
     codebook: Codebook,
     config: SignatureConfig,
     payload_bits: Optional[int],
-) -> tuple[_Letters, _Layout, list[Segment]]:
+) -> tuple[LetterSequence, _Layout, list[Segment]]:
     """Letters, block layout and segments, each computed once.
 
     A segment closes at its first block where it spans at least
     ``segment_min_letters`` letters and holds the payload.  Both counts grow
     with every block, so that block is the later of two binary searches.
     """
-    letters = _letters(text, codebook)
-    if not letters.coded:
+    seq = letter_sequence(text, codebook)
+    if not seq.letters:
         raise ContractViolation("letter sequence is empty")
-    layout = _build_layout(letters.capacities.tolist(), config.n, config.k)
+    layout = _build_layout(seq.capacities, config.n, config.k)
     if not len(layout.widths):
         raise SigningError("document has zero complete blocks")
     need = config.digest_bits if payload_bits is None else payload_bits
@@ -313,24 +318,24 @@ def _layout(
     if not segments:
         raise SigningError(f"segment 0 holds {bit_ends[-1]} bits, payload needs {need}")
     segments[-1] = replace(
-        segments[-1], block_end=len(letter_ends), seq_end=len(letters.coded), bit_end=bit_ends[-1]
+        segments[-1], block_end=len(letter_ends), seq_end=len(seq.letters), bit_end=bit_ends[-1]
     )
-    return letters, layout, segments
+    return seq, layout, segments
 
 
-def _segment_digest(letters: _Letters, segment: Segment, hash_id: str) -> bytes:
-    return content_hash(letters.coded[segment.seq_start : segment.seq_end], hash_id)
+def _segment_digest(seq: LetterSequence, segment: Segment, hash_id: str) -> bytes:
+    return content_hash(seq.letters[segment.seq_start : segment.seq_end], hash_id)
 
 
 def _embed_payloads(
     text: str,
     codebook: Codebook,
-    laid_out: tuple[_Letters, _Layout, list[Segment]],
+    laid_out: tuple[LetterSequence, _Layout, list[Segment]],
     payloads: Sequence[str],
     key: Optional[PermutationKey],
 ) -> EncodedDocument:
     """Embed one payload per segment, zero-padded to the segment's width."""
-    letters, layout, segments = laid_out
+    seq, layout, segments = laid_out
     framed = []
     for s, bits in zip(segments, payloads):
         if len(bits) > s.bit_end - s.bit_start:
@@ -338,7 +343,7 @@ def _embed_payloads(
         framed.append(bits.ljust(s.bit_end - s.bit_start, "0"))
     chunks = _chunk("".join(framed), layout.widths)
     return EncodedDocument(
-        text, _encode(letters, layout, chunks, codebook, key), codebook.font_id
+        text, _encode(seq, layout, chunks, codebook, key), codebook.font_id
     )
 
 
@@ -350,8 +355,8 @@ def sign_scheme1(
 ) -> EncodedDocument:
     """Embed each segment's content hash into that segment under a private key."""
     laid_out = _layout(text, codebook, config, None)
-    letters, _, segments = laid_out
-    payloads = [bits_from_bytes(_segment_digest(letters, s, config.hash_id)) for s in segments]
+    seq, _, segments = laid_out
+    payloads = [bits_from_bytes(_segment_digest(seq, s, config.hash_id)) for s in segments]
     return _embed_payloads(text, codebook, laid_out, payloads, key)
 
 
@@ -363,8 +368,8 @@ def sign_scheme2(
 ) -> EncodedDocument:
     """Embed an asymmetric signature over each segment's hash, public codebook."""
     laid_out = _layout(text, codebook, config, signer.signature_bits)
-    letters, _, segments = laid_out
-    payloads = [signer.sign(_segment_digest(letters, s, config.hash_id)) for s in segments]
+    seq, _, segments = laid_out
+    payloads = [signer.sign(_segment_digest(seq, s, config.hash_id)) for s in segments]
     return _embed_payloads(text, codebook, laid_out, payloads, key=None)
 
 
@@ -389,15 +394,15 @@ def verify(
     if (key is None) == (verifier is None):
         raise ContractViolation("verify needs exactly one of key and verifier")
     payload_bits = config.digest_bits if verifier is None else verifier.signature_bits
-    letters, layout, segments = _layout(encoded.text, codebook, config, payload_bits)
-    count = len(letters.coded)
+    seq, layout, segments = _layout(encoded.text, codebook, config, payload_bits)
+    count = len(seq.letters)
     if len(encoded.glyph_indices) > count:
         raise ContractViolation("glyph index stream does not match the letter count")
     received = _received(encoded.glyph_indices, count)
     if key is not None:  # mapped once for every segment
-        received = key.inverse_ids(letters.chars, letters.ids, received, codebook)
+        received = key.inverse_ids(seq.chars, seq.ids, received, codebook)
     payloads, _, failed = _decode(
-        letters.capacities, layout, received, ends=[s.block_end for s in segments]
+        seq.capacities, layout, received, ends=[s.block_end for s in segments]
     )
     bits = _bits(payloads, layout.widths)
     results: list[SegmentResult] = []
@@ -407,7 +412,7 @@ def verify(
                 SegmentResult(s.seq_start, s.seq_end, "mismatch", "extraction-failed")
             )
             continue
-        digest = _segment_digest(letters, s, config.hash_id)
+        digest = _segment_digest(seq, s, config.hash_id)
         embedded = bits[s.bit_start : s.bit_end][:payload_bits]
         if verifier is None:
             ok = embedded == bits_from_bytes(digest)[: len(embedded)]

@@ -10,11 +10,12 @@ payload.  The block layout is a pure function of (text, codebook, n, k), so
 the extractor recomputes it instead of transmitting it.  The Monte-Carlo
 capacity estimate partitions its sampled letters with the same rule.
 
-A document's letters are integer arrays (:class:`_Letters`) from one pass
-over the text's UTF-32 code points (:func:`_letters`): each letter's
-character id, glyph count and position.  Embedding, extraction and signing
-use the arrays, a key maps them by table gathers on the character ids, and
-:func:`letter_sequence` turns them into tuples.
+A document's letters are one record (:class:`LetterSequence`) from one pass
+over the text's UTF-32 code points (:func:`letter_sequence`): the letters
+joined into a string, each letter's glyph count, and its position and
+character id as integer arrays.  Embedding, extraction, signing and the
+channel read that record, and a key maps its letters by table gathers on
+the character ids.
 
 The partition is held as arrays (:class:`_Layout`): a (B, n) array of each
 block's letters, a moduli-set id per block, the distinct sets and the few
@@ -28,7 +29,9 @@ m where every residue is in range and m < M; only the other blocks go, in
 block order, to the Hamming decoder and its likelihood tie-break.  A set
 with P * max(p) >= 2^62 decodes block by block, and payloads wider than 62
 bits are Python integers; residues and glyph indices are int64 throughout.
-:func:`partition_blocks` returns the layout as :class:`Block` views.
+:func:`partition_blocks` gives the layout as a per-block view, one
+:class:`Block` per block, and :func:`chunk_message` cuts a framed message
+over that view; the package's own paths read the arrays.
 """
 
 from __future__ import annotations
@@ -70,24 +73,29 @@ LENGTH_PREFIX_BITS = 32
 _INT64_BITS = 62  # payload widths and lifting steps below 2^62 stay in int64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LetterSequence:
-    """The document's codebook-covered letters, in order."""
+    """A text's codebook letters, in order, from one pass over its code points.
 
-    letters: tuple[str, ...]
+    Letter i is the text's character ``positions[i]``, which is the
+    codebook's one-character key ``chars[ids[i]]`` and has ``capacities[i]``
+    glyphs; ``letters`` is the letters joined into one string.
+    """
+
+    letters: str
     capacities: tuple[int, ...]
-    positions: tuple[int, ...]  # original document indices
+    positions: np.ndarray  # original document indices
+    chars: tuple[str, ...]  # the codebook's one-character keys, by code point
+    ids: np.ndarray
 
 
 @dataclass(frozen=True)
 class Block:
+    """One block of :func:`partition_blocks`' per-block view of the layout."""
+
     member_indices: tuple[int, ...]  # indices into the letter sequence
     skipped_indices: tuple[int, ...]
     moduli: ModuliSet
-
-    @property
-    def payload_bound(self) -> int:
-        return self.moduli.payload_bound
 
     @property
     def bit_width(self) -> int:
@@ -101,29 +109,16 @@ class EncodedDocument:
     codebook_id: str
 
 
-@dataclass(frozen=True, eq=False)
-class _Letters:
-    """A text's codebook letters as arrays.
-
-    Letter i is the text's character ``positions[i]``, which is the
-    codebook's one-character key ``chars[ids[i]]`` and has ``capacities[i]``
-    glyphs; ``coded`` is the letters joined into one string.
-    """
-
-    chars: tuple[str, ...]  # the codebook's one-character keys, by code point
-    ids: np.ndarray
-    capacities: np.ndarray
-    positions: np.ndarray
-    coded: str
-
-
-def _letters(text: str, codebook: Codebook) -> _Letters:
+def letter_sequence(text: str, codebook: Codebook) -> LetterSequence:
     """One pass over the text's UTF-32 code points: a gather from a table,
     indexed by code point up to one past the codebook's largest
     one-character key, that holds each key's index into ``chars`` and
     len(chars) elsewhere.  Lone surrogates are code points of their own, and
     a longer key matches no letter.  The table is built per call; a key past
-    the Basic Multilingual Plane makes it up to 4.4 MB."""
+    the Basic Multilingual Plane makes it up to 4.4 MB.  A text that is not
+    a str is refused."""
+    if not isinstance(text, str):
+        raise ContractViolation(f"text must be a str, not {type(text).__name__}")
     entries = codebook.entries
     chars = tuple(sorted(ch for ch in entries if len(ch) == 1))
     points = [ord(ch) for ch in chars]
@@ -134,17 +129,8 @@ def _letters(text: str, codebook: Codebook) -> _Letters:
     positions = np.flatnonzero(at < len(chars))
     ids = at[positions]
     caps = np.array([entries[ch].capacity for ch in chars], dtype=np.int64)
-    coded = codes[positions].tobytes().decode("utf-32-le", "surrogatepass")
-    return _Letters(chars, ids, caps[ids], positions, coded)
-
-
-def letter_sequence(text: str, codebook: Codebook) -> LetterSequence:
-    letters = _letters(text, codebook)
-    return LetterSequence(
-        tuple(letters.coded),
-        tuple(letters.capacities.tolist()),
-        tuple(letters.positions.tolist()),
-    )
+    letters = codes[positions].tobytes().decode("utf-32-le", "surrogatepass")
+    return LetterSequence(letters, tuple(caps[ids].tolist()), positions, chars, ids)
 
 
 def _kmin_product(values: Sequence[int], k: int) -> int:
@@ -330,8 +316,8 @@ def _build_layout(
 
 
 def partition_blocks(seq: LetterSequence, n: int = 5, k: int = 3) -> list[Block]:
-    """Block partition of a document's letter sequence (see
-    :func:`_build_layout`)."""
+    """The block partition of a document's letter sequence (see
+    :func:`_build_layout`) as a per-block view, one :class:`Block` each."""
     if not seq.letters:
         raise ContractViolation("letter sequence is empty")
     return _build_layout(seq.capacities, n, k).blocks()
@@ -393,20 +379,21 @@ def _bits(payloads: np.ndarray, widths: np.ndarray) -> str:
 
 
 def chunk_message(framed: str, blocks: Sequence[Block]) -> list[int]:
-    """Cut bit_width(t) bits per block, big-endian."""
+    """Cut bit_width(t) bits per block, big-endian: :func:`_chunk` over the
+    per-block view."""
     widths = np.array([b.bit_width for b in blocks], dtype=np.int64)
     return _chunk(framed, widths).tolist()
 
 
-def _check_text(text: str, codebook: Codebook) -> _Letters:
-    letters = _letters(text, codebook)
-    if not letters.coded:
+def _check_text(text: str, codebook: Codebook) -> LetterSequence:
+    seq = letter_sequence(text, codebook)
+    if not seq.letters:
         raise DocumentTooSmallError("document contains no codebook letters")
-    return letters
+    return seq
 
 
 def _encode(
-    letters: _Letters,
+    seq: LetterSequence,
     layout: _Layout,
     payloads: np.ndarray,
     codebook: Codebook,
@@ -416,10 +403,10 @@ def _encode(
     uncoded letters, then mapped through the key, which must fit the
     codebook.  Residues are below their moduli, so int64 holds them also
     where the payloads are Python integers."""
-    indices = np.zeros(len(letters.capacities), dtype=np.int64)
+    indices = np.zeros(len(seq.letters), dtype=np.int64)
     indices[layout.members] = payloads[:, None] % layout.moduli[layout.set_ids]
     if key is not None:
-        indices = key.forward_ids(letters.chars, letters.ids, indices, codebook)
+        indices = key.forward_ids(seq.chars, seq.ids, indices, codebook)
     return tuple(indices.tolist())
 
 
@@ -533,14 +520,14 @@ def embed(
     closest glyph).  With a permutation key, every embedded integer i is
     mapped to the glyph at the key's position i.
     """
-    letters = _check_text(text, codebook)
-    layout = _build_layout(letters.capacities.tolist(), n, k)
+    seq = _check_text(text, codebook)
+    layout = _build_layout(seq.capacities, n, k)
     if not len(layout.widths):
         raise DocumentTooSmallError("document has zero complete blocks")
     framed = frame_message(bits, int(layout.widths.sum()))
     payloads = _chunk(framed, layout.widths)
     return EncodedDocument(
-        text, _encode(letters, layout, payloads, codebook, key), codebook.font_id
+        text, _encode(seq, layout, payloads, codebook, key), codebook.font_id
     )
 
 
@@ -564,11 +551,11 @@ def extract(
     whose Hamming decode ties.  Raises PartialDecodeError at the first block
     that cannot be decoded.
     """
-    letters = _check_text(encoded.text, codebook)
-    count = len(letters.coded)
+    seq = _check_text(encoded.text, codebook)
+    count = len(seq.letters)
     if len(encoded.glyph_indices) != count:
         raise ContractViolation("glyph index stream does not match the letter count")
-    layout = _build_layout(letters.capacities.tolist(), n, k)
+    layout = _build_layout(seq.capacities, n, k)
     if not len(layout.widths):
         raise DocumentTooSmallError("document has zero complete blocks")
     if likelihoods is not None and len(likelihoods) != count:
@@ -577,22 +564,22 @@ def extract(
     received = _received(encoded.glyph_indices, count)
     refused = count  # the first letter whose glyph index the key cannot map
     if key is not None:
-        received = key.inverse_ids(letters.chars, letters.ids, received, codebook)
+        received = key.inverse_ids(seq.chars, seq.ids, received, codebook)
         marked = np.flatnonzero(received == _REFUSED)
         refused = int(marked[0]) if len(marked) else count
     if likelihoods is not None:  # each row is checked before its letter's key
-        for i, cap in enumerate(letters.capacities[: refused + 1].tolist()):
+        for i, cap in enumerate(seq.capacities[: refused + 1]):
             if np.asarray(likelihoods[i], dtype=float).shape != (cap,):
                 raise ContractViolation(f"likelihood row {i} has wrong length")
     if refused < count:  # raises the key's error for that glyph index
-        key.inverse(letters.coded[refused], encoded.glyph_indices[refused])
+        key.inverse(seq.letters[refused], encoded.glyph_indices[refused])
 
     def row(i: int) -> np.ndarray:
         r = np.asarray(likelihoods[i], dtype=float)
-        return r if key is None else key.inverse_row(letters.coded[i], r)
+        return r if key is None else key.inverse_row(seq.letters[i], r)
 
     payloads, slow, (failed,) = _decode(
-        letters.capacities, layout, received, row if likelihoods is not None else None
+        seq.capacities, layout, received, row if likelihoods is not None else None
     )
     if failed is not None:
         raise PartialDecodeError(failed)
@@ -627,7 +614,7 @@ def capacity_report(
         raise ContractViolation("sample_blocks must be non-negative")
     if text is not None:
         caps = _check_text(text, codebook).capacities
-        total_bits = int(_build_layout(caps.tolist(), n, k).widths.sum())
+        total_bits = int(_build_layout(caps, n, k).widths.sum())
         letters = len(caps)
     else:
         chars = sorted(frequencies)

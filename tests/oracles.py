@@ -41,6 +41,7 @@ smallest witness (``_clique_bound_search``); the one branch and bound in
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -75,7 +76,6 @@ from glyphcode.perceptual import (
 from glyphcode.pipeline import (
     Block,
     EncodedDocument,
-    LetterSequence,
     _choose_moduli_cached,
     chunk_message,
     frame_message,
@@ -653,6 +653,9 @@ class IndexKey:
         return row[np.asarray(perm)]
 
 
+LoopLetterSequence = namedtuple("LoopLetterSequence", "letters capacities positions")
+
+
 def loop_letter_sequence(text, codebook):
     letters, caps, positions = [], [], []
     for pos, ch in enumerate(text):
@@ -660,7 +663,7 @@ def loop_letter_sequence(text, codebook):
             letters.append(ch)
             caps.append(codebook.capacity(ch))
             positions.append(pos)
-    return LetterSequence(tuple(letters), tuple(caps), tuple(positions))
+    return LoopLetterSequence(tuple(letters), tuple(caps), tuple(positions))
 
 
 def loop_blocks(capacities, n, k):

@@ -204,7 +204,7 @@ def test_criterion_07_capacity_dominance():
     rng = np.random.default_rng(7)
     letters = 41_682
     caps = tuple(int(c) for c in rng.integers(8, 31, size=letters))
-    seq = LetterSequence(("x",) * letters, caps, tuple(range(letters)))
+    seq = LetterSequence("x" * letters, caps, np.arange(letters), ("x",), np.zeros(letters, int))
     blocks = partition_blocks(seq)
     wins = sum(
         b.bit_width > baseline_block_bits([caps[i] for i in b.member_indices])

@@ -248,6 +248,17 @@ def test_simulate_document_refuses_a_short_index_stream(document):
         channel.simulate_document(short, cb, 1, [channel.ChannelParams()])
 
 
+def test_simulate_document_keeps_the_partition_errors(document):
+    """A document with no codebook letter, and a block size below 2, are
+    refused as the block partition refuses them."""
+    cb, doc = document
+    empty = pipeline.EncodedDocument("12 3!", (), doc.codebook_id)
+    with pytest.raises(ContractViolation, match="letter sequence is empty"):
+        channel.simulate_document(empty, cb, 1, [channel.ChannelParams()])
+    with pytest.raises(ContractViolation, match="need n >= 2"):
+        channel.simulate_document(doc, cb, 1, [channel.ChannelParams()], n=1)
+
+
 def _fixture_blocks(rng, cases):
     """Random codewords over fixture codebooks with capacities 2-40, at every
     error count and at noise levels from none to one that misreads almost

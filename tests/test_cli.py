@@ -200,6 +200,18 @@ def test_simulate_short_document_exits_like_extract(workspace, tmp_path, capsys)
 
 
 
+def test_simulate_document_without_codebook_letters_exits_with_usage_error(
+    workspace, tmp_path, capsys
+):
+    doc = tmp_path / "empty.txt"
+    with open(doc, "w") as fh:
+        formats.write_document(pipeline.EncodedDocument("12 3!", (), "fixture"), fh)
+    capsys.readouterr()
+    assert main(_simulate_args(workspace, doc, tmp_path)) == EXIT_USAGE
+    assert "letter sequence is empty" in capsys.readouterr().err
+    assert not (tmp_path / "noisy.txt").exists()
+
+
 def test_codebook_with_a_short_outline_exits_with_format_error(workspace, tmp_path):
     doc = _embedded(workspace, tmp_path)
     lines = (workspace / "codebook.txt").read_text().splitlines()

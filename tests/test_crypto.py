@@ -94,10 +94,10 @@ def test_key_maps_follow_a_replaced_permutation(codebook):
     assert [key.forward(ch, v) for v in integers] == list(perm)
     assert [key.inverse(ch, g) for g in perm] == integers
     assert key.inverse_row(ch, np.arange(len(perm), dtype=float)).tolist() == list(perm)
-    letters = pipeline._letters(ch * len(perm), codebook)
-    mapped = key.forward_ids(letters.chars, letters.ids, np.array(integers), codebook)
+    seq = pipeline.letter_sequence(ch * len(perm), codebook)
+    mapped = key.forward_ids(seq.chars, seq.ids, np.array(integers), codebook)
     assert mapped.tolist() == list(perm)
-    back = key.inverse_ids(letters.chars, letters.ids, np.array(perm), codebook)
+    back = key.inverse_ids(seq.chars, seq.ids, np.array(perm), codebook)
     assert back.tolist() == integers
 
 
@@ -111,6 +111,31 @@ def test_key_validation_and_mismatch(codebook):
         key.forward("a", 2)
     with pytest.raises(KeyMismatchError):
         key.inverse_row("a", np.ones(3))
+
+
+@pytest.mark.parametrize("value", [None, "1", 1.0, 1.5, [1]])
+def test_key_refuses_a_value_that_is_not_an_integer(value):
+    key = PermutationKey("tiny", {"a": (1, 0)})
+    with pytest.raises(KeyMismatchError, match="integer .* out of range"):
+        key.forward("a", value)
+    with pytest.raises(KeyMismatchError, match="glyph index .* out of range"):
+        key.inverse("a", value)
+    assert key.forward("a", np.int64(1)) == 0 and key.inverse("a", np.int64(0)) == 1
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_keyed_extract_refuses_a_none_glyph_index(codebook, where):
+    """A None glyph index under a key is refused with KeyMismatchError, the
+    error an out-of-range one gets, at the first, a middle and the last
+    letter."""
+    key = keygen(codebook, seed=4)
+    doc = pipeline.embed(fixtures.random_text(60, seed=1), codebook, "1011", key=key)
+    i = {"first": 0, "middle": len(doc.glyph_indices) // 2, "last": -1}[where]
+    indices = list(doc.glyph_indices)
+    indices[i] = None
+    broken = pipeline.EncodedDocument(doc.text, tuple(indices), doc.codebook_id)
+    with pytest.raises(KeyMismatchError, match="glyph index None out of range"):
+        pipeline.extract(broken, codebook, key=key)
 
 
 def test_key_wider_than_the_codebook_is_refused(codebook, sig_codebook):
@@ -417,7 +442,7 @@ def test_sign_and_verify_build_the_layout_once(sig_codebook, monkeypatch, letter
     """Signing and verification cost stays linear in the document length:
     the code-point pass over the letters and the block partition run once
     per call, whatever the number of segments."""
-    calls = {"_letters": 0, "_build_layout": 0}
+    calls = {"letter_sequence": 0, "_build_layout": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -435,7 +460,7 @@ def test_sign_and_verify_build_the_layout_once(sig_codebook, monkeypatch, letter
         for name in calls:
             calls[name] = 0
         out = run()
-        assert calls == {"_letters": 1, "_build_layout": 1}
+        assert calls == {"letter_sequence": 1, "_build_layout": 1}
         return out
 
     text = _sig_text(letters, seed=27)

@@ -24,8 +24,8 @@ from oracles import (
     outcome,
 )
 
-from glyphcode import crc, fixtures, pipeline
-from glyphcode.crypto import keygen
+from glyphcode import channel, crc, fixtures, pipeline
+from glyphcode.crypto import SignatureConfig, keygen, segment_text, sign_scheme1, verify
 from glyphcode.errors import (
     CapacityExceededError,
     ContractViolation,
@@ -92,8 +92,13 @@ def test_choose_moduli_validation():
         choose_moduli((5, 5), 2)
 
 
-def _seq(caps):
-    return LetterSequence(tuple("x" * len(caps)), tuple(caps), tuple(range(len(caps))))
+def _seq(caps, letters=None):
+    """A letter record with the given capacities at positions 0, 1, ...;
+    every letter is "x" unless ``letters`` are given."""
+    letters = "x" * len(caps) if letters is None else letters
+    chars = tuple(sorted(set(letters)))
+    ids = np.array([chars.index(ch) for ch in letters], dtype=np.intp)
+    return LetterSequence(letters, tuple(caps), np.arange(len(caps)), chars, ids)
 
 
 def test_partition_direct_success():
@@ -113,7 +118,7 @@ def test_partition_expansion_rule():
     assert blocks[0].member_indices == (0, 1, 3, 4, 5)
     assert blocks[0].skipped_indices == (2,)
     obj, _ = oracle_choose((8, 9, 7, 6, 11), 3)
-    assert blocks[0].payload_bound == obj
+    assert blocks[0].moduli.payload_bound == obj
 
 
 def test_partition_trailing_uncoded():
@@ -374,7 +379,7 @@ def test_layout_matches_letter_loop_oracle(text, nk):
     list as the Monte-Carlo estimate passes it, are the per-letter ones."""
     n, k = nk
     seq = letter_sequence(text, DIFF_CODEBOOK)
-    assert seq == loop_letter_sequence(text, DIFF_CODEBOOK)
+    _same_as_letter_loop(text, DIFF_CODEBOOK)
     for caps in (seq.capacities, list(seq.capacities)):
         assert pipeline._build_layout(caps, n, k).blocks() == list(loop_blocks(caps, n, k))
     assert outcome(partition_blocks, seq, n, k) == outcome(loop_partition_blocks, seq, n, k)
@@ -398,15 +403,17 @@ CODE_POINT_TEXTS = st.text(
 
 
 def _same_as_letter_loop(text, codebook):
-    """The code-point pass and letter_sequence give the per-letter loop's
-    letters, capacities and positions."""
+    """The code-point pass gives the per-letter loop's letters (joined into
+    one string), capacities (a tuple of Python ints) and positions, and its
+    character ids name the same letters."""
     want = loop_letter_sequence(text, codebook)
-    assert letter_sequence(text, codebook) == want
-    letters = pipeline._letters(text, codebook)
-    assert letters.coded == "".join(want.letters)
-    assert [letters.chars[i] for i in letters.ids.tolist()] == list(want.letters)
-    assert letters.capacities.tolist() == list(want.capacities)
-    assert letters.positions.tolist() == list(want.positions)
+    seq = letter_sequence(text, codebook)
+    assert seq.letters == "".join(want.letters)
+    assert [seq.chars[i] for i in seq.ids.tolist()] == list(want.letters)
+    assert type(seq.capacities) is tuple
+    assert all(type(c) is int for c in seq.capacities)
+    assert seq.capacities == want.capacities
+    assert seq.positions.tolist() == list(want.positions)
 
 
 @settings(max_examples=300, deadline=None)
@@ -431,7 +438,32 @@ def test_code_point_pass_edge_cases_match_letter_loop_oracle(text):
     _same_as_letter_loop(text, DIFF_CODEBOOK)
     only_long = fixtures.fixture_codebook({"ab": 3, "\udfff\ud800": 2})  # no one-character key
     _same_as_letter_loop(text, only_long)
-    assert not pipeline._letters(text, only_long).coded
+    assert not letter_sequence(text, only_long).letters
+
+
+@pytest.mark.parametrize("text", [None, b"abc", 5])
+def test_a_text_that_is_not_a_str_is_refused(codebook, text):
+    """Every entry point that reads a text's letters refuses a text that is
+    not a str with ContractViolation, and capacity_report(text=None) still
+    asks for exactly one of a text and a frequency table."""
+    key = keygen(codebook, seed=1)
+    config = SignatureConfig(segment_min_letters=10)
+    doc = pipeline.EncodedDocument(text, (0, 1, 2), codebook.font_id)
+    calls = [
+        lambda: letter_sequence(text, codebook),
+        lambda: embed(text, codebook, "1"),
+        lambda: extract(doc, codebook),
+        lambda: segment_text(text, codebook, config),
+        lambda: sign_scheme1(text, codebook, key, config),
+        lambda: verify(doc, codebook, config, key=key),
+        lambda: channel.simulate_document(doc, codebook, 1, [channel.ChannelParams()]),
+    ]
+    for call in calls:
+        with pytest.raises(ContractViolation, match="text must be a str"):
+            call()
+    refusal = "exactly one of" if text is None else "text must be a str"
+    with pytest.raises(ContractViolation, match=refusal):
+        pipeline.capacity_report(codebook, text=text)
 
 
 def _tamper(doc, changes):
@@ -534,10 +566,10 @@ def test_int64_guard_boundary_matches_letter_loop_oracle():
     assert 2**62 - 2**46 < below < 2**62 < above < 2**62 + 2**48
     in_int64 = pipeline._garner(layout)[2][layout.set_ids] > 0  # M = 0 off the mask
     assert in_int64.tolist() == [True, False] * 4
-    seq = LetterSequence(("x",) * len(caps), caps, tuple(range(len(caps))))
+    seq = _seq(caps)
     blocks = layout.blocks()
     rng = np.random.default_rng(18)
-    payloads = [int(rng.integers(b.payload_bound)) for b in blocks]
+    payloads = [int(rng.integers(b.moduli.payload_bound)) for b in blocks]
     values = list(loop_encode_blocks(seq, blocks, payloads))
     # blocks 0-1 stay exact; 2-3 misread a letter, 4-5 read one past every
     # modulus inside int64, 6-7 one past int64
@@ -605,7 +637,7 @@ def test_payloads_wider_than_int64_are_python_integers():
     """Blocks whose payload bound passes 2^63 are cut, encoded and decoded
     as Python integers, as the per-letter path does."""
     caps = (3_000_001, 3_000_011, 3_000_013, 3_000_019, 3_000_023)
-    seq = LetterSequence(tuple("vwxyz" * 3), caps * 3, tuple(range(15)))
+    seq = _seq(caps * 3, "vwxyz" * 3)
     layout = pipeline._build_layout(seq.capacities, 5, 3)
     blocks = layout.blocks()
     assert blocks == loop_partition_blocks(seq, 5, 3)
