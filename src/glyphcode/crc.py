@@ -25,6 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolation
+from .util import as_integer
 
 __all__ = [
     "ModuliSet",
@@ -51,6 +52,8 @@ class ModuliSet:
     :func:`_lift` over every position in int64 for residues in range: at
     position j, m0 < step, r_j < p_j and inv < p_j, so |(r_j - m0) inv| <
     max(step, p_j) p_j <= P max(p); the new m0 and step stay below P.
+    The moduli and k are Python or numpy integers; a float or a bool is
+    refused.
     """
 
     p: tuple[int, ...]
@@ -60,8 +63,9 @@ class ModuliSet:
     lifts_in_int64: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = tuple(int(x) for x in self.p)
+        p = tuple(as_integer(x, "moduli") for x in self.p)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", as_integer(self.k, "k"))
         if any(x < 1 for x in p):
             raise ContractViolation("moduli must be positive")
         if not (1 <= self.k < len(p)):

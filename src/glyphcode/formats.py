@@ -209,7 +209,7 @@ def write_document(doc: EncodedDocument, fh: TextIO, config: str = "") -> None:
     fh.write(_header("document", config))
     fh.write(f"codebook_id {json.dumps(doc.codebook_id)}\n")
     fh.write(f"text {json.dumps(doc.text)}\n")
-    fh.write("indices " + " ".join(str(v) for v in doc.glyph_indices) + "\n")
+    fh.write("indices " + " ".join([str(v) for v in doc.glyph_indices]) + "\n")
 
 
 @_reader("document")

@@ -19,11 +19,15 @@ the character ids.
 
 The partition is held as arrays (:class:`_Layout`): a (B, n) array of each
 block's letters, a moduli-set id per block, the distinct sets and the few
-skipped letters.  :func:`_build_layout` makes it in one walk over the
-letters, keying one dict per call by each window's capacity tuple, so that
-the moduli search sees each distinct tuple once.  Embedding chunks the
-framed message and encodes every block in array passes.  Extraction decodes
-every block with no misread letter in one pass: the CRT's Garner lifting
+skipped letters.  :func:`_build_layout` makes it in aligned-run passes over
+one iterator of the letters' glyph counts: the windows that start n letters
+apart come as tuples from ``zip`` and map to set ids through one per-call
+dict keyed by capacity tuple, which searches a tuple when it is first met,
+so that the moduli search sees each distinct tuple once.  A run stops at
+the first window with no set, before any later window is read, and only
+that window expands letter by letter.  Embedding chunks the framed message
+and encodes every block in array passes.  Extraction decodes every block
+with no misread letter in one pass: the CRT's Garner lifting
 (:func:`crc._lift`) runs on int64 columns of every block at once, and keeps
 m where every residue is in range and m < M; only the other blocks go, in
 block order, to the Hamming decoder and its likelihood tie-break.  A set
@@ -38,7 +42,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain, islice, takewhile
+from operator import is_not
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,6 +58,7 @@ from .errors import (
     DocumentTooSmallError,
     PartialDecodeError,
 )
+from .util import as_integer
 
 __all__ = [
     "LetterSequence",
@@ -146,8 +153,10 @@ def choose_moduli(capacities: Sequence[int], k: int) -> Optional[ModuliSet]:
     is bounded by giving each later position the largest value coprime to the
     values chosen so far; a subtree where some later position has none left
     is skipped.  Returns None when no assignment with every p_i >= 2 exists.
+    A capacity or k that is not an integer is refused.
     """
-    caps = [int(c) for c in capacities]
+    caps = [as_integer(c, "capacities") for c in capacities]
+    k = as_integer(k, "k")
     n = len(caps)
     if n < 2 or not (1 <= k < n):
         raise ContractViolation("need n >= 2 and 1 <= k < n")
@@ -237,6 +246,29 @@ def _payload_dtype(widths: np.ndarray):
     return np.int64 if widths.max(initial=0) <= _INT64_BITS else object
 
 
+class _SetIndex(dict):
+    """Capacity tuple -> the index into ``sets`` of its moduli set, or None
+    where it has none.  A tuple is searched when it is first looked up."""
+
+    __slots__ = ("k", "sets")
+
+    def __init__(self, k: int):
+        super().__init__()
+        self.k, self.sets = k, []
+
+    def __missing__(self, window: tuple[int, ...]) -> Optional[int]:
+        moduli = _choose_moduli_cached(window, self.k)
+        if moduli is None:
+            self[window] = None
+            return None
+        s = self[window] = len(self.sets)
+        self.sets.append(moduli)
+        return s
+
+
+_HAS_SET = partial(is_not, None)  # a set id, not the None of a window with no set
+
+
 def _build_layout(
     caps: Sequence[int], n: int, k: int, limit: Optional[int] = None
 ) -> _Layout:
@@ -244,14 +276,19 @@ def _build_layout(
 
     Takes blocks over indices into ``caps`` and stops once fewer than n
     letters remain, also when that happens while a block is still expanding,
-    or once ``limit`` blocks are taken; the remainder is uncoded.  A cursor
-    walks block by block.  A dict maps each window's capacity tuple met so
-    far to its moduli set's index, so the moduli search sees each distinct
-    tuple once per call.  A window that cannot form drops its (first)
-    lowest-capacity letter and pulls in the next one until it can, looking
-    each tried window up the same way.  Takes nothing at once when no window
-    could ever form a block: n pairwise-coprime values >= 2 have n distinct
-    prime factors, so they need n primes <= the largest capacity.
+    or once ``limit`` blocks are taken; the remainder is uncoded.  The runs
+    and the expansions take letters in order from one shared iterator.
+    Each aligned run is one lazy pass: the windows ``cursor, cursor + n, ...`` come as tuples from
+    ``zip`` and map to set ids through a per-call dict keyed by capacity
+    tuple, which searches a tuple the first time it is looked up, so the
+    moduli search sees each distinct tuple once per call, in the order the
+    letters meet them.  The run ends at the first window that has no set,
+    before any later window is built.  That window drops its (first)
+    lowest-capacity letter and pulls in the next one until it can form,
+    looking each tried window up the same way; the next run starts after
+    it.  Takes nothing at once when no window could ever form a block: n
+    pairwise-coprime values >= 2 have n distinct prime factors, so they need
+    n primes <= the largest capacity.
     """
     if n < 2 or not 1 <= k < n:
         raise ContractViolation("need n >= 2 and 1 <= k < n")
@@ -262,54 +299,59 @@ def _build_layout(
     if total >= n and limit > 0:
         if n > _prime_count(max(caps[:n])) and n > _prime_count(max(caps)):
             total = 0
-    sets: list[ModuliSet] = []
-    found: dict[tuple[int, ...], Optional[int]] = {}  # capacity tuple -> index into sets
-
-    def lookup(window: tuple[int, ...]) -> Optional[int]:
-        """The index into ``sets`` of the window's moduli set, or None."""
-        if window not in found:
-            moduli = _choose_moduli_cached(window, k)
-            found[window] = None if moduli is None else len(sets)
-            if moduli is not None:
-                sets.append(moduli)
-        return found[window]
-
+    found = _SetIndex(k)
+    letters = iter(caps)  # at the cursor
+    columns = [letters] * n  # zip(*columns) reads the windows from the cursor
     starts: list[int] = []  # each block's first letter
     set_ids: list[int] = []
     expanded: dict[int, list[int]] = {}  # members of each block that skipped
     skipped: dict[int, tuple[int, ...]] = {}
     cursor = 0  # the next letter to take
     while cursor + n <= total and len(set_ids) < limit:
-        s = lookup(tuple(caps[cursor : cursor + n]))
+        before = len(set_ids)
+        run = islice(zip(*columns), limit - before)
+        set_ids += takewhile(_HAS_SET, map(found.__getitem__, run))
+        end = cursor + (len(set_ids) - before) * n
+        starts += range(cursor, end, n)
+        cursor = end
+        if cursor + n > total or len(set_ids) == limit:
+            break
+        # the window at the cursor, already read, has no set: drop its
+        # (first) lowest-capacity letter and pull in the next one
         start, cursor = cursor, cursor + n
+        window, row = list(range(start, cursor)), list(caps[start:cursor])
+        dropped: list[int] = []
+        s = None
+        while s is None and cursor < total:
+            drop = row.index(min(row))
+            dropped.append(window.pop(drop))
+            del row[drop]
+            window.append(cursor)
+            row.append(next(letters))
+            cursor += 1
+            s = found[tuple(row)]
         if s is None:
-            # drop the (first) lowest-capacity letter, pull in the next one
-            window, row = list(range(start, cursor)), list(caps[start:cursor])
-            dropped: list[int] = []
-            while s is None and cursor < total:
-                drop = row.index(min(row))
-                dropped.append(window.pop(drop))
-                del row[drop]
-                window.append(cursor)
-                row.append(caps[cursor])
-                cursor += 1
-                s = lookup(tuple(row))
-            if s is None:
-                break
-            expanded[len(set_ids)] = window
-            skipped[len(set_ids)] = tuple(dropped)
+            break
+        expanded[len(set_ids)] = window
+        skipped[len(set_ids)] = tuple(dropped)
         starts.append(start)
         set_ids.append(s)
+    sets = found.sets
     members = np.array(starts, dtype=np.intp)[:, None] + np.arange(n)
     if expanded:
         members[list(expanded)] = list(expanded.values())
     ids = np.array(set_ids, dtype=np.intp)
-    set_widths = np.array([m.payload_bound.bit_length() - 1 for m in sets], dtype=np.int64)
+    set_widths = np.fromiter(
+        (m.payload_bound.bit_length() - 1 for m in sets), dtype=np.int64, count=len(sets)
+    )
+    moduli = np.fromiter(
+        chain.from_iterable(m.p for m in sets), dtype=np.int64, count=len(sets) * n
+    )
     return _Layout(
         members=members,
         set_ids=ids,
         sets=tuple(sets),
-        moduli=np.array([m.p for m in sets], dtype=np.int64).reshape(len(sets), n),
+        moduli=moduli.reshape(len(sets), n),
         widths=set_widths[ids],
         skipped=skipped,
     )

@@ -1,8 +1,12 @@
-"""Small shared helpers: stable seeding and the byte-to-bit-string conversion."""
+"""Small shared helpers: stable seeding, the byte-to-bit-string conversion
+and the check that an argument is an integer."""
 
 import hashlib
+import operator
 
-__all__ = ["stable_seed", "bits_from_bytes"]
+from .errors import ContractViolation
+
+__all__ = ["stable_seed", "bits_from_bytes", "as_integer"]
 
 
 def stable_seed(*parts) -> int:
@@ -16,6 +20,17 @@ def stable_seed(*parts) -> int:
 
 
 def bits_from_bytes(data: bytes) -> str:
-    """Big-endian bit string for a byte payload."""
-    return "".join(f"{b:08b}" for b in data)
+    """Big-endian bit string for a byte payload, 8 bits per byte."""
+    return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
 
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int when it is a Python or numpy integer and not a
+    bool; anything else raises ContractViolation naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ContractViolation(f"{name} must be an integer, not {type(value).__name__}")

@@ -81,7 +81,12 @@ from glyphcode.pipeline import (
     frame_message,
     unframe_message,
 )
-from glyphcode.util import bits_from_bytes, stable_seed
+from glyphcode.util import stable_seed
+
+
+def loop_bits_from_bytes(data):
+    """Big-endian bit string for a byte payload, byte by byte."""
+    return "".join(f"{b:08b}" for b in data)
 
 
 def _residue_table(p, M):
@@ -826,7 +831,7 @@ def loop_segment_digest(seq, segment, hash_id):
 
 def loop_sign_scheme1(text, codebook, key, config):
     seq, blocks, segments = loop_layout(text, codebook, config, None)
-    payloads = [bits_from_bytes(loop_segment_digest(seq, s, config.hash_id)) for s in segments]
+    payloads = [loop_bits_from_bytes(loop_segment_digest(seq, s, config.hash_id)) for s in segments]
     chunks = [
         m
         for s, bits in zip(segments, payloads)
@@ -861,7 +866,7 @@ def loop_verify(encoded, codebook, config, key=None, verifier=None):
             continue
         embedded = bits[:payload_bits]
         if verifier is None:
-            ok = embedded == bits_from_bytes(digest)[: len(embedded)]
+            ok = embedded == loop_bits_from_bytes(digest)[: len(embedded)]
         else:
             ok = verifier.check(digest, embedded)
         results.append(

@@ -53,6 +53,21 @@ def test_moduli_validation():
     assert P5.total_product == 2310
 
 
+@pytest.mark.parametrize(
+    "p, k",
+    [((5, 7.5, 11), 1), ((5.0, 7, 11), 1), ((5, True, 11), 1), ((5, 7, 11), 1.5), ((5, 7, 11), True)],
+)
+def test_moduli_that_are_not_integers_are_refused(p, k):
+    with pytest.raises(ContractViolation, match="must be an integer"):
+        ModuliSet(p, k)
+
+
+def test_numpy_integer_moduli_are_python_ints():
+    moduli = ModuliSet(tuple(np.array([5, 7, 11])), np.int64(1))
+    assert moduli == ModuliSet((5, 7, 11), 1)
+    assert all(type(x) is int for x in moduli.p) and type(moduli.k) is int
+
+
 def test_crt_examples():
     assert crt_reconstruct((0, 0, 0), ModuliSet((3, 5, 7), 2)) == 0
     assert crt_reconstruct((2, 3, 2), ModuliSet((3, 5, 7), 2)) == 23

@@ -15,6 +15,7 @@ from oracles import (
     BEYOND_INT64,
     GLYPH_CHANGES,
     IndexKey,
+    loop_bits_from_bytes,
     loop_embed,
     loop_extract,
     loop_layout,
@@ -45,6 +46,7 @@ from glyphcode.crypto import (
     sign_scheme2,
     verify,
 )
+from glyphcode.util import bits_from_bytes
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +236,16 @@ def _mutate_letter(text, codebook, seq_index):
     pos = seq.positions[seq_index]
     alt = next(c for c in codebook.characters() if c != text[pos])
     return text[:pos] + alt + text[pos + 1 :]
+
+
+def test_bits_from_bytes_matches_per_byte_oracle():
+    """The one-call conversion gives the byte-by-byte bit string, leading
+    zero bytes and the empty payload included."""
+    rng = random.Random(22)
+    cases = [b"", b"\x00", b"\x00\x00\x01", b"\x00\x80", b"\xff" * 20]
+    cases += [rng.randbytes(rng.randint(1, 64)) for _ in range(200)]
+    for data in cases:
+        assert bits_from_bytes(data) == loop_bits_from_bytes(data), data
 
 
 def test_sign_verify_scheme1_round_trip(sig_codebook):

@@ -92,6 +92,19 @@ def test_choose_moduli_validation():
         choose_moduli((5, 5), 2)
 
 
+@pytest.mark.parametrize(
+    "capacities, k",
+    [((5.9, 7.2, 11), 1), ((5, 7.0, 11), 1), ((5, True, 11), 1), ((5, 7, 11), 1.5), ((5, 7, 11), True)],
+)
+def test_choose_moduli_refuses_values_that_are_not_integers(capacities, k):
+    with pytest.raises(ContractViolation, match="must be an integer"):
+        choose_moduli(capacities, k)
+
+
+def test_choose_moduli_takes_numpy_integers():
+    assert choose_moduli(tuple(np.array([5, 7, 11])), np.int64(1)) == choose_moduli((5, 7, 11), 1)
+
+
 def _seq(caps, letters=None):
     """A letter record with the given capacities at positions 0, 1, ...;
     every letter is "x" unless ``letters`` are given."""
@@ -363,6 +376,96 @@ def test_layout_searches_each_tuple_once_per_call(monkeypatch):
     assert len(set(asked)) == len(asked)
     assert asked == list(dict.fromkeys(tried))
     assert any(search(t, 3) is None for t in asked) and len(tried) > len(asked)
+
+
+def _primes_with_failures(n, gaps, offset, tail):
+    """The first n primes over and over, so that any n letters in a row take
+    a moduli set, with a capacity-1 letter, which takes none, after each
+    ``gaps[i]`` whole windows and ``offset`` more letters, then ``tail``
+    more letters.  Each capacity-1 letter fails the window it falls in,
+    which drops it and pulls in the next letter."""
+    primes = itertools.cycle((2, 3, 5, 7, 11, 13)[:n])
+    caps = []
+    for gap in gaps:
+        caps += itertools.islice(primes, gap * n + offset)
+        caps.append(1)
+    return caps + list(itertools.islice(primes, tail))
+
+
+LAYOUT_SHAPES = [(2, 1), (3, 1), (4, 2), (5, 3), (6, 4)]
+
+
+@pytest.mark.parametrize("n, k", LAYOUT_SHAPES)
+@pytest.mark.parametrize(
+    "gaps",
+    [(0,), (0, 0, 0), (500,), (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64)],
+    ids=["run-start", "back-to-back", "mid-run", "powers-of-two"],
+)
+def test_layout_failures_across_aligned_runs_match_letter_loop_oracle(n, k, gaps):
+    """Windows that take no set at the start of a run, back to back, in the
+    middle of a 1000-window run and after 1, 2, 3, 4, 7, 8, ... 64 windows
+    of a run; in the last window of the text, with no letter or one letter
+    left to pull in, and past a window cut short by the end of the text."""
+    for offset in range(n):
+        for tail in sorted({max(n - 2 - offset, 0), n - 1 - offset, n - offset, 3 * n + 1, 500 * n}):
+            caps = _primes_with_failures(n, gaps, offset, tail)
+            layout = pipeline._build_layout(caps, n, k)
+            assert layout.blocks() == list(loop_blocks(caps, n, k)), (offset, tail)
+            if tail >= n:  # every capacity-1 letter was dropped
+                assert sum(map(len, layout.skipped.values())) == len(gaps)
+
+
+@pytest.mark.parametrize("n, k", LAYOUT_SHAPES)
+def test_layout_limit_around_failures_matches_letter_loop_oracle(n, k):
+    """A block limit before, at and after each block that had to drop a
+    letter gives the first blocks of the unlimited partition."""
+    for offset in range(n):
+        caps = _primes_with_failures(n, (0, 3, 0, 5), offset, 2 * n)
+        blocks = list(loop_blocks(caps, n, k))
+        assert any(b.skipped_indices for b in blocks)
+        for limit in range(len(blocks) + 2):
+            got = pipeline._build_layout(caps, n, k, limit=limit).blocks()
+            assert got == blocks[:limit], (offset, limit)
+
+
+def _skip_heavy_caps(letters):
+    """The capacities of a text where a window often takes no set."""
+    capacity = {"a": 1, "b": 2, "c": 3, "d": 5, "e": 7, "f": 11}
+    freqs = {"a": 0.2, "b": 0.1, "c": 0.2, "d": 0.2, "e": 0.15, "f": 0.15}
+    text = fixtures.random_text(letters, seed=7, frequencies=freqs)
+    return tuple(capacity[ch] for ch in text if ch in capacity)
+
+
+def test_layout_cost_grows_linearly(monkeypatch):
+    """On a text where about every other block drops letters, the layout of
+    40k letters takes under 24 times as long as that of 5k.  The moduli
+    search answers from a filled dict, so that only the layout is timed:
+    linear code reads about 8-9 on a 2-core host, and a run that copies the
+    rest of the text at each start reads about 44."""
+    search = pipeline._choose_moduli_cached
+    answers = {}
+
+    def remember(window, k):
+        if window not in answers:
+            answers[window] = search(window, k)
+        return answers[window]
+
+    caps = {letters: _skip_heavy_caps(letters) for letters in (5_000, 40_000)}
+    monkeypatch.setattr(pipeline, "_choose_moduli_cached", remember)
+    for c in caps.values():
+        pipeline._build_layout(c, 5, 3)
+    monkeypatch.setattr(pipeline, "_choose_moduli_cached", lambda window, k: answers[window])
+
+    def best(c):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            pipeline._build_layout(c, 5, 3)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    ratio = best(caps[40_000]) / best(caps[5_000])
+    assert ratio < 24, f"{ratio:.1f}"
 
 
 # capacity 1 ("a") admits no modulus, so windows holding it drop letters; the
