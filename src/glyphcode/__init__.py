@@ -45,6 +45,7 @@ from .errors import GlyphcodeError
 from .outline import GlyphOutline, outline_distance, resample_outline
 from .perceptual import Response, SimilarityScores, fit, select_candidates
 from .pipeline import (
+    DecodeReport,
     EncodedDocument,
     capacity_report,
     choose_moduli,
@@ -67,6 +68,7 @@ __all__ = [
     "build_codebook",
     "max_clique",
     "DecodeOutcome",
+    "DecodeReport",
     "ModuliSet",
     "crt_reconstruct",
     "encode_phi",

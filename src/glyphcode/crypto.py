@@ -48,7 +48,7 @@ from .pipeline import (
     _received,
     letter_sequence,
 )
-from .util import bits_from_bytes, stable_seed
+from .util import as_integer, bits_from_bytes, stable_seed
 
 __all__ = [
     "PermutationKey",
@@ -217,6 +217,8 @@ class SignatureConfig:
     k: int = 3
 
     def __post_init__(self):
+        for name in ("segment_min_letters", "n", "k"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.segment_min_letters < 1:
             raise ContractViolation("segment_min_letters must be positive")
         hashlib.new(self.hash_id)  # fail early on unknown algorithms

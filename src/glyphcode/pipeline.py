@@ -33,6 +33,9 @@ m where every residue is in range and m < M; only the other blocks go, in
 block order, to the Hamming decoder and its likelihood tie-break.  A set
 with P * max(p) >= 2^62 decodes block by block, and payloads wider than 62
 bits are Python integers; residues and glyph indices are int64 throughout.
+Extraction's report (:class:`DecodeReport`) is kept as those columns: the
+payloads and the outcomes of the blocks off the exact path, so an exact
+block's outcome is built only when a caller reads it.
 :func:`partition_blocks` gives the layout as a per-block view, one
 :class:`Block` per block, and :func:`chunk_message` cuts a framed message
 over that view; the package's own paths read the arrays.
@@ -41,11 +44,12 @@ over that view; the package's own paths read the arrays.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, islice, takewhile
 from operator import is_not
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -63,6 +67,7 @@ from .util import as_integer
 __all__ = [
     "LetterSequence",
     "Block",
+    "DecodeReport",
     "EncodedDocument",
     "letter_sequence",
     "choose_moduli",
@@ -288,12 +293,14 @@ def _build_layout(
     looking each tried window up the same way; the next run starts after
     it.  Takes nothing at once when no window could ever form a block: n
     pairwise-coprime values >= 2 have n distinct prime factors, so they need
-    n primes <= the largest capacity.
+    n primes <= the largest capacity.  An n, k or limit that is not an
+    integer is refused.
     """
+    n, k = as_integer(n, "n"), as_integer(k, "k")
     if n < 2 or not 1 <= k < n:
         raise ContractViolation("need n >= 2 and 1 <= k < n")
     total = len(caps)
-    limit = total if limit is None else limit
+    limit = total if limit is None else as_integer(limit, "limit")
     # the first window's largest capacity bounds the largest from below and
     # mostly settles the check without scanning every letter
     if total >= n and limit > 0:
@@ -548,6 +555,50 @@ def _decode(
     return payloads, slow, failed
 
 
+class DecodeReport(Sequence):
+    """Extract's decode report: one :class:`DecodeOutcome` per block, in
+    block order, as a read-only sequence over two columns.
+
+    It holds the decoded payloads as an array and the outcomes of the blocks
+    off the exact path by block index.  An exact block's outcome,
+    ``DecodeOutcome("exact", m, 0, 1, (m,))`` with m a Python int, is built
+    only when that block is read.  Indexing and slicing read as a list's
+    do, a report equals any sequence of the same outcomes, and its repr is
+    the list's.
+    """
+
+    __slots__ = ("_payloads", "_off_exact")
+
+    def __init__(self, payloads: np.ndarray, off_exact: dict[int, DecodeOutcome]):
+        self._payloads = payloads
+        self._off_exact = off_exact
+
+    def _outcome(self, t: int, m: int) -> DecodeOutcome:
+        """Block t's outcome, where m is its payload as a Python int."""
+        outcome = self._off_exact.get(t)
+        return DecodeOutcome("exact", m, 0, 1, (m,)) if outcome is None else outcome
+
+    def __len__(self) -> int:
+        return len(self._payloads)
+
+    def __getitem__(self, index):
+        at = range(len(self._payloads))[index]  # negative indices and slices as a list's
+        if isinstance(at, range):
+            return list(map(self._outcome, at, self._payloads[index].tolist()))
+        return self._outcome(at, int(self._payloads[at]))
+
+    def __iter__(self):
+        return map(self._outcome, range(len(self._payloads)), self._payloads.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 def embed(
     text: str,
     codebook: Codebook,
@@ -580,8 +631,8 @@ def extract(
     k: int = 3,
     key=None,
     likelihoods: Optional[Sequence[np.ndarray]] = None,
-) -> tuple[str, list[DecodeOutcome]]:
-    """Recover the message and a per-block decode report.
+) -> tuple[str, DecodeReport]:
+    """Recover the message and its per-block decode report.
 
     Blocks are recomputed from the text, decoded by Hamming distance with
     maximum-likelihood resolution of ties.  Without a channel trace the
@@ -591,7 +642,9 @@ def extract(
     index and likelihood row is checked against the key and the codebook, in
     letter order, before any block is decoded; rows are built only for blocks
     whose Hamming decode ties.  Raises PartialDecodeError at the first block
-    that cannot be decoded.
+    that cannot be decoded.  The report (:class:`DecodeReport`) keeps the
+    decoded payloads and the outcomes of the blocks off the exact path, and
+    builds an exact block's outcome only when that block is read.
     """
     seq = _check_text(encoded.text, codebook)
     count = len(seq.letters)
@@ -625,11 +678,7 @@ def extract(
     )
     if failed is not None:
         raise PartialDecodeError(failed)
-    report = [
-        slow[t] if t in slow else DecodeOutcome("exact", m, 0, 1, (m,))
-        for t, m in enumerate(payloads.tolist())
-    ]
-    return unframe_message(_bits(payloads, layout.widths)), report
+    return unframe_message(_bits(payloads, layout.widths)), DecodeReport(payloads, slow)
 
 
 def baseline_block_bits(capacities: Sequence[int]) -> int:
@@ -649,9 +698,11 @@ def capacity_report(
     seed: int = 0,
 ) -> dict:
     """Embedding capacity, either of a concrete text or Monte-Carlo sampled
-    from a letter-frequency table."""
+    from a letter-frequency table.  A size, count or seed that is not an
+    integer is refused."""
     if (text is None) == (frequencies is None):
         raise ContractViolation("provide exactly one of text or frequencies")
+    sample_blocks, seed = as_integer(sample_blocks, "sample_blocks"), as_integer(seed, "seed")
     if sample_blocks < 0:
         raise ContractViolation("sample_blocks must be non-negative")
     if text is not None:
@@ -659,6 +710,7 @@ def capacity_report(
         total_bits = int(_build_layout(caps, n, k).widths.sum())
         letters = len(caps)
     else:
+        n = as_integer(n, "n")  # sizes the draws before the layout checks it
         chars = sorted(frequencies)
         weights = np.array([frequencies[c] for c in chars], dtype=float)
         weights = weights / weights.sum()

@@ -924,3 +924,148 @@ def test_extract_cost_grows_linearly(codebook, misread):
         codebook, 5_000, misread
     )
     assert ratio < 24, f"{ratio:.1f}"
+
+
+# eight prime capacities whose 7 smallest multiply past 2^63, and eight
+# small ones whose set lifts in int64: at n = 8, k = 7 a document of both
+# words holds Python-integer payloads, and exact blocks of each kind
+PAST_INT64_CAPACITIES = dict(zip("abcdefgh", (601, 607, 613, 617, 619, 631, 641, 643)))
+NARROW_CAPACITIES = dict(zip("ijklmnop", (2, 3, 5, 7, 11, 13, 17, 19)))
+
+
+def _report_case(case, codebook):
+    """(document, codebook, n, k, key, likelihood rows) of one differential
+    case for extract's report."""
+    if case == "past_int64":
+        cb = fixtures.fixture_codebook(
+            PAST_INT64_CAPACITIES | NARROW_CAPACITIES, vertex_count=8, seed=4
+        )
+        doc = embed(" ".join(["abcdefgh", "ijklmnop", "hgfedcba"] * 4), cb, "110" * 90, 8, 7)
+        return _tamper(doc, [(26, 600)]), cb, 8, 7, None, None
+    text = fixtures.random_text(300, seed=4)
+    key = keygen(codebook, seed=4)
+    doc = embed(text, codebook, "1011001110001111" * 3, key=key)
+    seq = letter_sequence(text, codebook)
+    blocks = partition_blocks(seq)
+    rows = None
+    if case == "one_error_per_block":
+        misread = [b.member_indices[t % 5] for t, b in enumerate(blocks)]
+        doc = _tamper(doc, [(i, (doc.glyph_indices[i] + 1) % seq.capacities[i]) for i in misread])
+    elif case != "clean":  # no key: the key refuses a glyph index out of range
+        key = None
+        sent = embed(text, codebook, "1011001110001111" * 3)
+        doc = _tamper(sent, [(3, 2**63), (40, -2), (77, 10**30), (150, 2**62 + 1)])
+    if case == "ml_ties":
+        doc = _tamper(sent, _tie(sent, blocks[2]) + _tie(sent, blocks[7]))
+        rng = np.random.default_rng(4)
+        rows = [rng.random(c) + 0.01 for c in seq.capacities]
+        for row, v in zip(rows, sent.glyph_indices):
+            row[v] += 1.0  # the sent glyph is the likeliest
+    return doc, codebook, 5, 3, key, rows
+
+
+@pytest.mark.parametrize("case", ["clean", "one_error_per_block", "ml_ties", "erasures", "past_int64"])
+def test_extract_report_matches_letter_loop_oracle(codebook, case):
+    """Extract's report reads as the per-letter path's list of outcomes:
+    equality both ways, iteration, indexing, slicing, length and repr."""
+    doc, cb, n, k, key, rows = _report_case(case, codebook)
+    loop_key = None if key is None else IndexKey(key)
+    bits, report = extract(doc, cb, n, k, key=key, likelihoods=rows)
+    want_bits, want = loop_extract(doc, cb, n, k, key=loop_key, likelihoods=rows)
+    assert bits == want_bits
+    assert isinstance(report, pipeline.DecodeReport) and isinstance(want, list)
+    assert report == want and want == report and not report != want
+    assert list(report) == want and len(report) == len(want)
+    assert report[-1] == want[-1] and report[0] == want[0]
+    assert report[2:5] == want[2:5] and report[::-3] == want[::-3] and report[-4:] == want[-4:]
+    assert [report[t] for t in range(-len(want), len(want))] == want + want
+    assert repr(report) == repr(want)
+    assert report.index(want[1]) == want.index(want[1])
+    for past in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            report[past]
+    statuses = {o.status for o in want}
+    assert {"clean": {"exact"}, "one_error_per_block": {"corrected"}}.get(case, statuses) == statuses
+    if case == "ml_ties":
+        assert "corrected-ml" in statuses
+    if case == "past_int64":
+        exact = [o.m for o in report if o.status == "exact"]
+        assert max(exact) >= 2**63 and min(exact) < 2**62
+        assert all(type(o.m) is int for o in report)
+
+
+def test_clean_extract_builds_no_outcome(codebook, monkeypatch):
+    """A clean keyed 10k-letter extract builds no DecodeOutcome; reading its
+    report builds one per block, equal to the outcome of an exact block."""
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return crc.DecodeOutcome(*fields)
+
+    text = fixtures.random_text(10_000, seed=5)
+    key = keygen(codebook, seed=5)
+    bits = "1101" * 1000
+    doc = embed(text, codebook, bits, key=key)
+    monkeypatch.setattr(pipeline, "DecodeOutcome", counted)
+    recovered, report = extract(doc, codebook, key=key)
+    assert recovered == bits and built == []
+    assert len(report) >= 1999
+    outcomes = list(report)
+    assert len(built) == len(report)
+    assert all(o == ("exact", o.m, 0, 1, (o.m,)) and type(o.m) is int for o in outcomes)
+
+
+@pytest.mark.parametrize("bad", [5.5, "3", None, True])
+@pytest.mark.parametrize("size", ["n", "k"])
+def test_sizes_that_are_not_integers_are_refused(codebook, size, bad):
+    """Every entry point refuses a block size n or k that is not an integer
+    with ContractViolation, before it reaches numpy or a comparison."""
+    text = fixtures.random_text(200, seed=1)
+    key = keygen(codebook, seed=1)
+    doc = embed(text, codebook, "1011", key=key)
+    sizes = {size: bad}
+    freqs = fixtures.ENGLISH_FREQUENCIES
+    calls = [
+        lambda: embed(text, codebook, "1", **sizes),
+        lambda: extract(doc, codebook, key=key, **sizes),
+        lambda: pipeline.capacity_report(codebook, text=text, **sizes),
+        lambda: pipeline.capacity_report(codebook, frequencies=freqs, sample_blocks=10, **sizes),
+        lambda: partition_blocks(letter_sequence(text, codebook), **sizes),
+        lambda: segment_text(text, codebook, SignatureConfig(**sizes)),
+        lambda: sign_scheme1(text, codebook, key, SignatureConfig(**sizes)),
+        lambda: verify(doc, codebook, SignatureConfig(**sizes), key=key),
+        lambda: channel.simulate_document(doc, codebook, 1, [channel.ChannelParams()], **sizes),
+    ]
+    for call in calls:
+        with pytest.raises(ContractViolation, match=f"^{size} must be an integer"):
+            call()
+
+
+def test_other_counts_that_are_not_integers_are_refused(codebook):
+    """So are capacity_report's sample_blocks and seed, SignatureConfig's
+    segment_min_letters and the layout's block limit."""
+    freqs = fixtures.ENGLISH_FREQUENCIES
+    for bad in (2.5, "3", None, True):
+        for name in ("sample_blocks", "seed"):
+            with pytest.raises(ContractViolation, match=f"^{name} must be an integer"):
+                pipeline.capacity_report(codebook, frequencies=freqs, **{name: bad})
+        with pytest.raises(ContractViolation, match="^segment_min_letters must be an integer"):
+            SignatureConfig(segment_min_letters=bad)
+        if bad is not None:  # no limit
+            with pytest.raises(ContractViolation, match="^limit must be an integer"):
+                pipeline._build_layout((5, 7, 9, 11, 13), 5, 3, limit=bad)
+
+
+def test_numpy_integer_sizes_are_accepted(codebook):
+    text = fixtures.random_text(200, seed=1)
+    n, k = np.int64(5), np.int64(3)
+    doc = embed(text, codebook, "1011", n=n, k=k)
+    assert doc == embed(text, codebook, "1011")
+    assert extract(doc, codebook, n=n, k=k)[0] == "1011"
+    config = SignatureConfig(segment_min_letters=np.int64(80), n=n, k=k)
+    assert config == SignatureConfig() and type(config.n) is int
+    freqs = fixtures.ENGLISH_FREQUENCIES
+    assert pipeline.capacity_report(
+        codebook, frequencies=freqs, n=n, k=k, sample_blocks=np.int64(50), seed=np.int64(2)
+    ) == pipeline.capacity_report(codebook, frequencies=freqs, sample_blocks=50, seed=2)
