@@ -10,7 +10,6 @@ inverse distance) is what maximum-likelihood decoding consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -162,13 +161,6 @@ def make_codebook_oracles(params: ChannelParams):
     return oracle, per_glyph
 
 
-@lru_cache(maxsize=64)
-def _attempt_seeds(j: int) -> tuple[int, ...]:
-    """The seeds of position j's observation attempts, the first observation
-    first.  They depend on j alone, so each is derived once per position."""
-    return tuple(stable_seed("inject", j, attempt) for attempt in range(_ATTEMPTS))
-
-
 def inject_errors(
     codeword: Sequence[int],
     entries: Sequence[CharacterEntry],
@@ -197,12 +189,12 @@ def inject_errors(
     table: list[np.ndarray] = []
     for j, (true, entry) in enumerate(zip(codeword, entries)):
         want_error = j in error_at
-        seeds = _attempt_seeds(j)
-        first = _observed_distances(true, entry, params, seeds[:1])[0]
+        first = _observed_distances(true, entry, params, [stable_seed("inject", j, 0)])[0]
         kept = first if (int(np.argmin(first)) != true) == want_error else None
         # without noise every retry repeats the first observation
         if kept is None and params.sigma > 0.0:
-            d = _observed_distances(true, entry, params, seeds[1:])
+            trials = [stable_seed("inject", j, attempt) for attempt in range(1, _ATTEMPTS)]
+            d = _observed_distances(true, entry, params, trials)
             (hits,) = np.nonzero((np.argmin(d, axis=1) != true) == want_error)
             if hits.size:
                 kept = d[hits[0]]

@@ -47,7 +47,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, islice, takewhile
+from itertools import chain, islice, repeat, starmap, takewhile
 from operator import is_not
 from typing import Optional
 
@@ -274,6 +274,15 @@ class _SetIndex(dict):
 _HAS_SET = partial(is_not, None)  # a set id, not the None of a window with no set
 
 
+def _check_sizes(n, k) -> tuple[int, int]:
+    """The block size n and payload size k as ints, refused unless both are
+    integers with n >= 2 and 1 <= k < n."""
+    n, k = as_integer(n, "n"), as_integer(k, "k")
+    if n < 2 or not 1 <= k < n:
+        raise ContractViolation("need n >= 2 and 1 <= k < n")
+    return n, k
+
+
 def _build_layout(
     caps: Sequence[int], n: int, k: int, limit: Optional[int] = None
 ) -> _Layout:
@@ -296,9 +305,7 @@ def _build_layout(
     n primes <= the largest capacity.  An n, k or limit that is not an
     integer is refused.
     """
-    n, k = as_integer(n, "n"), as_integer(k, "k")
-    if n < 2 or not 1 <= k < n:
-        raise ContractViolation("need n >= 2 and 1 <= k < n")
+    n, k = _check_sizes(n, k)
     total = len(caps)
     limit = total if limit is None else as_integer(limit, "limit")
     # the first window's largest capacity bounds the largest from below and
@@ -588,7 +595,11 @@ class DecodeReport(Sequence):
         return self._outcome(at, int(self._payloads[at]))
 
     def __iter__(self):
-        return map(self._outcome, range(len(self._payloads)), self._payloads.tolist())
+        ms = self._payloads.tolist()
+        # every block's exact outcome, built as it is read (zip(ms) gives the
+        # one-element candidate tuples); a block off the exact path reads its own
+        exact = starmap(DecodeOutcome, zip(repeat("exact"), ms, repeat(0), repeat(1), zip(ms)))
+        return map(self._off_exact.get, range(len(ms)), exact)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -710,7 +721,7 @@ def capacity_report(
         total_bits = int(_build_layout(caps, n, k).widths.sum())
         letters = len(caps)
     else:
-        n = as_integer(n, "n")  # sizes the draws before the layout checks it
+        n, k = _check_sizes(n, k)  # n sizes the draws
         chars = sorted(frequencies)
         weights = np.array([frequencies[c] for c in chars], dtype=float)
         weights = weights / weights.sum()

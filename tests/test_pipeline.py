@@ -1042,6 +1042,15 @@ def test_sizes_that_are_not_integers_are_refused(codebook, size, bad):
             call()
 
 
+@pytest.mark.parametrize("sizes", [dict(n=-5), dict(n=1, k=1), dict(k=0), dict(k=5)])
+def test_sampled_capacity_refuses_sizes_before_drawing(codebook, sizes):
+    """The frequency path checks n and k as the layout does before n sizes
+    its draws, so a negative n is refused, not left to numpy."""
+    freqs = fixtures.ENGLISH_FREQUENCIES
+    with pytest.raises(ContractViolation, match="^need n >= 2 and 1 <= k < n$"):
+        pipeline.capacity_report(codebook, frequencies=freqs, sample_blocks=10, **sizes)
+
+
 def test_other_counts_that_are_not_integers_are_refused(codebook):
     """So are capacity_report's sample_blocks and seed, SignatureConfig's
     segment_min_letters and the layout's block limit."""
