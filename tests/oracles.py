@@ -29,8 +29,12 @@ The per-coordinate kernel and the batched retries must match them exactly.
 ``encode_phi``.  ``IndexKey`` is the permutation key that mapped one letter at
 a time and inverted by ``tuple.index``; ``loop_letter_sequence``,
 ``loop_blocks`` and the ``loop_*`` embed, extract, sign and verify built on
-them are the per-letter layout, codec and key paths.  The table-driven paths
-in ``glyphcode.crc``, ``glyphcode.pipeline`` and ``glyphcode.crypto`` must
+them are the per-letter layout, codec and key paths.  They frame, cut and
+join the message as '0'/'1' strings through ``string_frame_message``,
+``string_unframe_message``, ``string_chunk``, ``string_chunk_message`` and
+``string_bits``, the string codec the package once had, kept here so that
+no oracle shares the package's bit handling.  The table-driven paths in
+``glyphcode.crc``, ``glyphcode.pipeline`` and ``glyphcode.crypto`` must
 match them exactly, errors included.
 
 ``two_phase_max_clique`` is the maximum clique found by a binary search for
@@ -58,7 +62,9 @@ from glyphcode.channel import RecognitionResult, _probabilities
 from glyphcode.codebook import ConfusionGraph
 from glyphcode.crypto import Segment, SegmentResult, VerificationReport, content_hash
 from glyphcode.errors import (
+    CapacityExceededError,
     ContractViolation,
+    CorruptFrameError,
     DocumentTooSmallError,
     GlyphcodeError,
     KeyMismatchError,
@@ -73,20 +79,84 @@ from glyphcode.perceptual import (
     Response,
     SimilarityScores,
 )
-from glyphcode.pipeline import (
-    Block,
-    EncodedDocument,
-    _choose_moduli_cached,
-    chunk_message,
-    frame_message,
-    unframe_message,
-)
+from glyphcode.pipeline import Block, EncodedDocument, _choose_moduli_cached
 from glyphcode.util import stable_seed
 
 
 def loop_bits_from_bytes(data):
     """Big-endian bit string for a byte payload, byte by byte."""
     return "".join(f"{b:08b}" for b in data)
+
+
+LENGTH_PREFIX_BITS = 32
+_INT64_BITS = 62
+
+
+def string_frame_message(bits: str, total_bits: int) -> str:
+    """Length-prefix framing: 32-bit big-endian payload bit count, payload,
+    zero padding out to the document's full coded width."""
+    if bits.count("0") + bits.count("1") != len(bits):
+        raise ContractViolation("message must be a bit string of '0'/'1'")
+    if len(bits) >= 1 << LENGTH_PREFIX_BITS:
+        raise CapacityExceededError("message too long for the length prefix")
+    framed = format(len(bits), f"0{LENGTH_PREFIX_BITS}b") + bits
+    if len(framed) > total_bits:
+        raise CapacityExceededError(
+            f"framed message needs {len(framed)} bits, document holds {total_bits}"
+        )
+    return framed + "0" * (total_bits - len(framed))
+
+
+def string_unframe_message(bits: str) -> str:
+    if len(bits) < LENGTH_PREFIX_BITS:
+        raise CorruptFrameError("fewer bits than the length prefix")
+    length = int(bits[:LENGTH_PREFIX_BITS], 2)
+    if length > len(bits) - LENGTH_PREFIX_BITS:
+        raise CorruptFrameError(
+            f"length prefix {length} exceeds available {len(bits) - LENGTH_PREFIX_BITS} bits"
+        )
+    return bits[LENGTH_PREFIX_BITS : LENGTH_PREFIX_BITS + length]
+
+
+def _payload_dtype(widths: np.ndarray):
+    """int64 while every payload fits it, else Python integers."""
+    return np.int64 if widths.max(initial=0) <= _INT64_BITS else object
+
+
+def _bit_matrix(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row per block, as wide as the widest: each column's big-endian
+    shift, and whether the column is one of the block's bits."""
+    shifts = widths[:, None] - 1 - np.arange(widths.max(initial=0))
+    return np.maximum(shifts, 0), shifts >= 0
+
+
+def string_chunk(framed: str, widths: np.ndarray) -> np.ndarray:
+    """Cut widths[t] bits per block, big-endian; bits past the end of
+    ``framed`` read 0."""
+    digits = np.zeros(int(widths.sum()), dtype=np.uint8)
+    if len(framed) > len(digits):
+        raise ContractViolation("framed message exceeds total block width")
+    if framed.count("0") + framed.count("1") != len(framed):
+        raise ContractViolation("framed message must be a bit string of '0'/'1'")
+    digits[: len(framed)] = np.frombuffer(framed.encode("ascii"), dtype=np.uint8) - ord("0")
+    shifts, mine = _bit_matrix(widths)
+    at = np.cumsum(widths)[:, None] - 1 - shifts  # each bit's place in ``digits``
+    bits = np.where(mine, digits[at], 0).astype(_payload_dtype(widths))
+    return (bits << shifts).sum(axis=1)
+
+
+def string_bits(payloads: np.ndarray, widths: np.ndarray) -> str:
+    """Each block's payload as its low widths[t] bits, big-endian, joined."""
+    shifts, mine = _bit_matrix(widths)
+    digits = ((payloads[:, None] >> shifts) & 1)[mine].astype(np.uint8)
+    return (digits + ord("0")).tobytes().decode("ascii")
+
+
+def string_chunk_message(framed: str, blocks) -> list[int]:
+    """Cut bit_width(t) bits per block, big-endian: :func:`string_chunk` over
+    the per-block view."""
+    widths = np.array([b.bit_width for b in blocks], dtype=np.int64)
+    return string_chunk(framed, widths).tolist()
 
 
 def _residue_table(p, M):
@@ -765,8 +835,8 @@ def loop_embed(text, codebook, bits, n=5, k=3, key=None):
     blocks = loop_partition_blocks(seq, n, k)
     if not blocks:
         raise DocumentTooSmallError("document has zero complete blocks")
-    framed = frame_message(bits, sum(b.bit_width for b in blocks))
-    indices = loop_encode_blocks(seq, blocks, chunk_message(framed, blocks), key)
+    framed = string_frame_message(bits, sum(b.bit_width for b in blocks))
+    indices = loop_encode_blocks(seq, blocks, string_chunk_message(framed, blocks), key)
     return EncodedDocument(text, indices, codebook.font_id)
 
 
@@ -799,7 +869,7 @@ def loop_extract(encoded, codebook, n=5, k=3, key=None, likelihoods=None):
     bits, report = loop_decode_blocks(
         seq, blocks, indices, row if likelihoods is not None else None
     )
-    return unframe_message(bits), report
+    return string_unframe_message(bits), report
 
 
 def loop_layout(text, codebook, config, payload_bits):
@@ -835,7 +905,7 @@ def loop_sign_scheme1(text, codebook, key, config):
     chunks = [
         m
         for s, bits in zip(segments, payloads)
-        for m in chunk_message(bits, blocks[s.block_start : s.block_end])
+        for m in string_chunk_message(bits, blocks[s.block_start : s.block_end])
     ]
     return EncodedDocument(text, loop_encode_blocks(seq, blocks, chunks, key), codebook.font_id)
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -176,6 +177,48 @@ def test_chunk_message():
     assert out == [int("1011", 2), int("00111", 2), int("0001", 2)]
     assert chunk_message("0" * 13, [W(w) for w in widths]) == [0, 0, 0]
     assert chunk_message("1111", [W(4)]) == [15]
+
+
+# empty, one bit and 2^k +- 1 bits; block widths on both sides of 62 bits,
+# where payloads leave int64 for Python integers
+CODEC_LENGTHS = sorted({0, 1} | {2**k + d for k in range(1, 13) for d in (-1, 1)})
+CODEC_WIDTHS = (
+    (1,), (2, 3), (61,), (62,), (63,), (62, 63), (1, 64, 2), (65, 127, 31, 62), (3,) * 9,
+)
+
+
+def test_frame_chunk_bits_and_unframe_match_string_oracle():
+    """Framing, unframing, cutting into blocks and joining the blocks' bits
+    give the string codec's results and errors, with ==."""
+    rng = np.random.default_rng(24)
+
+    def random_bits(length):
+        return "".join(rng.choice(["0", "1"], size=length).tolist())
+
+    for length in CODEC_LENGTHS:
+        bits = random_bits(length)
+        for total in (length, length + 31, length + 32, length + 33, length + 97):
+            assert outcome(frame_message, bits, total) == outcome(
+                oracles.string_frame_message, bits, total
+            )
+        framed = frame_message(bits, length + 40)
+        for received in (framed, framed[: length + 31], framed[:31], framed[:32], bits):
+            assert outcome(unframe_message, received) == outcome(
+                oracles.string_unframe_message, received
+            )
+    for widths in CODEC_WIDTHS:
+        blocks = [types.SimpleNamespace(bit_width=w) for w in widths]
+        widths = np.array(widths, dtype=np.int64)
+        total = int(widths.sum())
+        for length in sorted({0, 1, total - 1, total, total + 1}):
+            framed = random_bits(length)
+            assert outcome(chunk_message, framed, blocks) == outcome(
+                oracles.string_chunk_message, framed, blocks
+            )
+            if length > total:
+                continue
+            payloads = oracles.string_chunk(framed, widths)
+            assert pipeline._bits(payloads, widths) == oracles.string_bits(payloads, widths)
 
 
 @pytest.fixture(scope="module")
