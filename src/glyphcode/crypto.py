@@ -15,12 +15,19 @@ Signing and verification reuse the message pipeline's letter record
 (:class:`~glyphcode.pipeline.LetterSequence`), columnar block layout and
 array codec.  Each call runs the code-point pass over the letters and builds
 the layout once, and a segment's digest hashes a slice of the record's
-letters, which are joined into one string.  A :class:`Segment` is
-a range of blocks, of letters and of coded bits; each segment's end is found
-by a binary search over the blocks' running letter and bit counts.  The
-whole document is encoded or decoded in one pass that is then sliced by
-segment, so the cost is linear in the document length.  A segment's decode
-stops at its first block that fails, as a per-segment decode would.
+letters, which are joined into one string.  The segments are held as
+columns, six int lists of block, letter and coded-bit bounds; each segment's
+end is found by a binary search over the blocks' running letter and bit
+counts, and only :func:`segment_text` builds :class:`Segment` records from
+them.  The coded bits are one uint8 array of 0s and 1s: signing scatters
+the payloads' bits, as (S, P) rows (one ``np.unpackbits`` of the joined
+digests for scheme 1), at the segments' bit offsets and encodes the whole
+document in one pass; verification decodes the whole document in one pass,
+gathers the first P bits of every segment as one (S, P) array and compares
+it with the digests' rows in one pass (scheme 2 reads it as one bit string
+for the verifier), so the cost is linear in the document length.  A
+segment's decode stops at its first block that fails, as a per-segment
+decode would.
 """
 
 from __future__ import annotations
@@ -28,9 +35,9 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,12 +50,14 @@ from .pipeline import (
     _build_layout,
     _chunk,
     _decode,
+    _digits,
     _encode,
     _Layout,
     _received,
+    _text,
     letter_sequence,
 )
-from .util import as_integer, bits_from_bytes, stable_seed
+from .util import as_integer, stable_seed
 
 __all__ = [
     "PermutationKey",
@@ -267,6 +276,20 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+class _Bounds(NamedTuple):
+    """The segments as columns: segment i is blocks [block_start[i],
+    block_end[i]), letters [seq_start[i], seq_end[i]) and coded bits
+    [bit_start[i], bit_end[i]); each segment starts where the one before it
+    ends."""
+
+    block_start: list[int]
+    block_end: list[int]
+    seq_start: list[int]
+    seq_end: list[int]
+    bit_start: list[int]
+    bit_end: list[int]
+
+
 def segment_text(
     text: str,
     codebook: Codebook,
@@ -280,7 +303,7 @@ def segment_text(
     trailing blocks (and trailing uncoded letters) join the last segment so
     every letter is covered by exactly one segment.
     """
-    return _layout(text, codebook, config, payload_bits)[2]
+    return list(map(Segment, *_layout(text, codebook, config, payload_bits)[2]))
 
 
 def _layout(
@@ -288,8 +311,8 @@ def _layout(
     codebook: Codebook,
     config: SignatureConfig,
     payload_bits: Optional[int],
-) -> tuple[LetterSequence, _Layout, list[Segment]]:
-    """Letters, block layout and segments, each computed once.
+) -> tuple[LetterSequence, _Layout, _Bounds]:
+    """Letters, block layout and segment bounds, each computed once.
 
     A segment closes at its first block where it spans at least
     ``segment_min_letters`` letters and holds the payload.  Both counts grow
@@ -306,7 +329,7 @@ def _layout(
     # the last letter it pulled in, so it ends the newest block
     letter_ends = (layout.members[:, -1] + 1).tolist()
     bit_ends = np.cumsum(layout.widths).tolist()
-    segments: list[Segment] = []
+    lasts: list[int] = []  # each segment's last block
     first = start = held = 0
     while (
         t := max(
@@ -315,37 +338,48 @@ def _layout(
             bisect_left(bit_ends, held + need),
         )
     ) < len(letter_ends):
-        segments.append(Segment(first, t + 1, start, letter_ends[t], held, bit_ends[t]))
+        lasts.append(t)
         first, start, held = t + 1, letter_ends[t], bit_ends[t]
-    if not segments:
+    if not lasts:
         raise SigningError(f"segment 0 holds {bit_ends[-1]} bits, payload needs {need}")
-    segments[-1] = replace(
-        segments[-1], block_end=len(letter_ends), seq_end=len(seq.letters), bit_end=bit_ends[-1]
+    lasts[-1] = len(letter_ends) - 1  # trailing blocks join the last segment
+    block_end = [t + 1 for t in lasts]
+    seq_end = [letter_ends[t] for t in lasts]
+    seq_end[-1] = len(seq.letters)  # and so do trailing uncoded letters
+    bit_end = [bit_ends[t] for t in lasts]
+    bounds = _Bounds(
+        [0, *block_end[:-1]], block_end, [0, *seq_end[:-1]], seq_end, [0, *bit_end[:-1]], bit_end
     )
-    return seq, layout, segments
+    return seq, layout, bounds
 
 
-def _segment_digest(seq: LetterSequence, segment: Segment, hash_id: str) -> bytes:
-    return content_hash(seq.letters[segment.seq_start : segment.seq_end], hash_id)
+def _digests(seq: LetterSequence, bounds: _Bounds, hash_id: str) -> list[bytes]:
+    """Each segment's content hash over its letters."""
+    letters = seq.letters
+    return [content_hash(letters[a:b], hash_id) for a, b in zip(bounds.seq_start, bounds.seq_end)]
+
+
+def _digest_rows(digests: list[bytes]) -> np.ndarray:
+    """Equal-length digests as rows of their big-endian bits."""
+    joined = np.frombuffer(b"".join(digests), dtype=np.uint8)
+    return np.unpackbits(joined.reshape(len(digests), -1), axis=1)
 
 
 def _embed_payloads(
     text: str,
     codebook: Codebook,
-    laid_out: tuple[LetterSequence, _Layout, list[Segment]],
-    payloads: Sequence[str],
+    laid_out: tuple[LetterSequence, _Layout, _Bounds],
+    rows: np.ndarray,
     key: Optional[PermutationKey],
 ) -> EncodedDocument:
-    """Embed one payload per segment, zero-padded to the segment's width."""
-    seq, layout, segments = laid_out
-    framed = []
-    for s, bits in zip(segments, payloads):
-        if len(bits) > s.bit_end - s.bit_start:
-            raise ContractViolation("framed message exceeds total block width")
-        framed.append(bits.ljust(s.bit_end - s.bit_start, "0"))
-    chunks = _chunk("".join(framed), layout.widths)
+    """Embed row i of ``rows`` (S, P) at the start of segment i, which
+    holds at least P bits, and zeros in the rest of each segment."""
+    seq, layout, bounds = laid_out
+    starts = np.array(bounds.bit_start)
+    framed = np.zeros(bounds.bit_end[-1], dtype=np.uint8)
+    framed[starts[:, None] + np.arange(rows.shape[1])] = rows
     return EncodedDocument(
-        text, _encode(seq, layout, chunks, codebook, key), codebook.font_id
+        text, _encode(seq, layout, _chunk(framed, layout.widths), codebook, key), codebook.font_id
     )
 
 
@@ -357,9 +391,8 @@ def sign_scheme1(
 ) -> EncodedDocument:
     """Embed each segment's content hash into that segment under a private key."""
     laid_out = _layout(text, codebook, config, None)
-    seq, _, segments = laid_out
-    payloads = [bits_from_bytes(_segment_digest(seq, s, config.hash_id)) for s in segments]
-    return _embed_payloads(text, codebook, laid_out, payloads, key)
+    rows = _digest_rows(_digests(laid_out[0], laid_out[2], config.hash_id))
+    return _embed_payloads(text, codebook, laid_out, rows, key)
 
 
 def sign_scheme2(
@@ -368,11 +401,16 @@ def sign_scheme2(
     signer: "ToyRsaProvider",
     config: SignatureConfig = SignatureConfig(),
 ) -> EncodedDocument:
-    """Embed an asymmetric signature over each segment's hash, public codebook."""
+    """Embed an asymmetric signature over each segment's hash, public codebook.
+
+    The signer's bit strings are converted once, together; each must be
+    ``signer.signature_bits`` long, else ContractViolation is raised."""
     laid_out = _layout(text, codebook, config, signer.signature_bits)
-    seq, _, segments = laid_out
-    payloads = [signer.sign(_segment_digest(seq, s, config.hash_id)) for s in segments]
-    return _embed_payloads(text, codebook, laid_out, payloads, key=None)
+    signatures = [signer.sign(d) for d in _digests(laid_out[0], laid_out[2], config.hash_id)]
+    if any(len(sig) != signer.signature_bits for sig in signatures):
+        raise ContractViolation(f"a signature is not {signer.signature_bits} bits long")
+    rows = _digits("".join(signatures), "signature").reshape(len(signatures), -1)
+    return _embed_payloads(text, codebook, laid_out, rows, key=None)
 
 
 def verify(
@@ -385,44 +423,45 @@ def verify(
     """Recompute per-segment hashes and compare against the embedded values.
 
     Exactly one of ``key`` (scheme 1) and ``verifier`` (scheme 2) is passed.
-    A glyph index stream longer than the letter count raises
-    ContractViolation, as extraction does, and a scheme-1 key that does not
-    fit the codebook raises KeyMismatchError, both before any segment is
-    decoded.  A segment whose blocks cannot be decoded, that reaches past the
-    end of a shorter stream, or that holds a glyph index the key cannot map,
-    is reported as an ``extraction-failed`` mismatch; the other segments are
-    still checked.
+    A glyph index stream longer than the letter count, or holding a value
+    that is not an integer, raises ContractViolation, as extraction does,
+    and a scheme-1 key that does not fit the codebook raises
+    KeyMismatchError, all before any segment is decoded.  A segment whose
+    blocks cannot be decoded, that reaches past the end of a shorter stream,
+    or that holds a glyph index the key cannot map, is reported as an
+    ``extraction-failed`` mismatch; the other segments are still checked.
+    The first ``payload_bits`` decoded bits of every segment are gathered
+    into one (S, payload_bits) array: scheme 1 compares it with the
+    digests' bits in one pass, and scheme 2 reads it as one bit string.
     """
     if (key is None) == (verifier is None):
         raise ContractViolation("verify needs exactly one of key and verifier")
     payload_bits = config.digest_bits if verifier is None else verifier.signature_bits
-    seq, layout, segments = _layout(encoded.text, codebook, config, payload_bits)
+    seq, layout, bounds = _layout(encoded.text, codebook, config, payload_bits)
     count = len(seq.letters)
     if len(encoded.glyph_indices) > count:
         raise ContractViolation("glyph index stream does not match the letter count")
     received = _received(encoded.glyph_indices, count)
     if key is not None:  # mapped once for every segment
         received = key.inverse_ids(seq.chars, seq.ids, received, codebook)
-    payloads, _, failed = _decode(
-        seq.capacities, layout, received, ends=[s.block_end for s in segments]
-    )
+    payloads, _, failed = _decode(seq.capacities, layout, received, ends=bounds.block_end)
     bits = _bits(payloads, layout.widths)
-    results: list[SegmentResult] = []
-    for s, failed_block in zip(segments, failed):
-        if failed_block is not None:
-            results.append(
-                SegmentResult(s.seq_start, s.seq_end, "mismatch", "extraction-failed")
-            )
-            continue
-        digest = _segment_digest(seq, s, config.hash_id)
-        embedded = bits[s.bit_start : s.bit_end][:payload_bits]
-        if verifier is None:
-            ok = embedded == bits_from_bytes(digest)[: len(embedded)]
-        else:
-            ok = verifier.check(digest, embedded)
-        results.append(
-            SegmentResult(s.seq_start, s.seq_end, "match" if ok else "mismatch")
-        )
+    embedded = bits[np.array(bounds.bit_start)[:, None] + np.arange(payload_bits)]
+    digests = _digests(seq, bounds, config.hash_id)
+    if verifier is None:
+        ok = (embedded == _digest_rows(digests)).all(axis=1).tolist()
+    else:
+        signatures = _text(embedded.ravel())
+        ok = [
+            verifier.check(d, signatures[i * payload_bits : (i + 1) * payload_bits])
+            for i, d in enumerate(digests)
+        ]
+    results = [
+        SegmentResult(a, b, "mismatch", "extraction-failed")
+        if failed_block is not None
+        else SegmentResult(a, b, "match" if match else "mismatch")
+        for a, b, failed_block, match in zip(bounds.seq_start, bounds.seq_end, failed, ok)
+    ]
     return VerificationReport(tuple(results))
 
 

@@ -212,11 +212,32 @@ def write_document(doc: EncodedDocument, fh: TextIO, config: str = "") -> None:
     fh.write("indices " + " ".join([str(v) for v in doc.glyph_indices]) + "\n")
 
 
+def _refuse(token: str):
+    raise ValueError(f"not an integer: {token!r}")
+
+
+# reads a JSON array of integers in C; a float or a constant is refused
+_INTEGER_ARRAY = json.JSONDecoder(parse_float=_refuse, parse_constant=_refuse)
+
+
+def _indices(field: str) -> tuple[int, ...]:
+    """The integers of an ``indices`` record.  A record of ASCII digits,
+    '-' and spaces is read as one JSON array in C; any other record, and
+    one the decoder refuses, is read token by token with ``int``, which
+    decides what the record holds."""
+    if field.isascii() and not field.encode("ascii").translate(None, b"0123456789- "):
+        try:
+            return tuple(_INTEGER_ARRAY.decode(f"[{field.replace(' ', ',')}]"))
+        except ValueError:
+            pass
+    return tuple(map(int, field.split()))
+
+
 @_reader("document")
 def read_document(lines: list[str]) -> EncodedDocument:
     codebook_id = _string(_field(lines[0], "codebook_id"))
     text = _string(_field(lines[1], "text"))
-    indices = tuple(map(int, _field(lines[2], "indices").split()))
+    indices = _indices(_field(lines[2], "indices"))
     _no_more(lines[3:], "document")
     return EncodedDocument(text, indices, codebook_id)
 

@@ -36,19 +36,32 @@ bits are Python integers; residues and glyph indices are int64 throughout.
 Extraction's report (:class:`DecodeReport`) is kept as those columns: the
 payloads and the outcomes of the blocks off the exact path, so an exact
 block's outcome is built only when a caller reads it.
+
+Message bits travel as one uint8 array of 0s and 1s from the public bit
+string to the residues and back.  :func:`_digits` checks a str once and
+converts it, :func:`_text` builds the returned one; framing writes and
+reads the 32-bit length prefix with ``np.unpackbits``/``np.packbits``, and
+:func:`_chunk` and :func:`_bits` cut the array into payloads and join them
+back by each bit's place in its block.  Received glyph indices go through
+one typed conversion to int64; a value that is not an integer is refused
+before any block is decoded.
+
 :func:`partition_blocks` gives the layout as a per-block view, one
 :class:`Block` per block, and :func:`chunk_message` cuts a framed message
-over that view; the package's own paths read the arrays.
+over that view; :func:`frame_message`, :func:`unframe_message` and
+:func:`chunk_message` are the str forms of the bit codec.  The package's
+own paths read the arrays.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, islice, repeat, starmap, takewhile
-from operator import is_not
+from operator import index, is_not
 from typing import Optional
 
 import numpy as np
@@ -379,66 +392,93 @@ def partition_blocks(seq: LetterSequence, n: int = 5, k: int = 3) -> list[Block]
     return _build_layout(seq.capacities, n, k).blocks()
 
 
+def _digits(bits: str, name: str = "message") -> np.ndarray:
+    """A bit string as a uint8 array of 0s and 1s, checked in one pass;
+    anything but a str of ASCII '0'/'1' is refused, naming ``name``."""
+    try:
+        digits = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    except (AttributeError, UnicodeEncodeError):  # not a str, or not ASCII
+        digits = None
+    if digits is None or (digits > 1).any():
+        raise ContractViolation(f"{name} must be a bit string of '0'/'1'")
+    return digits
+
+
+def _text(digits: np.ndarray) -> str:
+    """A uint8 array of 0s and 1s as a bit string."""
+    return (digits + ord("0")).tobytes().decode("ascii")
+
+
+def _frame(digits: np.ndarray, total_bits: int) -> np.ndarray:
+    """Length-prefix framing of message bits: the 32-bit big-endian bit
+    count, the bits, and zeros out to ``total_bits``."""
+    if len(digits) >= 1 << LENGTH_PREFIX_BITS:
+        raise CapacityExceededError("message too long for the length prefix")
+    end = LENGTH_PREFIX_BITS + len(digits)
+    if end > total_bits:
+        raise CapacityExceededError(
+            f"framed message needs {end} bits, document holds {total_bits}"
+        )
+    framed = np.zeros(total_bits, dtype=np.uint8)
+    framed[:LENGTH_PREFIX_BITS] = np.unpackbits(np.array([len(digits)], dtype=">u4").view(np.uint8))
+    framed[LENGTH_PREFIX_BITS:end] = digits
+    return framed
+
+
+def _unframe(digits: np.ndarray) -> np.ndarray:
+    """The message bits of a framed bit array, by its length prefix."""
+    if len(digits) < LENGTH_PREFIX_BITS:
+        raise CorruptFrameError("fewer bits than the length prefix")
+    length = int(np.packbits(digits[:LENGTH_PREFIX_BITS]).view(">u4")[0])
+    if length > len(digits) - LENGTH_PREFIX_BITS:
+        raise CorruptFrameError(
+            f"length prefix {length} exceeds available {len(digits) - LENGTH_PREFIX_BITS} bits"
+        )
+    return digits[LENGTH_PREFIX_BITS : LENGTH_PREFIX_BITS + length]
+
+
 def frame_message(bits: str, total_bits: int) -> str:
     """Length-prefix framing: 32-bit big-endian payload bit count, payload,
     zero padding out to the document's full coded width."""
-    if bits.count("0") + bits.count("1") != len(bits):
-        raise ContractViolation("message must be a bit string of '0'/'1'")
-    if len(bits) >= 1 << LENGTH_PREFIX_BITS:
-        raise CapacityExceededError("message too long for the length prefix")
-    framed = format(len(bits), f"0{LENGTH_PREFIX_BITS}b") + bits
-    if len(framed) > total_bits:
-        raise CapacityExceededError(
-            f"framed message needs {len(framed)} bits, document holds {total_bits}"
-        )
-    return framed + "0" * (total_bits - len(framed))
+    return _text(_frame(_digits(bits), total_bits))
 
 
 def unframe_message(bits: str) -> str:
-    if len(bits) < LENGTH_PREFIX_BITS:
-        raise CorruptFrameError("fewer bits than the length prefix")
-    length = int(bits[:LENGTH_PREFIX_BITS], 2)
-    if length > len(bits) - LENGTH_PREFIX_BITS:
-        raise CorruptFrameError(
-            f"length prefix {length} exceeds available {len(bits) - LENGTH_PREFIX_BITS} bits"
-        )
-    return bits[LENGTH_PREFIX_BITS : LENGTH_PREFIX_BITS + length]
+    """The payload of a framed bit string, by its length prefix."""
+    return _text(_unframe(_digits(bits)))
 
 
-def _bit_matrix(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One row per block, as wide as the widest: each column's big-endian
-    shift, and whether the column is one of the block's bits."""
-    shifts = widths[:, None] - 1 - np.arange(widths.max(initial=0))
-    return np.maximum(shifts, 0), shifts >= 0
+def _places(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's first bit, and each bit's big-endian shift within its
+    block, of the payloads' dtype (see :func:`_payload_dtype`)."""
+    ends = np.cumsum(widths)
+    shifts = np.repeat(ends, widths) - 1 - np.arange(ends[-1] if len(ends) else 0)
+    return ends - widths, shifts.astype(_payload_dtype(widths), copy=False)
 
 
-def _chunk(framed: str, widths: np.ndarray) -> np.ndarray:
-    """Cut widths[t] bits per block, big-endian; bits past the end of
-    ``framed`` read 0."""
-    digits = np.zeros(int(widths.sum()), dtype=np.uint8)
-    if len(framed) > len(digits):
-        raise ContractViolation("framed message exceeds total block width")
-    if framed.count("0") + framed.count("1") != len(framed):
-        raise ContractViolation("framed message must be a bit string of '0'/'1'")
-    digits[: len(framed)] = np.frombuffer(framed.encode("ascii"), dtype=np.uint8) - ord("0")
-    shifts, mine = _bit_matrix(widths)
-    at = np.cumsum(widths)[:, None] - 1 - shifts  # each bit's place in ``digits``
-    bits = np.where(mine, digits[at], 0).astype(_payload_dtype(widths))
-    return (bits << shifts).sum(axis=1)
+def _chunk(digits: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Cut widths[t] bits per block, big-endian, from ``digits``, which
+    holds exactly ``widths.sum()`` 0s and 1s."""
+    starts, shifts = _places(widths)
+    return np.add.reduceat(digits.astype(shifts.dtype) << shifts, starts)
 
 
-def _bits(payloads: np.ndarray, widths: np.ndarray) -> str:
-    """Each block's payload as its low widths[t] bits, big-endian, joined."""
-    shifts, mine = _bit_matrix(widths)
-    digits = ((payloads[:, None] >> shifts) & 1)[mine].astype(np.uint8)
-    return (digits + ord("0")).tobytes().decode("ascii")
+def _bits(payloads: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Each block's payload as its low widths[t] bits, big-endian, joined
+    into one uint8 array."""
+    shifts = _places(widths)[1]
+    return ((np.repeat(payloads, widths) >> shifts) & 1).astype(np.uint8)
 
 
 def chunk_message(framed: str, blocks: Sequence[Block]) -> list[int]:
     """Cut bit_width(t) bits per block, big-endian: :func:`_chunk` over the
-    per-block view."""
+    per-block view; bits past the end of ``framed`` read 0."""
     widths = np.array([b.bit_width for b in blocks], dtype=np.int64)
-    return _chunk(framed, widths).tolist()
+    digits = np.zeros(int(widths.sum()), dtype=np.uint8)
+    if len(framed) > len(digits):
+        raise ContractViolation("framed message exceeds total block width")
+    digits[: len(framed)] = _digits(framed, "framed message")
+    return _chunk(digits, widths).tolist()
 
 
 def _check_text(text: str, codebook: Codebook) -> LetterSequence:
@@ -475,17 +515,31 @@ _MISREAD = -2  # a received value that no residue equals
 def _received(values: Sequence[int], count: int) -> np.ndarray:
     """``values`` over ``count`` letters as int64.  A negative value and one
     int64 cannot hold read _MISREAD, and a None and a letter past the end of
-    ``values`` read _REFUSED."""
+    ``values`` read _REFUSED.  Any other value that is not an integer (as
+    ``operator.index`` reads one) raises ContractViolation.  The values go
+    through one typed conversion; only a stream that it refuses is read
+    value by value."""
     vals = np.full(count, _REFUSED, dtype=np.int64)
     try:
-        got = np.fromiter(values, dtype=np.int64, count=len(values))
+        # a tuple, so that array() never reads a bytes-like stream as raw memory
+        got = np.frombuffer(array("q", tuple(values)), dtype=np.int64)
         vals[: len(values)] = np.where(got < 0, _MISREAD, got)
-    except (OverflowError, TypeError):  # a None, or a value past int64
-        vals[: len(values)] = [
-            _REFUSED if v is None else v if 0 <= v < 1 << _INT64_BITS else _MISREAD
-            for v in values
-        ]
+    except (OverflowError, TypeError):  # a None, a value past int64 or no integer
+        vals[: len(values)] = [_received_value(i, v) for i, v in enumerate(values)]
     return vals
+
+
+def _received_value(i: int, value) -> int:
+    """Letter i's received value, read as :func:`_received` reads it."""
+    if value is None:
+        return _REFUSED
+    try:
+        value = index(value)
+    except TypeError:
+        raise ContractViolation(
+            f"glyph index {i} must be an integer, not {type(value).__name__}"
+        ) from None
+    return value if 0 <= value < 1 << _INT64_BITS else _MISREAD
 
 
 def _garner(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -628,7 +682,7 @@ def embed(
     layout = _build_layout(seq.capacities, n, k)
     if not len(layout.widths):
         raise DocumentTooSmallError("document has zero complete blocks")
-    framed = frame_message(bits, int(layout.widths.sum()))
+    framed = _frame(_digits(bits), int(layout.widths.sum()))
     payloads = _chunk(framed, layout.widths)
     return EncodedDocument(
         text, _encode(seq, layout, payloads, codebook, key), codebook.font_id
@@ -652,8 +706,10 @@ def extract(
     smallest m.  The key must fit the codebook, and every letter's glyph
     index and likelihood row is checked against the key and the codebook, in
     letter order, before any block is decoded; rows are built only for blocks
-    whose Hamming decode ties.  Raises PartialDecodeError at the first block
-    that cannot be decoded.  The report (:class:`DecodeReport`) keeps the
+    whose Hamming decode ties.  A glyph index that is not an integer (as
+    ``operator.index`` reads one) raises ContractViolation, and a None reads
+    as a letter that fails its block.  Raises PartialDecodeError at the
+    first block that cannot be decoded.  The report (:class:`DecodeReport`) keeps the
     decoded payloads and the outcomes of the blocks off the exact path, and
     builds an exact block's outcome only when that block is read.
     """
@@ -689,7 +745,8 @@ def extract(
     )
     if failed is not None:
         raise PartialDecodeError(failed)
-    return unframe_message(_bits(payloads, layout.widths)), DecodeReport(payloads, slow)
+    message = _text(_unframe(_bits(payloads, layout.widths)))
+    return message, DecodeReport(payloads, slow)
 
 
 def baseline_block_bits(capacities: Sequence[int]) -> int:

@@ -1,12 +1,12 @@
-"""Small shared helpers: stable seeding, the byte-to-bit-string conversion
-and the check that an argument is an integer."""
+"""Small shared helpers: stable seeding and the check that an argument is
+an integer."""
 
 import hashlib
 import operator
 
 from .errors import ContractViolation
 
-__all__ = ["stable_seed", "bits_from_bytes", "as_integer"]
+__all__ = ["stable_seed", "as_integer"]
 
 
 def stable_seed(*parts) -> int:
@@ -17,12 +17,6 @@ def stable_seed(*parts) -> int:
     """
     digest = hashlib.sha256(repr(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def bits_from_bytes(data: bytes) -> str:
-    """Big-endian bit string for a byte payload, 8 bits per byte."""
-    return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
-
 
 
 def as_integer(value, name: str) -> int:

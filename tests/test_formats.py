@@ -295,6 +295,35 @@ def test_document_index_that_is_not_an_integer_is_a_format_error(token):
         formats.read_document(io.StringIO(text.replace("indices 1 0 2", f"indices 1 {token} 2")))
 
 
+# index tokens that int() and a JSON array read differently, or that only
+# one of them reads: signs, leading zeros, underscores, JSON syntax and
+# constants, exponents, full-width digits and integers past int()'s
+# 4300-digit limit
+INDEX_TOKENS = st.integers(-(10**30), 10**30).map(str) | st.sampled_from(
+    ["+1", "007", "-0", "1_0", "1,2", "[1]", "NaN", "Infinity", "1e3", "1.0", "\uff11\uff12",
+     "-", "--1", "true", "null", "1" * 4301, "-" + "9" * 4301]
+)
+INDEX_GAPS = st.sampled_from([" ", " ", "  ", "\t", " \t", "\u3000", ""])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(st.tuples(INDEX_GAPS, INDEX_TOKENS), max_size=6), tail=INDEX_GAPS)
+def test_document_indices_read_as_int_reads_each_token(tokens, tail):
+    """An indices record reads as tuple(map(int, record.split())) does, or
+    raises FormatError where that raises ValueError."""
+    field = "".join(gap + token for gap, token in tokens) + tail
+    try:
+        want = tuple(map(int, field.split()))
+    except ValueError:
+        want = FormatError
+    text = SAMPLE_FILES["document"].replace("indices 1 0 2", "indices " + field)
+    try:
+        got = formats.read_document(io.StringIO(text)).glyph_indices
+    except FormatError:
+        got = FormatError
+    assert got == want
+
+
 def test_one_version_string():
     import glyphcode
     from setuptools.config import pyprojecttoml

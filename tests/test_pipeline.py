@@ -162,6 +162,9 @@ def test_frame_message_refuses_anything_but_bits():
         with pytest.raises(ContractViolation, match="bit string"):
             frame_message(bits, 64)
     assert frame_message("", 40) == "0" * 40
+    for bits in ("2" * 40, "\u00e9" * 40, "\ud800" * 40, "0" * 31 + "1" + "2"):
+        with pytest.raises(ContractViolation, match="^message must be a bit string"):
+            unframe_message(bits)
 
 
 def test_chunk_message():
@@ -218,7 +221,11 @@ def test_frame_chunk_bits_and_unframe_match_string_oracle():
             if length > total:
                 continue
             payloads = oracles.string_chunk(framed, widths)
-            assert pipeline._bits(payloads, widths) == oracles.string_bits(payloads, widths)
+            digits = pipeline._digits(framed.ljust(total, "0"))
+            assert pipeline._chunk(digits, widths).tolist() == payloads.tolist()
+            assert pipeline._text(pipeline._bits(payloads, widths)) == oracles.string_bits(
+                payloads, widths
+            )
 
 
 @pytest.fixture(scope="module")
@@ -729,7 +736,7 @@ def test_int64_guard_boundary_matches_letter_loop_oracle():
         slow.get(t, crc.DecodeOutcome("exact", m, 0, 1, (m,))) for t, m in enumerate(got.tolist())
     ]
     assert report == outcomes and got.tolist() == payloads
-    assert pipeline._bits(got, layout.widths) == bits
+    assert pipeline._text(pipeline._bits(got, layout.widths)) == bits
 
 
 def test_long_wide_document_matches_letter_loop_oracle():
@@ -789,8 +796,9 @@ def test_payloads_wider_than_int64_are_python_integers():
     assert blocks == loop_partition_blocks(seq, 5, 3)
     assert min(b.bit_width for b in blocks) > 62
     rng = np.random.default_rng(16)
-    framed = "".join(rng.choice(["0", "1"], size=sum(b.bit_width for b in blocks) - 9))
-    payloads = pipeline._chunk(framed, layout.widths)
+    total = sum(b.bit_width for b in blocks)
+    framed = "".join(rng.choice(["0", "1"], size=total - 9))
+    payloads = pipeline._chunk(pipeline._digits(framed.ljust(total, "0")), layout.widths)
     assert payloads.tolist() == chunk_message(framed, blocks)
     cb = fixtures.fixture_codebook({"a": 2})  # read only for a key
     values = pipeline._encode(seq, layout, payloads, cb)
@@ -804,7 +812,7 @@ def test_payloads_wider_than_int64_are_python_integers():
         )
         want_bits, want_report = loop_decode_blocks(seq, blocks, received)
         assert failed == [None]
-        assert pipeline._bits(decoded, layout.widths) == want_bits
+        assert pipeline._text(pipeline._bits(decoded, layout.widths)) == want_bits
         assert want_bits == framed.ljust(len(want_bits), "0")
         assert [slow[t] for t in sorted(slow)] == want_report
 
@@ -1107,6 +1115,63 @@ def test_other_counts_that_are_not_integers_are_refused(codebook):
         if bad is not None:  # no limit
             with pytest.raises(ContractViolation, match="^limit must be an integer"):
                 pipeline._build_layout((5, 7, 9, 11, 13), 5, 3, limit=bad)
+
+
+def _no_decode(*args, **kwargs):
+    raise AssertionError("a block was decoded")
+
+
+@pytest.mark.parametrize("bad", ["a", 1.5, 1.0, np.float64(2.0), b"1", [1], np.bool_(True)])
+@pytest.mark.parametrize("where", [0, 57, -1])
+def test_glyph_indices_that_are_not_integers_are_refused(codebook, monkeypatch, bad, where):
+    """Extract, keyed or not, and verify refuse a glyph index that is not an
+    integer with ContractViolation naming its letter, before any block is
+    decoded."""
+    text = fixtures.random_text(200, seed=1)
+    key = keygen(codebook, seed=1)
+    config = SignatureConfig(segment_min_letters=10)
+    doc = embed(text, codebook, "1011", key=key)
+    signed = sign_scheme1(text, codebook, key, config)
+    i = where % len(doc.glyph_indices)
+    monkeypatch.setattr(pipeline, "_decode", _no_decode)
+    monkeypatch.setattr("glyphcode.crypto._decode", _no_decode)
+    calls = [
+        lambda: extract(_tamper(doc, [(i, bad)]), codebook, key=key),
+        lambda: extract(_tamper(doc, [(i, bad)]), codebook),
+        lambda: verify(_tamper(signed, [(i, bad)]), codebook, config, key=key),
+    ]
+    for call in calls:
+        with pytest.raises(
+            ContractViolation, match=f"^glyph index {i} must be an integer, not {type(bad).__name__}$"
+        ):
+            call()
+
+
+def test_none_glyph_index_is_a_refused_letter_and_integers_take_one_conversion(
+    codebook, monkeypatch
+):
+    """A None glyph index still fails its block: extract raises
+    PartialDecodeError there and verify reports its segment as
+    extraction-failed.  A stream of Python or numpy integers is converted
+    without reading one value at a time."""
+    text = fixtures.random_text(400, seed=1)
+    key = keygen(codebook, seed=1)
+    config = SignatureConfig(segment_min_letters=10)
+    doc = embed(text, codebook, "1011")
+    signed = sign_scheme1(text, codebook, key, config)
+    block = partition_blocks(letter_sequence(text, codebook))[3]
+    with pytest.raises(PartialDecodeError) as err:
+        extract(_tamper(doc, [(block.member_indices[1], None)]), codebook)
+    assert err.value.block_index == 3
+    report = verify(_tamper(signed, [(block.member_indices[1], None)]), codebook, config, key=key)
+    notes = [s.note for s in report.per_segment]
+    assert notes[0] == "extraction-failed" and set(notes[1:]) == {""}
+    monkeypatch.setattr(pipeline, "_received_value", _no_decode)
+    as_numpy = pipeline.EncodedDocument(
+        doc.text, tuple(np.array(doc.glyph_indices)), doc.codebook_id
+    )
+    assert extract(doc, codebook)[0] == extract(as_numpy, codebook)[0] == "1011"
+    assert verify(signed, codebook, config, key=key).overall == "match"
 
 
 def test_numpy_integer_sizes_are_accepted(codebook):
