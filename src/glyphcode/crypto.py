@@ -365,6 +365,11 @@ def _digest_rows(digests: list[bytes]) -> np.ndarray:
     return np.unpackbits(joined.reshape(len(digests), -1), axis=1)
 
 
+def _payload_places(bounds: _Bounds, width: int) -> np.ndarray:
+    """The coded-bit offsets of each segment's first ``width`` bits, (S, width)."""
+    return np.array(bounds.bit_start)[:, None] + np.arange(width)
+
+
 def _embed_payloads(
     text: str,
     codebook: Codebook,
@@ -375,9 +380,8 @@ def _embed_payloads(
     """Embed row i of ``rows`` (S, P) at the start of segment i, which
     holds at least P bits, and zeros in the rest of each segment."""
     seq, layout, bounds = laid_out
-    starts = np.array(bounds.bit_start)
     framed = np.zeros(bounds.bit_end[-1], dtype=np.uint8)
-    framed[starts[:, None] + np.arange(rows.shape[1])] = rows
+    framed[_payload_places(bounds, rows.shape[1])] = rows
     return EncodedDocument(
         text, _encode(seq, layout, _chunk(framed, layout.widths), codebook, key), codebook.font_id
     )
@@ -445,8 +449,7 @@ def verify(
     if key is not None:  # mapped once for every segment
         received = key.inverse_ids(seq.chars, seq.ids, received, codebook)
     payloads, _, failed = _decode(seq.capacities, layout, received, ends=bounds.block_end)
-    bits = _bits(payloads, layout.widths)
-    embedded = bits[np.array(bounds.bit_start)[:, None] + np.arange(payload_bits)]
+    embedded = _bits(payloads, layout.widths)[_payload_places(bounds, payload_bits)]
     digests = _digests(seq, bounds, config.hash_id)
     if verifier is None:
         ok = (embedded == _digest_rows(digests)).all(axis=1).tolist()

@@ -397,11 +397,11 @@ def _digits(bits: str, name: str = "message") -> np.ndarray:
     anything but a str of ASCII '0'/'1' is refused, naming ``name``."""
     try:
         digits = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+        if not (digits > 1).any():
+            return digits
     except (AttributeError, UnicodeEncodeError):  # not a str, or not ASCII
-        digits = None
-    if digits is None or (digits > 1).any():
-        raise ContractViolation(f"{name} must be a bit string of '0'/'1'")
-    return digits
+        pass
+    raise ContractViolation(f"{name} must be a bit string of '0'/'1'")
 
 
 def _text(digits: np.ndarray) -> str:
@@ -420,7 +420,8 @@ def _frame(digits: np.ndarray, total_bits: int) -> np.ndarray:
             f"framed message needs {end} bits, document holds {total_bits}"
         )
     framed = np.zeros(total_bits, dtype=np.uint8)
-    framed[:LENGTH_PREFIX_BITS] = np.unpackbits(np.array([len(digits)], dtype=">u4").view(np.uint8))
+    prefix = np.array([len(digits)], dtype=">u4").view(np.uint8)
+    framed[:LENGTH_PREFIX_BITS] = np.unpackbits(prefix)
     framed[LENGTH_PREFIX_BITS:end] = digits
     return framed
 
@@ -452,7 +453,8 @@ def _places(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each block's first bit, and each bit's big-endian shift within its
     block, of the payloads' dtype (see :func:`_payload_dtype`)."""
     ends = np.cumsum(widths)
-    shifts = np.repeat(ends, widths) - 1 - np.arange(ends[-1] if len(ends) else 0)
+    ends_of_bits = np.repeat(ends, widths)
+    shifts = ends_of_bits - 1 - np.arange(len(ends_of_bits))
     return ends - widths, shifts.astype(_payload_dtype(widths), copy=False)
 
 
@@ -709,9 +711,9 @@ def extract(
     whose Hamming decode ties.  A glyph index that is not an integer (as
     ``operator.index`` reads one) raises ContractViolation, and a None reads
     as a letter that fails its block.  Raises PartialDecodeError at the
-    first block that cannot be decoded.  The report (:class:`DecodeReport`) keeps the
-    decoded payloads and the outcomes of the blocks off the exact path, and
-    builds an exact block's outcome only when that block is read.
+    first block that cannot be decoded.  The report (:class:`DecodeReport`)
+    keeps the decoded payloads and the outcomes of the blocks off the exact
+    path, and builds an exact block's outcome only when that block is read.
     """
     seq = _check_text(encoded.text, codebook)
     count = len(seq.letters)

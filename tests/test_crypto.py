@@ -15,12 +15,16 @@ from oracles import (
     BEYOND_INT64,
     GLYPH_CHANGES,
     IndexKey,
+    loop_bits_from_bytes,
     loop_embed,
+    loop_encode_blocks,
     loop_extract,
     loop_layout,
+    loop_segment_digest,
     loop_sign_scheme1,
     loop_verify,
     outcome,
+    string_chunk_message,
 )
 
 from glyphcode import crypto, fixtures, pipeline
@@ -234,6 +238,32 @@ def _mutate_letter(text, codebook, seq_index):
     pos = seq.positions[seq_index]
     alt = next(c for c in codebook.characters() if c != text[pos])
     return text[:pos] + alt + text[pos + 1 :]
+
+
+@pytest.mark.parametrize("bit", [0, 63, 64, 127])
+def test_verify_reads_every_digest_bit(sig_codebook, bit):
+    """A segment whose embedded digest differs from its content's hash in
+    any one of its 128 bits reads mismatch; the other segments match.  The
+    document is signed by the per-letter path with that bit flipped."""
+    text = _sig_text(400, seed=21)
+    key = keygen(sig_codebook, seed=7)
+    config = SignatureConfig()
+    seq, blocks, segments = loop_layout(text, sig_codebook, config, None)
+    payloads = [
+        loop_bits_from_bytes(loop_segment_digest(seq, s, config.hash_id)) for s in segments
+    ]
+    flipped = "1" if payloads[1][bit] == "0" else "0"
+    payloads[1] = payloads[1][:bit] + flipped + payloads[1][bit + 1 :]
+    chunks = [
+        m
+        for s, bits in zip(segments, payloads)
+        for m in string_chunk_message(bits, blocks[s.block_start : s.block_end])
+    ]
+    indices = loop_encode_blocks(seq, blocks, chunks, IndexKey(key))
+    doc = pipeline.EncodedDocument(text, indices, sig_codebook.font_id)
+    statuses = [s.status for s in verify(doc, sig_codebook, config, key=key).per_segment]
+    assert len(statuses) >= 3
+    assert statuses == ["match", "mismatch"] + ["match"] * (len(statuses) - 2)
 
 
 def test_sign_verify_scheme1_round_trip(sig_codebook):
