@@ -1117,8 +1117,8 @@ def test_other_counts_that_are_not_integers_are_refused(codebook):
                 pipeline._build_layout((5, 7, 9, 11, 13), 5, 3, limit=bad)
 
 
-def _no_decode(*args, **kwargs):
-    raise AssertionError("a block was decoded")
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called where it must not run")
 
 
 @pytest.mark.parametrize("bad", ["a", 1.5, 1.0, np.float64(2.0), b"1", [1], np.bool_(True)])
@@ -1133,8 +1133,8 @@ def test_glyph_indices_that_are_not_integers_are_refused(codebook, monkeypatch, 
     doc = embed(text, codebook, "1011", key=key)
     signed = sign_scheme1(text, codebook, key, config)
     i = where % len(doc.glyph_indices)
-    monkeypatch.setattr(pipeline, "_decode", _no_decode)
-    monkeypatch.setattr("glyphcode.crypto._decode", _no_decode)
+    monkeypatch.setattr(pipeline, "_decode", _must_not_run)
+    monkeypatch.setattr("glyphcode.crypto._decode", _must_not_run)
     calls = [
         lambda: extract(_tamper(doc, [(i, bad)]), codebook, key=key),
         lambda: extract(_tamper(doc, [(i, bad)]), codebook),
@@ -1166,7 +1166,7 @@ def test_none_glyph_index_is_a_refused_letter_and_integers_take_one_conversion(
     report = verify(_tamper(signed, [(block.member_indices[1], None)]), codebook, config, key=key)
     notes = [s.note for s in report.per_segment]
     assert notes[0] == "extraction-failed" and set(notes[1:]) == {""}
-    monkeypatch.setattr(pipeline, "_received_value", _no_decode)
+    monkeypatch.setattr(pipeline, "_received_value", _must_not_run)
     as_numpy = pipeline.EncodedDocument(
         doc.text, tuple(np.array(doc.glyph_indices)), doc.codebook_id
     )
