@@ -23,9 +23,7 @@ planted_r = {f"rater-{i:02d}": float(rng.normal(-6.0, 1.0)) for i in range(60)}
 responses = perceptual.synth_responses(planted_s, planted_r, questions_per_rater=16, seed=1)
 print(f"{len(responses)} responses from raters passing the consistency screen")
 
-scores, reliabilities, info = perceptual.fit(
-    responses, perceptual.FitConfig(max_iterations=5000)
-)
+scores, reliabilities, info = perceptual.fit(responses, max_iterations=5000)
 print(f"fit converged after {info['iterations']} iterations")
 
 print("\nfitted vs planted similarity:")

@@ -204,10 +204,10 @@ def max_clique(graph: ConfusionGraph) -> tuple[int, ...]:
 def confusion_test(
     candidates: Iterable[int],
     oracle: Callable[[tuple[int, int]], float],
-    pair_count: int = PAIR_COUNT,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> set[frozenset[int]]:
-    """Sample up to ``pair_count`` candidate pairs and return the confusable ones.
+    """Sample up to ``PAIR_COUNT`` candidate pairs with ``rng`` and return
+    the confusable ones.
 
     Pairs are drawn without replacement; a pair lands in the result set when
     the oracle's accuracy estimate falls below ``PAIR_THRESHOLD``.
@@ -215,12 +215,9 @@ def confusion_test(
     ids = sorted(set(candidates))
     if len(ids) < 2:
         raise ContractViolation("need at least two candidates")
-    if pair_count < 1:
-        raise ContractViolation("pair_count must be positive")
     pairs = list(itertools.combinations(ids, 2))
-    if len(pairs) > pair_count:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        picks = rng.choice(len(pairs), size=pair_count, replace=False)
+    if len(pairs) > PAIR_COUNT:
+        picks = rng.choice(len(pairs), size=PAIR_COUNT, replace=False)
         pairs = [pairs[i] for i in sorted(picks)]
     confused: set[frozenset[int]] = set()
     for a, b in pairs:
@@ -295,7 +292,7 @@ def build_codebook(
                     f"character {character!r} did not converge in {max_iterations} iterations"
                 )
             rng = np.random.default_rng(stable_seed(seed, character, iteration))
-            confused = confusion_test(current, pair_oracle, PAIR_COUNT, rng)
+            confused = confusion_test(current, pair_oracle, rng)
             for edge in confused:
                 a, b = sorted(edge)
                 graph.remove_edge(a, b)

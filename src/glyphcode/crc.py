@@ -98,7 +98,7 @@ class DecodeOutcome(NamedTuple):
     m: Optional[int]
     min_hamming: int
     candidate_count: int
-    candidates: tuple[int, ...] = ()
+    candidates: tuple[int, ...]
 
     def __repr__(self) -> str:
         return (
@@ -295,18 +295,21 @@ def min_distance(moduli: ModuliSet) -> int:
     return best
 
 
-def block_success_printed(p1: float, ml: bool = False, n: int = 5) -> float:
-    """Block-success expressions exactly as printed: the single-term forms
-    C(n,1) p^(n-1) (1-p) for Hamming decoding and C(n,2) p^(n-2) (1-p)^2 for
-    maximum-likelihood decoding."""
+def block_success_printed(p1: float, ml: bool = False) -> float:
+    """Block-success expressions exactly as printed for five-letter blocks:
+    the single-term forms C(n,1) p^(n-1) (1-p) for Hamming decoding and
+    C(n,2) p^(n-2) (1-p)^2 for maximum-likelihood decoding, with n = 5."""
+    n = 5
     if ml:
         return math.comb(n, 2) * p1 ** (n - 2) * (1 - p1) ** 2
     return math.comb(n, 1) * p1 ** (n - 1) * (1 - p1)
 
 
-def block_success_cumulative(p1: float, ml: bool = False, n: int = 5) -> float:
-    """Cumulative block-success probability: at most one correctable error for
-    Hamming decoding, at most two with maximum-likelihood resolution."""
+def block_success_cumulative(p1: float, ml: bool = False) -> float:
+    """Cumulative block-success probability of a five-letter block: at most
+    one correctable error for Hamming decoding, at most two with
+    maximum-likelihood resolution."""
+    n = 5
     errors = 2 if ml else 1
     return sum(
         math.comb(n, e) * p1 ** (n - e) * (1 - p1) ** e for e in range(errors + 1)

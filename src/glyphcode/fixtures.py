@@ -3,10 +3,10 @@ codebooks, English letter frequencies, and simulation helpers.
 
 Real font manifolds are out of scope; the stand-in glyph for a character is a
 smooth blob (a cosine-perturbed circle) and its perturbed variants sit on a
-straight chain in outline space, base + j * step * D for a unit direction D.
-The chain makes confusions adjacent-only under isotropic noise, which is the
-regime the error-correction layer is designed for, while every constant stays
-reproducible from a seed.
+straight chain in outline space, base + j * DEFAULT_STEP * D for a unit
+direction D. The chain makes confusions adjacent-only under isotropic noise,
+which is the regime the error-correction layer is designed for, while every
+constant stays reproducible from a seed.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ CHAIN_CAPACITIES: dict[str, int] = {
 DEFAULT_STEP = 0.085
 
 
-def blob_outline(character: str, vertex_count: int = 64, seed: int = 0) -> GlyphOutline:
+def blob_outline(character: str, vertex_count: int, seed: int) -> GlyphOutline:
     """Smooth closed blob for a character: r(t) = 1 + sum a_k cos(k t + phi_k)."""
     rng = np.random.default_rng(stable_seed(seed, "blob", character))
     t = np.linspace(0.0, 2.0 * np.pi, vertex_count, endpoint=False)
@@ -106,31 +106,30 @@ def _chain_direction(base: GlyphOutline, seed: int) -> np.ndarray:
 def chain_outlines(
     character: str,
     count: int,
-    step: float = DEFAULT_STEP,
     vertex_count: int = 64,
     seed: int = 0,
     offsets: Optional[Sequence[float]] = None,
 ) -> list[GlyphOutline]:
-    """Perturbed variants base + offset_j * step * D; offsets default to 0..count-1."""
+    """Perturbed variants base + offset_j * DEFAULT_STEP * D; offsets default
+    to 0..count-1."""
     base = blob_outline(character, vertex_count, seed)
     d = _chain_direction(base, stable_seed(seed, "chain", character))
     if offsets is None:
         offsets = list(range(count))
-    return [GlyphOutline(base.vertices + o * step * d) for o in offsets]
+    return [GlyphOutline(base.vertices + o * DEFAULT_STEP * d) for o in offsets]
 
 
 def chain_entry(
     character: str,
     capacity: int,
-    step: float = DEFAULT_STEP,
     vertex_count: int = 64,
     seed: int = 0,
 ) -> CharacterEntry:
-    outlines = chain_outlines(character, capacity, step, vertex_count, seed)
+    outlines = chain_outlines(character, capacity, vertex_count, seed)
     glyphs = tuple(
         PerturbedGlyphEntry(
             index=j,
-            point=ManifoldPoint(j * step, 0.0),
+            point=ManifoldPoint(j * DEFAULT_STEP, 0.0),
             outline=o,
             accuracy=1.0,
         )
@@ -142,7 +141,6 @@ def chain_entry(
 def chain_candidates(
     character: str,
     offsets: Sequence[float],
-    step: float = DEFAULT_STEP,
     vertex_count: int = 64,
     seed: int = 0,
 ) -> list[GlyphCandidate]:
@@ -151,24 +149,20 @@ def chain_candidates(
     Offsets closer than about one step are confusable under the default
     channel, which is what the confusion-test loop is supposed to prune.
     """
-    outlines = chain_outlines(character, len(offsets), step, vertex_count, seed, offsets)
+    outlines = chain_outlines(character, len(offsets), vertex_count, seed, offsets)
     return [
-        GlyphCandidate(glyph_id=i, point=ManifoldPoint(o * step, 0.0), outline=out)
+        GlyphCandidate(glyph_id=i, point=ManifoldPoint(o * DEFAULT_STEP, 0.0), outline=out)
         for i, (o, out) in enumerate(zip(offsets, outlines))
     ]
 
 
 def fixture_codebook(
     capacities: dict[str, int],
-    step: float = DEFAULT_STEP,
     vertex_count: int = 64,
     seed: int = 0,
     font_id: str = "chain-fixture",
 ) -> Codebook:
-    entries = {
-        ch: chain_entry(ch, cap, step, vertex_count, seed)
-        for ch, cap in capacities.items()
-    }
+    entries = {ch: chain_entry(ch, cap, vertex_count, seed) for ch, cap in capacities.items()}
     return Codebook(font_id=font_id, entries=entries, resample_count=vertex_count)
 
 
@@ -177,7 +171,7 @@ def channel_codebook(seed: int = 0) -> Codebook:
     return fixture_codebook(CHAIN_CAPACITIES, seed=seed, font_id="chain-lowercase")
 
 
-def signature_codebook(seed: int = 0) -> Codebook:
+def signature_codebook() -> Codebook:
     """Uniform-capacity codebook for the signature workflows.
 
     Every letter gets the same glyph count, so replacing one character with
@@ -185,10 +179,10 @@ def signature_codebook(seed: int = 0) -> Codebook:
     the segment whose content changed.
     """
     caps = {ch: 11 for ch in ENGLISH_FREQUENCIES}
-    return fixture_codebook(caps, seed=seed, font_id="chain-uniform11")
+    return fixture_codebook(caps, font_id="chain-uniform11")
 
 
-def redundant_block_entries(seed: int = 0) -> tuple[list[CharacterEntry], ModuliSet]:
+def redundant_block_entries() -> tuple[list[CharacterEntry], ModuliSet]:
     """A five-letter block with capacities (2, 3, 5, 29, 31).
 
     M stays 2*3*5 = 30 while the two huge redundancy moduli keep almost every
@@ -197,7 +191,7 @@ def redundant_block_entries(seed: int = 0) -> tuple[list[CharacterEntry], Moduli
     """
     caps = (2, 3, 5, 29, 31)
     letters = ("v", "w", "x", "y", "z")
-    entries = [chain_entry(ch, cap, seed=seed) for ch, cap in zip(letters, caps)]
+    entries = [chain_entry(ch, cap) for ch, cap in zip(letters, caps)]
     return entries, ModuliSet(caps, 3)
 
 
@@ -241,7 +235,6 @@ def block_success_empirical(
     moduli: ModuliSet,
     ml: bool = False,
     trials: int = 10_000,
-    seed: int = 0,
 ) -> float:
     """Monte-Carlo block success rate at per-letter accuracy p1.
 
@@ -252,7 +245,7 @@ def block_success_empirical(
         raise ContractViolation("p1 must be in (0, 1]")
     if trials < 1:
         raise ContractViolation("trials must be positive")
-    rng = np.random.default_rng(stable_seed(seed, "curve", moduli.p, ml))
+    rng = np.random.default_rng(stable_seed(0, "curve", moduli.p, ml))
     M = moduli.payload_bound
     hits = 0
     for _ in range(trials):

@@ -32,13 +32,12 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .util import stable_seed
+from .util import as_integer, stable_seed
 
 __all__ = [
     "Response",
     "SimilarityScores",
     "RaterReliabilities",
-    "FitConfig",
     "choice_likelihood",
     "fit",
     "objective_and_gradients",
@@ -74,14 +73,6 @@ class RaterReliabilities:
 REL_TOLERANCE = 1e-9  # relative objective decrease at which the fit stops
 REGULARIZATION = 1e-6  # weight of the quadratic gauge penalty
 INITIAL_STEP = 1.0  # the line search's first step
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """The fit's one setting, its iteration cap; the stopping tolerance,
-    gauge penalty and first step are the module constants above."""
-
-    max_iterations: int = 2000
 
 
 def choice_likelihood(q: int, s_i: float, s_j: float, r_u: float) -> float:
@@ -176,16 +167,19 @@ def _connected_components(n_glyphs: int, idx_i: np.ndarray, idx_j: np.ndarray) -
 
 
 def fit(
-    responses: Sequence[Response], config: FitConfig = FitConfig()
+    responses: Sequence[Response], max_iterations: int = 2000
 ) -> tuple[SimilarityScores, RaterReliabilities, dict]:
     """Fit similarity scores and rater reliabilities to 2AFC responses.
 
-    Deterministic given the config; the objective is non-increasing across
-    accepted steps (backtracking line search).  Scores come back min-max
-    normalized to [0, 1] (all 0.5 if they are all equal).  A disconnected
-    comparison graph is not an error, but the affected components are flagged
-    in the returned info dict since scores are only identified within one.
+    Deterministic given the iteration cap, an integer; the stopping
+    tolerance, gauge penalty and first step are the module constants.  The
+    objective is non-increasing across accepted steps (backtracking line
+    search).  Scores come back min-max normalized to [0, 1] (all 0.5 if they
+    are all equal).  A disconnected comparison graph is not an error, but
+    the affected components are flagged in the returned info dict since
+    scores are only identified within one.
     """
+    max_iterations = as_integer(max_iterations, "max_iterations")
     if not responses:
         raise ContractViolation("responses must be non-empty")
     glyphs = sorted({g for resp in responses for g in (resp.glyph_i, resp.glyph_j)}, key=repr)
@@ -206,7 +200,7 @@ def fit(
     value, gradients = objective(s, r)
     step = INITIAL_STEP
     iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         # only accepted points need gradients; dropping the closures frees
         # their intermediates before the trials build their own
         gs, gr = gradients()

@@ -441,7 +441,7 @@ def _unframe(digits: np.ndarray) -> np.ndarray:
 def frame_message(bits: str, total_bits: int) -> str:
     """Length-prefix framing: 32-bit big-endian payload bit count, payload,
     zero padding out to the document's full coded width."""
-    return _text(_frame(_digits(bits), total_bits))
+    return _text(_frame(_digits(bits), as_integer(total_bits, "total_bits")))
 
 
 def unframe_message(bits: str) -> str:
@@ -475,6 +475,8 @@ def _bits(payloads: np.ndarray, widths: np.ndarray) -> np.ndarray:
 def chunk_message(framed: str, blocks: Sequence[Block]) -> list[int]:
     """Cut bit_width(t) bits per block, big-endian: :func:`_chunk` over the
     per-block view; bits past the end of ``framed`` read 0."""
+    if not isinstance(framed, str):
+        raise ContractViolation("framed message must be a bit string of '0'/'1'")
     widths = np.array([b.bit_width for b in blocks], dtype=np.int64)
     digits = np.zeros(int(widths.sum()), dtype=np.uint8)
     if len(framed) > len(digits):

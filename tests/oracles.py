@@ -74,7 +74,6 @@ from glyphcode.errors import (
 from glyphcode.outline import GlyphOutline, OutlineStack
 from glyphcode import perceptual
 from glyphcode.perceptual import (
-    FitConfig,
     RaterReliabilities,
     Response,
     SimilarityScores,
@@ -352,14 +351,15 @@ def response_loop_connected_components(n_glyphs, idx_i, idx_j):
     return list(comps.values())
 
 
-def printed_fit(responses, config=FitConfig()):
+def printed_fit(responses, max_iterations=2000):
     """Fit similarity scores and rater reliabilities to 2AFC responses.
 
-    Deterministic given the config; the objective is non-increasing across
-    accepted steps (backtracking line search).  Scores come back min-max
-    normalized to [0, 1] (all 0.5 if they are all equal).  A disconnected
-    comparison graph is not an error, but the affected components are flagged
-    in the returned info dict since scores are only identified within one.
+    Deterministic given the iteration cap; the objective is non-increasing
+    across accepted steps (backtracking line search).  Scores come back
+    min-max normalized to [0, 1] (all 0.5 if they are all equal).  A
+    disconnected comparison graph is not an error, but the affected
+    components are flagged in the returned info dict since scores are only
+    identified within one.
     """
     if not responses:
         raise ContractViolation("responses must be non-empty")
@@ -382,7 +382,7 @@ def printed_fit(responses, config=FitConfig()):
     )
     step = perceptual.INITIAL_STEP
     iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         grad_norm_sq = float(gs @ gs + gr @ gr)
         if grad_norm_sq == 0.0:
             break

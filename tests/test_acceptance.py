@@ -333,9 +333,7 @@ def test_criterion_10_perceptual_fit():
     responses = perceptual.synth_responses(
         planted_s, planted_r, questions_per_rater=16, seed=10
     )
-    scores, _, info = perceptual.fit(
-        responses, perceptual.FitConfig(max_iterations=5000)
-    )
+    scores, _, info = perceptual.fit(responses, max_iterations=5000)
     names = sorted(planted_s)
     tau = kendalltau(
         [planted_s[g] for g in names], [scores.s[g] for g in names]

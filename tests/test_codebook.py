@@ -88,10 +88,11 @@ def test_confusion_graph_ops():
 
 
 def test_confusion_test_trivial():
-    assert confusion_test([0, 1], lambda pair: 1.0) == set()
-    assert confusion_test([0, 1], lambda pair: 0.5) == {frozenset((0, 1))}
+    rng = np.random.default_rng(0)
+    assert confusion_test([0, 1], lambda pair: 1.0, rng) == set()
+    assert confusion_test([0, 1], lambda pair: 0.5, rng) == {frozenset((0, 1))}
     with pytest.raises(ContractViolation):
-        confusion_test([0], lambda pair: 1.0)
+        confusion_test([0], lambda pair: 1.0, rng)
 
 
 def test_confusion_test_adjacent_chain():
@@ -105,7 +106,7 @@ def test_confusion_test_adjacent_chain():
         a, b = sorted(pair)
         return channel.accuracy_oracle([outlines[a], outlines[b]], params)
 
-    confused = confusion_test(range(10), oracle, pair_count=45)
+    confused = confusion_test(range(10), oracle, np.random.default_rng(0))
     expected = {frozenset((i, i + 1)) for i in range(9)}
     assert confused == expected
 

@@ -469,10 +469,10 @@ def _chain_responses(seed):
     return perceptual.synth_responses(planted_s, planted_r, 16, int(rng.integers(2**31)))
 
 
-def _fit_pin(responses, config=perceptual.FitConfig()):
+def _fit_pin(responses, **fit_args):
     """The fit's info dict, and the SHA-256 of the exact repr of its scores,
     reliabilities and info."""
-    scores, rels, info = perceptual.fit(responses, config)
+    scores, rels, info = perceptual.fit(responses, **fit_args)
     digest = hashlib.sha256(repr((scores, rels, info)).encode()).hexdigest()
     return info, digest
 
@@ -490,7 +490,7 @@ FITS = {
 
 def test_perceptual_fits_pinned():
     got = {
-        "criterion_10": _fit_pin(_criterion_10_responses(), perceptual.FitConfig(max_iterations=5000)),
+        "criterion_10": _fit_pin(_criterion_10_responses(), max_iterations=5000),
         "chain_14": _fit_pin(_chain_responses(14)),
         "chain_31": _fit_pin(_chain_responses(31)),
     }

@@ -14,7 +14,6 @@ from oracles import (
 from glyphcode import perceptual
 from glyphcode.errors import ContractViolation
 from glyphcode.perceptual import (
-    FitConfig,
     _connected_components,
     Response,
     SimilarityScores,
@@ -101,6 +100,16 @@ def test_fit_rejects_empty():
         fit([])
 
 
+def test_fit_refuses_a_cap_that_is_not_an_integer():
+    responses = [Response("A", "B", "u", 1)]
+    for cap in (5.5, "10", True):
+        with pytest.raises(ContractViolation, match="^max_iterations must be an integer"):
+            fit(responses, max_iterations=cap)
+    scores, _, info = fit(responses, max_iterations=0)
+    assert info["iterations"] == 0
+    assert scores.s == {"A": 0.5, "B": 0.5}
+
+
 def test_select_candidates_strict():
     scores = SimilarityScores({"a": 0.95, "b": 0.85, "c": 0.84, "d": 0.2})
     assert select_candidates(scores, 0.85) == {"a"}
@@ -133,8 +142,8 @@ def test_fit_monotone_objective():
     resp = synth_responses(planted_s, planted_r, 12, seed=3)
     # run two fits with different iteration caps: more iterations never
     # increase the objective (monotone under backtracking line search)
-    _, _, short = fit(resp, FitConfig(max_iterations=20))
-    _, _, longer = fit(resp, FitConfig(max_iterations=400))
+    _, _, short = fit(resp, max_iterations=20)
+    _, _, longer = fit(resp, max_iterations=400)
     assert longer["objective"] <= short["objective"] + 1e-12
 
 
@@ -202,13 +211,13 @@ def test_fit_matches_printed_oracle(monkeypatch):
     """Also with the gauge penalty off: the fit and the oracle both read
     the module's ``REGULARIZATION``."""
     rng = np.random.default_rng(6)
-    runs = ((FitConfig(), perceptual.REGULARIZATION), (FitConfig(max_iterations=7), 0.0))
+    runs = ((2000, perceptual.REGULARIZATION), (7, 0.0))
     for responses in _response_sets(rng):
-        for config, regularization in runs:
+        for max_iterations, regularization in runs:
             monkeypatch.setattr(perceptual, "REGULARIZATION", regularization)
             with np.errstate(over="ignore", invalid="ignore"):
-                want = printed_fit(responses, config)
-            assert fit(responses, config) == want
+                want = printed_fit(responses, max_iterations=max_iterations)
+            assert fit(responses, max_iterations=max_iterations) == want
 
 
 @st.composite

@@ -162,6 +162,14 @@ def test_frame_message_refuses_anything_but_bits():
         with pytest.raises(ContractViolation, match="bit string"):
             frame_message(bits, 64)
     assert frame_message("", 40) == "0" * 40
+    with pytest.raises(ContractViolation, match="^message must be a bit string"):
+        frame_message(b"01", 40)
+    for total_bits in (40.5, True, None):
+        with pytest.raises(ContractViolation, match="^total_bits must be an integer"):
+            frame_message("1", total_bits)
+    for framed in (40.5, True, None, b"01"):
+        with pytest.raises(ContractViolation, match="^framed message must be a bit string"):
+            chunk_message(framed, [])
     for bits in ("2" * 40, "\u00e9" * 40, "\ud800" * 40, "0" * 31 + "1" + "2"):
         with pytest.raises(ContractViolation, match="^message must be a bit string"):
             unframe_message(bits)
