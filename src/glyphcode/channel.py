@@ -17,7 +17,7 @@ import numpy as np
 from .codebook import CharacterEntry, Codebook
 from .errors import ContractViolation
 from .outline import GlyphOutline, OutlineStack
-from .pipeline import EncodedDocument, _build_layout, letter_sequence
+from .pipeline import EncodedDocument, _text_layout, letter_sequence
 from .util import stable_seed
 
 __all__ = [
@@ -234,7 +234,7 @@ def simulate_document(
         raise ContractViolation("letter sequence is empty")
     indices = list(doc.glyph_indices)
     rows = [np.full(c, 1.0 / c) for c in seq.capacities]
-    for members, params in zip(_build_layout(seq.capacities, n, k).members.tolist(), block_params):
+    for members, params in zip(_text_layout(seq.capacities, n, k).members.tolist(), block_params):
         vector = [indices[i] for i in members]
         entries = [codebook.entry(seq.letters[i]) for i in members]
         observed, table = inject_errors(vector, entries, errors, params)

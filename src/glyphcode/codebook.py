@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ContractViolation, NonConvergenceError
 from .outline import GlyphOutline, OutlineStack, resample_outline
-from .util import stable_seed
+from .util import as_integer, stable_seed
 
 logger = logging.getLogger(__name__)
 
@@ -264,8 +264,10 @@ def build_codebook(
 
     Both oracles must be pure functions of ``(character, ids, outlines)``:
     a pair drawn again in a later iteration is answered from the first call,
-    so ``oracle`` is asked each pair of a character at most once.
+    so ``oracle`` is asked each pair of a character at most once.  A cap
+    that is not an integer is refused.
     """
+    max_iterations = as_integer(max_iterations, "max_iterations")
     entries: dict[str, CharacterEntry] = {}
     for character in sorted(initial_candidates):
         cands = {c.glyph_id: c for c in initial_candidates[character]}

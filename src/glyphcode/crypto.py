@@ -47,7 +47,6 @@ from .pipeline import (
     EncodedDocument,
     LetterSequence,
     _bits,
-    _build_layout,
     _chunk,
     _decode,
     _digits,
@@ -55,6 +54,7 @@ from .pipeline import (
     _Layout,
     _received,
     _text,
+    _text_layout,
     letter_sequence,
 )
 from .util import as_integer, stable_seed
@@ -321,7 +321,7 @@ def _layout(
     seq = letter_sequence(text, codebook)
     if not seq.letters:
         raise ContractViolation("letter sequence is empty")
-    layout = _build_layout(seq.capacities, config.n, config.k)
+    layout = _text_layout(seq.capacities, config.n, config.k)
     if not len(layout.widths):
         raise SigningError("document has zero complete blocks")
     need = config.digest_bits if payload_bits is None else payload_bits

@@ -25,7 +25,7 @@ from .codebook import (
 from .crc import ModuliSet, encode_phi, hamming_decode, ml_decode
 from .errors import ContractViolation
 from .outline import GlyphOutline
-from .util import stable_seed
+from .util import as_integer, stable_seed
 
 __all__ = [
     "ENGLISH_FREQUENCIES",
@@ -240,9 +240,11 @@ def block_success_empirical(
 
     Each residue independently flips to a uniformly random wrong value with
     probability 1 - p1; decoding is plain Hamming or likelihood-resolved.
+    A trial count that is not an integer is refused.
     """
     if not (0.0 < p1 <= 1.0):
         raise ContractViolation("p1 must be in (0, 1]")
+    trials = as_integer(trials, "trials")
     if trials < 1:
         raise ContractViolation("trials must be positive")
     rng = np.random.default_rng(stable_seed(0, "curve", moduli.p, ml))

@@ -265,7 +265,8 @@ def synth_responses(
     answers control questions repeating the same pair in both orders, and
     raters with more than one inconsistency among them are rejected.  Each
     rater's draws come from its own generator, so a rejected rater's
-    questions are drawn and dropped without moving anyone else's.
+    questions are drawn and dropped without moving anyone else's.  A
+    question count that is not an integer is refused.
     """
     glyphs = sorted(planted_s, key=repr)
     if len(glyphs) < 2:
@@ -273,6 +274,8 @@ def synth_responses(
     for v in list(planted_s.values()) + list(planted_r.values()):
         if not math.isfinite(v):
             raise ContractViolation("planted values must be finite")
+    questions_per_rater = as_integer(questions_per_rater, "questions_per_rater")
+    control_questions = as_integer(control_questions, "control_questions")
     if questions_per_rater < 0 or control_questions < 0:
         raise ContractViolation("question counts must be non-negative")
     s = np.array([planted_s[g] for g in glyphs], dtype=float)

@@ -25,7 +25,11 @@ apart come as tuples from ``zip`` and map to set ids through one per-call
 dict keyed by capacity tuple, which searches a tuple when it is first met,
 so that the moduli search sees each distinct tuple once.  A run stops at
 the first window with no set, before any later window is read, and only
-that window expands letter by letter.  Embedding chunks the framed message
+that window expands letter by letter.  A document's callers read the layout
+through :func:`_text_layout`, a one-entry memo keyed by the glyph counts,
+n and k, so embed, extract, signing, verification and the channel build a
+document's layout once between them; layouts are read-only, since one is
+shared by those calls.  Embedding chunks the framed message
 and encodes every block in array passes.  Extraction decodes every block
 with no misread letter in one pass: the CRT's Garner lifting
 (:func:`crc._lift`) runs on int64 columns of every block at once, and keeps
@@ -62,7 +66,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, islice, repeat, starmap, takewhile
 from operator import index, is_not
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -241,7 +246,8 @@ class _Layout:
     set once, by identity, in first-use order, each the very object the
     moduli search's cache returned; ``moduli`` is their (S, n) array.
     ``skipped`` lists the letters a block dropped, for the blocks that
-    dropped any.
+    dropped any.  A layout is read-only, arrays and mapping both, since the
+    layout memo (:func:`_text_layout`) hands one layout to many calls.
     """
 
     members: np.ndarray
@@ -249,7 +255,7 @@ class _Layout:
     sets: tuple[ModuliSet, ...]
     moduli: np.ndarray
     widths: np.ndarray
-    skipped: dict[int, tuple[int, ...]]
+    skipped: Mapping[int, tuple[int, ...]]
 
     def blocks(self) -> list[Block]:
         sets, skipped = self.sets, self.skipped
@@ -316,7 +322,9 @@ def _build_layout(
     it.  Takes nothing at once when no window could ever form a block: n
     pairwise-coprime values >= 2 have n distinct prime factors, so they need
     n primes <= the largest capacity.  An n, k or limit that is not an
-    integer is refused.
+    integer is refused.  This is the one partition rule and keeps no memo:
+    a document's callers reach it through :func:`_text_layout`, which
+    builds each document's layout once.
     """
     n, k = _check_sizes(n, k)
     total = len(caps)
@@ -373,15 +381,32 @@ def _build_layout(
     )
     moduli = np.fromiter(
         chain.from_iterable(m.p for m in sets), dtype=np.int64, count=len(sets) * n
-    )
+    ).reshape(len(sets), n)
+    widths = set_widths[ids]
+    for values in (members, ids, moduli, widths):
+        values.setflags(write=False)
     return _Layout(
         members=members,
         set_ids=ids,
         sets=tuple(sets),
-        moduli=moduli.reshape(len(sets), n),
-        widths=set_widths[ids],
-        skipped=skipped,
+        moduli=moduli,
+        widths=widths,
+        skipped=MappingProxyType(skipped),
     )
+
+
+def _text_layout(caps: Sequence[int], n, k) -> _Layout:
+    """The layout of a document's letter capacities, built once for the
+    calls that read one document: embed, extract, :func:`partition_blocks`,
+    the capacity of a text, signing, verification and the channel.  n and k
+    are checked before the memo is read; the memo keeps only the most recent
+    capacity sequence, so it holds one layout whatever the input."""
+    return _layout_memo(tuple(caps), *_check_sizes(n, k))
+
+
+@lru_cache(maxsize=1)
+def _layout_memo(caps: tuple[int, ...], n: int, k: int) -> _Layout:
+    return _build_layout(caps, n, k)
 
 
 def partition_blocks(seq: LetterSequence, n: int = 5, k: int = 3) -> list[Block]:
@@ -389,7 +414,7 @@ def partition_blocks(seq: LetterSequence, n: int = 5, k: int = 3) -> list[Block]
     :func:`_build_layout`) as a per-block view, one :class:`Block` each."""
     if not seq.letters:
         raise ContractViolation("letter sequence is empty")
-    return _build_layout(seq.capacities, n, k).blocks()
+    return _text_layout(seq.capacities, n, k).blocks()
 
 
 def _digits(bits: str, name: str = "message") -> np.ndarray:
@@ -683,7 +708,7 @@ def embed(
     mapped to the glyph at the key's position i.
     """
     seq = _check_text(text, codebook)
-    layout = _build_layout(seq.capacities, n, k)
+    layout = _text_layout(seq.capacities, n, k)
     if not len(layout.widths):
         raise DocumentTooSmallError("document has zero complete blocks")
     framed = _frame(_digits(bits), int(layout.widths.sum()))
@@ -721,7 +746,7 @@ def extract(
     count = len(seq.letters)
     if len(encoded.glyph_indices) != count:
         raise ContractViolation("glyph index stream does not match the letter count")
-    layout = _build_layout(seq.capacities, n, k)
+    layout = _text_layout(seq.capacities, n, k)
     if not len(layout.widths):
         raise DocumentTooSmallError("document has zero complete blocks")
     if likelihoods is not None and len(likelihoods) != count:
@@ -779,7 +804,7 @@ def capacity_report(
         raise ContractViolation("sample_blocks must be non-negative")
     if text is not None:
         caps = _check_text(text, codebook).capacities
-        total_bits = int(_build_layout(caps, n, k).widths.sum())
+        total_bits = int(_text_layout(caps, n, k).widths.sum())
         letters = len(caps)
     else:
         n, k = _check_sizes(n, k)  # n sizes the draws
@@ -789,7 +814,8 @@ def capacity_report(
         rng = np.random.default_rng(seed)
         draws = rng.choice(len(chars), size=sample_blocks * (n + 4), p=weights)
         caps_by_char = np.array([codebook.capacity(c) for c in chars], dtype=np.int64)
-        # the first sample_blocks blocks, or fewer if the draws run out first
+        # the first sample_blocks blocks, or fewer if the draws run out
+        # first; draws never repeat, so they bypass the layout memo
         layout = _build_layout(caps_by_char[draws].tolist(), n, k, limit=sample_blocks)
         total_bits = int(layout.widths.sum())
         # draws used, skipped included

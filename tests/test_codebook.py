@@ -210,6 +210,16 @@ def test_build_codebook_refuses_to_exceed_max_iterations():
     assert cb.capacity("e") == 3
 
 
+def test_build_codebook_refuses_a_cap_that_is_not_an_integer():
+    """A cap of 1.5 no longer runs as a cap of 1, and "2" no longer fails
+    inside the iteration check with a TypeError."""
+    oracle, per_glyph = _perfect_oracles()
+    cands = {"e": fixtures.chain_candidates("e", range(4))}
+    for cap in (1.5, "2", True):
+        with pytest.raises(ContractViolation, match="^max_iterations must be an integer"):
+            build_codebook(cands, oracle, per_glyph, {"e": cands["e"][0]}, max_iterations=cap)
+
+
 def test_build_codebook_reproducible_and_idempotent():
     params = channel.ChannelParams(trials=200)
     oracle, per_glyph = channel.make_codebook_oracles(params)

@@ -408,3 +408,9 @@ def test_block_success_empirical_refuses_bad_arguments(p1, trials):
     refused with a typed error."""
     with pytest.raises(ContractViolation):
         fixtures.block_success_empirical(p1, P5, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [5.5, "5", True])
+def test_block_success_empirical_refuses_trials_that_are_not_an_integer(trials):
+    with pytest.raises(ContractViolation, match="^trials must be an integer"):
+        fixtures.block_success_empirical(0.9, P5, trials=trials)

@@ -269,6 +269,18 @@ def test_synth_responses_refuses_negative_counts():
         synth_responses({"a": 0.0, "b": 1.0}, {"u": -5.0}, 4, control_questions=-2)
 
 
+@pytest.mark.parametrize("count", [3.5, "4", True])
+def test_synth_responses_refuses_control_questions_that_are_not_an_integer(count):
+    with pytest.raises(ContractViolation, match="^control_questions must be an integer"):
+        synth_responses({"a": 0.0, "b": 1.0}, {"u": -5.0}, 4, control_questions=count)
+
+
+@pytest.mark.parametrize("count", [2.5, "4", None])
+def test_synth_responses_refuses_questions_per_rater_that_are_not_an_integer(count):
+    with pytest.raises(ContractViolation, match="^questions_per_rater must be an integer"):
+        synth_responses({"a": 0.0, "b": 1.0}, {"u": -5.0}, count)
+
+
 def test_objective_refuses_out_of_range_glyph_index():
     s, r = np.zeros(3), np.full(2, -1.0)
     idx = np.array([0, 1])

@@ -486,12 +486,19 @@ def test_layout_limit_around_failures_matches_letter_loop_oracle(n, k):
             assert got == blocks[:limit], (offset, limit)
 
 
+SKIP_CAPACITIES = {"a": 1, "b": 2, "c": 3, "d": 5, "e": 7, "f": 11}
+SKIP_FREQUENCIES = {"a": 0.2, "b": 0.1, "c": 0.2, "d": 0.2, "e": 0.15, "f": 0.15}
+
+
+def _skip_heavy_text(letters):
+    """A text where a window often takes no set, over ``SKIP_CAPACITIES``."""
+    return fixtures.random_text(letters, seed=7, frequencies=SKIP_FREQUENCIES)
+
+
 def _skip_heavy_caps(letters):
     """The capacities of a text where a window often takes no set."""
-    capacity = {"a": 1, "b": 2, "c": 3, "d": 5, "e": 7, "f": 11}
-    freqs = {"a": 0.2, "b": 0.1, "c": 0.2, "d": 0.2, "e": 0.15, "f": 0.15}
-    text = fixtures.random_text(letters, seed=7, frequencies=freqs)
-    return tuple(capacity[ch] for ch in text if ch in capacity)
+    text = _skip_heavy_text(letters)
+    return tuple(SKIP_CAPACITIES[ch] for ch in text if ch in SKIP_CAPACITIES)
 
 
 def test_layout_cost_grows_linearly(monkeypatch):
@@ -925,6 +932,7 @@ def test_extract_derives_each_payload_bound_once(codebook, monkeypatch):
     text = fixtures.random_text(600, seed=13)
     doc = embed(text, codebook, "1100101")
     pipeline._choose_moduli_cached.cache_clear()
+    pipeline._layout_memo.cache_clear()
     counting = _CountingMath()
     monkeypatch.setattr(crc, "math", counting)
     assert extract(doc, codebook)[0] == "1100101"
@@ -954,6 +962,131 @@ def test_full_moduli_cache_memory_is_bounded():
         pipeline._choose_moduli_cached.cache_clear()
     # 1460 KB when every access derived the payload bound afresh, plus 0.5 MB
     assert held < (1460 + 512) * 1024, f"{held / 1024:.0f} KB"
+
+
+# channel-codebook letters that share a glyph count, each sent to the next
+# of its class, so that a text and its translation share their capacities
+SAME_CAPACITY = str.maketrans("jqxzbkpvfgmuwycdhlrsaeinot", "qxzjkpvbgmuwyfdhlrsceinota")
+
+
+def test_layout_memo_serves_each_text_its_own_layout(codebook, monkeypatch):
+    """Embed, extract, sign, verify and the channel, each run over five
+    texts in turn, read the layout that the uncached builder and the
+    per-letter partition give for their text: a skip-heavy text, a
+    100k-letter one, one with no complete block and two that share
+    capacities.  The memo holds one layout and rebuilds it whenever the
+    capacities change, the second of the two sharing texts reads the
+    first's, and every array a served layout holds refuses a write."""
+    shared = fixtures.random_text(300, seed=21)
+    texts = [
+        (_skip_heavy_text(2_000), fixtures.fixture_codebook(SKIP_CAPACITIES, seed=2)),
+        (fixtures.random_text(100_000, seed=5), codebook),
+        ("jaq", codebook),
+        (shared, codebook),
+        (shared.translate(SAME_CAPACITY), codebook),
+    ]
+    assert letter_sequence(texts[3][0], codebook).capacities == (
+        letter_sequence(texts[4][0], codebook).capacities
+    )
+    memo = pipeline._layout_memo
+    served = []
+
+    def serve(caps, n, k):
+        layout = memo(caps, n, k)
+        assert memo.cache_info().currsize <= 1
+        served.append((caps, n, k, layout))
+        return layout
+
+    monkeypatch.setattr(pipeline, "_layout_memo", serve)
+    config = SignatureConfig(segment_min_letters=10)
+    keys = {id(cb): keygen(cb, seed=4) for _, cb in texts}
+
+    def zeros(text, cb):
+        glyphs = (0,) * len(letter_sequence(text, cb).letters)
+        return pipeline.EncodedDocument(text, glyphs, cb.font_id)
+
+    docs = [outcome(embed, text, cb, "1011", key=keys[id(cb)]) for text, cb in texts]
+    signed = [outcome(sign_scheme1, text, cb, keys[id(cb)], config) for text, cb in texts]
+    docs = [d[1] if d[0] == "returned" else zeros(*t) for d, t in zip(docs, texts)]
+    signed = [d[1] if d[0] == "returned" else zeros(*t) for d, t in zip(signed, texts)]
+    got = [outcome(extract, doc, cb, key=keys[id(cb)]) for doc, (_, cb) in zip(docs, texts)]
+    assert [g[1][0] if g[0] == "returned" else g[0] for g in got] == (
+        ["1011"] * 2 + [DocumentTooSmallError] + ["1011"] * 2
+    )
+    for doc, (_, cb) in zip(signed, texts):
+        outcome(verify, doc, cb, config, key=keys[id(cb)])
+    for doc, (_, cb) in zip(docs, texts):
+        channel.simulate_document(doc, cb, 1, [channel.ChannelParams()])
+    partition_blocks(letter_sequence(texts[-1][0], codebook), 4, 2)  # same capacities
+
+    rounds = 5  # embed, sign, extract, verify and the channel, one layout a call
+    assert len(served) == rounds * len(texts) + 1
+    layouts = {id(layout): (caps, n, k, layout) for caps, n, k, layout in served}
+    # each call rebuilds but the fifth text's, which reads the fourth's
+    assert len(layouts) == rounds * (len(texts) - 1) + 1
+    partitions = {}
+    for caps, n, k, layout in layouts.values():
+        fresh = pipeline._build_layout(caps, n, k)
+        for name in ("members", "set_ids", "moduli", "widths"):
+            values, want = getattr(layout, name), getattr(fresh, name)
+            assert np.array_equal(values, want) and values.dtype == want.dtype
+            with pytest.raises(ValueError, match="read-only"):
+                values[...] = 0
+        assert layout.sets == fresh.sets and layout.skipped == fresh.skipped
+        with pytest.raises(TypeError):
+            layout.skipped[0] = ()
+        if (caps, n, k) not in partitions:
+            partitions[caps, n, k] = list(loop_blocks(caps, n, k))
+        assert layout.blocks() == partitions[caps, n, k]
+    assert len(partitions) == len(texts)
+    assert any(layout.skipped for *_, layout in served)
+
+
+def test_one_document_flow_builds_its_layout_once(codebook, monkeypatch):
+    """Embed, extract, segmenting, signing and verifying one text build its
+    layout once, and the sampled capacity estimate, whose draws never
+    repeat, leaves the memo as it was."""
+    builds = []
+    build = pipeline._build_layout
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_build_layout", counted)
+    pipeline._layout_memo.cache_clear()
+    text = fixtures.random_text(2_000, seed=22)
+    key = keygen(codebook, seed=5)
+    config = SignatureConfig()
+    doc = embed(text, codebook, "110", key=key)
+    assert extract(doc, codebook, key=key)[0] == "110"
+    segments = segment_text(text, codebook, config)
+    signed = sign_scheme1(text, codebook, key, config)
+    assert len(verify(signed, codebook, config, key=key).per_segment) == len(segments) > 1
+    assert builds == [letter_sequence(text, codebook).capacities]
+    before = pipeline._layout_memo.cache_info()
+    pipeline.capacity_report(codebook, frequencies=fixtures.ENGLISH_FREQUENCIES, sample_blocks=500)
+    assert len(builds) == 2
+    assert pipeline._layout_memo.cache_info() == before
+
+
+def test_a_second_partition_of_a_text_runs_no_moduli_search(monkeypatch):
+    """At 100k skip-heavy letters one partition meets more distinct windows
+    than the moduli search's cache holds, so a second partition of the same
+    text would search many of them again; it reads the memo's layout and
+    asks the search nothing."""
+    seq = _seq(_skip_heavy_caps(100_000))
+    blocks = partition_blocks(seq)
+    searched = []
+    search = pipeline._choose_moduli_cached
+
+    def counted(window, k):
+        searched.append(window)
+        return search(window, k)
+
+    monkeypatch.setattr(pipeline, "_choose_moduli_cached", counted)
+    assert partition_blocks(_seq(seq.capacities)) == blocks
+    assert searched == []
 
 
 def _best_extract_seconds(codebook, letters, misread):
