@@ -9,7 +9,7 @@ mapping, and segment-level signatures localize tampering.
 
 __version__ = "0.1.0"  # the one version literal; formats and pyproject.toml read it
 
-from .channel import ChannelParams, RecognitionResult, recognize_vector, simulate_recognition
+from .channel import ChannelParams, RecognitionResult, recognize_vector
 from .codebook import (
     CharacterEntry,
     Codebook,
@@ -58,7 +58,6 @@ __all__ = [
     "ChannelParams",
     "RecognitionResult",
     "recognize_vector",
-    "simulate_recognition",
     "CharacterEntry",
     "Codebook",
     "ConfusionGraph",

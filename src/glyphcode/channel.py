@@ -9,8 +9,10 @@ inverse distance) is what maximum-likelihood decoding consumes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,13 +20,12 @@ from .codebook import CharacterEntry, Codebook
 from .errors import ContractViolation
 from .outline import GlyphOutline, OutlineStack
 from .pipeline import EncodedDocument, _text_layout, letter_sequence
-from .util import stable_seed
+from .util import as_integer, seeded_streams, stable_seed
 
 __all__ = [
     "ChannelParams",
     "RecognitionResult",
     "recognize_vector",
-    "simulate_recognition",
     "accuracy_oracle",
     "per_glyph_accuracy",
     "inject_errors",
@@ -49,9 +50,15 @@ class ChannelParams:
     trials: int = 200
 
     def __post_init__(self):
-        if not (0.0 <= self.sigma < np.inf):
+        if isinstance(self.sigma, bool) or not isinstance(
+            self.sigma, (int, float, np.integer, np.floating)
+        ):
+            raise ContractViolation(f"sigma must be a real number, not {type(self.sigma).__name__}")
+        # an int past the float range compares below inf but cannot scale noise
+        if not (0.0 <= self.sigma <= sys.float_info.max):
             raise ContractViolation("sigma must be finite and non-negative")
-        if self.trials < 1:
+        as_integer(self.seed, "seed")
+        if as_integer(self.trials, "trials") < 1:
             raise ContractViolation("trials must be positive")
 
 
@@ -84,16 +91,23 @@ def recognize_vector(f: GlyphOutline, entry: CharacterEntry) -> RecognitionResul
     return RecognitionResult(_probabilities(d), int(np.argmin(d)))
 
 
-def _observations(vertices: np.ndarray, sigma: float, seeds: Sequence[int]) -> np.ndarray:
-    """An outline seen once per seed through the noise: a (len(seeds), V, 2)
-    array whose row t adds a draw from ``default_rng(seeds[t])`` to
-    ``vertices``, so each observation keeps its own seeded draw."""
+def _observations(
+    vertices: np.ndarray, sigma: float, streams: Iterator[np.random.Generator], count: int
+) -> np.ndarray:
+    """An outline seen ``count`` times through the noise: a (count, V, 2)
+    array whose row t adds ``sigma`` times a standard normal draw from the
+    next of ``streams`` to ``vertices``.  With streams from
+    :func:`util.seeded_streams`, row t equals ``vertices +
+    default_rng(seed).normal(0.0, sigma, V x 2)`` for its seed, bit for bit,
+    without building a generator per seed.  At sigma 0 no stream is read."""
     shape = vertices.shape
     if sigma == 0.0:
-        return np.broadcast_to(vertices, (len(seeds), *shape))
-    observed = np.empty((len(seeds), *shape))
-    for t, seed in enumerate(seeds):
-        observed[t] = np.random.default_rng(seed).normal(0.0, sigma, shape)
+        return np.broadcast_to(vertices, (count, *shape))
+    observed = np.empty((count, *shape))
+    # zip asks the rows first, so exactly ``count`` streams are taken
+    for row, stream in zip(observed, streams):
+        stream.standard_normal(out=row)
+    observed *= sigma
     observed += vertices
     if not np.isfinite(observed).all():
         raise ContractViolation("outline vertices must be finite")
@@ -101,26 +115,18 @@ def _observations(vertices: np.ndarray, sigma: float, seeds: Sequence[int]) -> n
 
 
 def _observed_distances(
-    true_index: int, entry: CharacterEntry, params: ChannelParams, trials: Sequence[int]
-) -> np.ndarray:
-    """Distances of the true glyph, observed once per trial, to each glyph:
-    a (len(trials), capacity) array."""
-    if not (0 <= true_index < entry.capacity):
-        raise ContractViolation("true_index out of range")
-    seeds = [stable_seed(params.seed, "obs", true_index, trial) for trial in trials]
-    observed = _observations(entry.glyphs[true_index].outline.vertices, params.sigma, seeds)
-    return entry.outline_stack.batch_distances(observed)
-
-
-def simulate_recognition(
     true_index: int,
     entry: CharacterEntry,
-    params: ChannelParams,
-    trial: int = 0,
-) -> RecognitionResult:
-    """One pass through the noisy channel: perturb the true glyph, recognize it."""
-    d = _observed_distances(true_index, entry, params, [trial])[0]
-    return RecognitionResult(_probabilities(d), int(np.argmin(d)), true_index)
+    sigma: float,
+    streams: Iterator[np.random.Generator],
+    count: int,
+) -> np.ndarray:
+    """Distances of the true glyph, observed once per each of the next
+    ``count`` streams, to each glyph: a (count, capacity) array."""
+    if not (0 <= true_index < entry.capacity):
+        raise ContractViolation("true_index out of range")
+    observed = _observations(entry.glyphs[true_index].outline.vertices, sigma, streams, count)
+    return entry.outline_stack.batch_distances(observed)
 
 
 def per_glyph_accuracy(
@@ -133,10 +139,15 @@ def per_glyph_accuracy(
     # content-derived, so renumbering glyph ids does not change the noise
     subset_key = stable_seed(*(o.vertices.tobytes() for o in outlines))
     per = max(1, params.trials // len(outlines))
+    # one stream per trial, glyph by glyph; at sigma 0 none is read or seeded
+    streams = seeded_streams(
+        stable_seed(params.seed, "oracle", subset_key, which, t)
+        for which in range(len(outlines))
+        for t in range(per)
+    )
     accs = np.empty(len(outlines))
     for which, outline in enumerate(outlines):
-        seeds = [stable_seed(params.seed, "oracle", subset_key, which, t) for t in range(per)]
-        observed = _observations(outline.vertices, params.sigma, seeds)
+        observed = _observations(outline.vertices, params.sigma, streams, per)
         hits = np.argmin(stack.batch_distances(observed), axis=1) == which
         accs[which] = int(hits.sum()) / per
     return accs
@@ -161,6 +172,13 @@ def make_codebook_oracles(params: ChannelParams):
     return oracle, per_glyph
 
 
+@lru_cache(maxsize=64)
+def _attempt_seeds(position: int) -> tuple[int, ...]:
+    """The trial seeds of a codeword position's observations, attempt 0 to
+    31; they depend on the position alone, so every block shares them."""
+    return tuple(stable_seed("inject", position, attempt) for attempt in range(_ATTEMPTS))
+
+
 def inject_errors(
     codeword: Sequence[int],
     entries: Sequence[CharacterEntry],
@@ -176,7 +194,8 @@ def inject_errors(
     does is kept.  If none does, an error position is forced to the
     second-most-likely glyph of the first observation and any other position
     keeps its true glyph with certainty.  The returned likelihood table comes
-    from the same simulated observations.
+    from the same simulated observations.  Every first observation is seeded
+    in one batch of :func:`util.seeded_streams`, and every retry in a second.
     """
     n = len(codeword)
     if len(entries) != n:
@@ -185,16 +204,35 @@ def inject_errors(
         raise ContractViolation("count must be in [0, n]")
     rng = np.random.default_rng(stable_seed(params.seed, "positions", tuple(codeword)))
     error_at = set(rng.choice(n, size=count, replace=False).tolist()) if count else set()
+    attempts = [_attempt_seeds(j) for j in range(n)]
+    # the first observation of every position, then the retries of every
+    # position whose first one missed, each from one batch of streams;
+    # without noise every retry would repeat the first observation, so none
+    # is drawn and the retry streams are never seeded
+    firsts = seeded_streams(
+        stable_seed(params.seed, "obs", true, trials[0]) for true, trials in zip(codeword, attempts)
+    )
+    first = [
+        _observed_distances(true, entry, params.sigma, firsts, 1)[0]
+        for true, entry in zip(codeword, entries)
+    ]
+    missed = [
+        (int(np.argmin(d)) != true) != (j in error_at)
+        for j, (d, true) in enumerate(zip(first, codeword))
+    ]
+    retries = seeded_streams(
+        stable_seed(params.seed, "obs", codeword[j], t)
+        for j in range(n)
+        if missed[j]
+        for t in attempts[j][1:]
+    )
     vector: list[int] = []
     table: list[np.ndarray] = []
     for j, (true, entry) in enumerate(zip(codeword, entries)):
         want_error = j in error_at
-        first = _observed_distances(true, entry, params, [stable_seed("inject", j, 0)])[0]
-        kept = first if (int(np.argmin(first)) != true) == want_error else None
-        # without noise every retry repeats the first observation
-        if kept is None and params.sigma > 0.0:
-            trials = [stable_seed("inject", j, attempt) for attempt in range(1, _ATTEMPTS)]
-            d = _observed_distances(true, entry, params, trials)
+        kept = None if missed[j] else first[j]
+        if missed[j] and params.sigma > 0.0:
+            d = _observed_distances(true, entry, params.sigma, retries, _ATTEMPTS - 1)
             (hits,) = np.nonzero((np.argmin(d, axis=1) != true) == want_error)
             if hits.size:
                 kept = d[hits[0]]
@@ -203,7 +241,7 @@ def inject_errors(
             table.append(_probabilities(kept))
         elif want_error:
             # noise too small to confuse: force the runner-up glyph
-            probs = _probabilities(first)
+            probs = _probabilities(first[j])
             order = np.argsort(-probs, kind="stable")
             vector.append(int(order[1]) if int(order[0]) == true else int(order[0]))
             table.append(probs)

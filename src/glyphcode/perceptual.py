@@ -32,7 +32,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .util import as_integer, stable_seed
+from .util import as_integer, seeded_streams, stable_seed
 
 __all__ = [
     "Response",
@@ -264,7 +264,7 @@ def synth_responses(
     Mirrors the study protocol: on top of the real questions every rater
     answers control questions repeating the same pair in both orders, and
     raters with more than one inconsistency among them are rejected.  Each
-    rater's draws come from its own generator, so a rejected rater's
+    rater's draws come from its own seeded stream, so a rejected rater's
     questions are drawn and dropped without moving anyone else's.  A
     question count that is not an integer is refused.
     """
@@ -289,8 +289,8 @@ def synth_responses(
     a = np.empty((len(raters), answers), dtype=np.intp)
     b = np.empty_like(a)
     uniforms = np.empty((len(raters), answers))
-    for row, rater in enumerate(raters):
-        rng = np.random.default_rng(stable_seed(seed, "rater", rater))
+    # each rater's stream is ``default_rng(stable_seed(seed, "rater", rater))``
+    for row, rng in enumerate(seeded_streams(stable_seed(seed, "rater", r) for r in raters)):
         for t in range(0, controls, 2):
             pair = rng.choice(len(glyphs), size=2, replace=False)
             a[row, t : t + 2] = pair

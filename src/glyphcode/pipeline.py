@@ -414,6 +414,10 @@ def partition_blocks(seq: LetterSequence, n: int = 5, k: int = 3) -> list[Block]
     :func:`_build_layout`) as a per-block view, one :class:`Block` each."""
     if not seq.letters:
         raise ContractViolation("letter sequence is empty")
+    # a hand-built sequence may hold floats, which the layout memo's key
+    # would match to the equal ints; one dtype test, no loop per letter
+    if np.asarray(seq.capacities).dtype.kind not in "iu":
+        raise ContractViolation("letter capacities must be integers")
     return _text_layout(seq.capacities, n, k).blocks()
 
 

@@ -23,6 +23,11 @@ length-2 coordinate axis, and ``attempt_loop_inject_errors`` the channel that
 recognized each of a position's up to 32 attempts on its own, through
 ``attempt_loop_simulate_recognition`` and ``attempt_loop_recognize_vector``.
 The per-coordinate kernel and the batched retries must match them exactly.
+``attempt_loop_simulate_recognition`` also stands in for the one-observation
+``simulate_recognition`` that ``glyphcode.channel`` exported while only tests
+called it.  These oracles build one ``np.random.default_rng(seed)`` per seed,
+so they also check the batched seeding of ``glyphcode.util.seeded_streams``
+that the channel and the response generator draw from.
 
 ``inverse_sum_crt_reconstruct`` is CRT as a sum over the positions, and
 ``candidate_loop_resolve_tie`` the tie step that encoded every candidate with

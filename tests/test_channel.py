@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import (
     attempt_loop_inject_errors,
+    attempt_loop_simulate_recognition,
     scalar_outline_distance,
     trial_loop_per_glyph_accuracy,
 )
@@ -13,6 +14,7 @@ from glyphcode.codebook import CharacterEntry, ManifoldPoint, PerturbedGlyphEntr
 from glyphcode.crc import hamming_distance
 from glyphcode.errors import ContractViolation
 from glyphcode.outline import GlyphOutline, OutlineStack, resample_outline
+from glyphcode.util import seeded_streams, stable_seed
 
 
 @pytest.fixture(scope="module")
@@ -52,18 +54,22 @@ def test_recognition_matches_scalar_distance(entry):
 
 def test_simulate_zero_noise(entry):
     params = channel.ChannelParams(sigma=0.0)
-    res = channel.simulate_recognition(2, entry, params)
+    res = attempt_loop_simulate_recognition(2, entry, params)
     assert res.argmax_index == 2 and res.true_index == 2
     assert res.probabilities[2] == 1.0
 
 
 def test_simulate_reproducible(entry):
     params = channel.ChannelParams(seed=5)
-    a = channel.simulate_recognition(1, entry, params, trial=3)
-    b = channel.simulate_recognition(1, entry, params, trial=3)
+    a = attempt_loop_simulate_recognition(1, entry, params, trial=3)
+    b = attempt_loop_simulate_recognition(1, entry, params, trial=3)
     assert np.array_equal(a.probabilities, b.probabilities)
-    c = channel.simulate_recognition(1, entry, params, trial=4)
+    c = attempt_loop_simulate_recognition(1, entry, params, trial=4)
     assert not np.array_equal(a.probabilities, c.probabilities)
+    # the channel's own observation of that trial is the same draw
+    streams = seeded_streams([stable_seed(params.seed, "obs", 1, 3)])
+    d = channel._observed_distances(1, entry, params.sigma, streams, 1)[0]
+    assert np.array_equal(channel._probabilities(d), a.probabilities)
 
 
 def test_default_sigma_accuracy(entry):
@@ -152,9 +158,30 @@ def test_channel_params_validation():
         channel.ChannelParams(sigma=-1.0)
     with pytest.raises(ContractViolation):
         channel.ChannelParams(trials=0)
-    for sigma in (np.nan, np.inf, -np.inf):
+    for sigma in (np.nan, np.inf, -np.inf, 10**400):
         with pytest.raises(ContractViolation, match="finite"):
             channel.ChannelParams(sigma=sigma)
+
+
+def test_channel_params_refuses_fractional_trials():
+    # unchecked, 2.5 // glyphs would run one trial per glyph
+    with pytest.raises(ContractViolation, match="trials must be an integer"):
+        channel.ChannelParams(trials=2.5)
+
+
+def test_channel_params_refuses_trials_as_text():
+    with pytest.raises(ContractViolation, match="trials must be an integer"):
+        channel.ChannelParams(trials="3")
+
+
+def test_channel_params_refuses_sigma_as_text():
+    with pytest.raises(ContractViolation, match="sigma must be a real number"):
+        channel.ChannelParams(sigma="0.1")
+
+
+def test_channel_params_refuses_fractional_seed():
+    with pytest.raises(ContractViolation, match="seed must be an integer"):
+        channel.ChannelParams(seed=1.5)
 
 
 def test_overflowing_sigma_is_refused(entry):
@@ -334,6 +361,29 @@ def test_inject_errors_recognizes_retries_in_one_batch(monkeypatch):
         assert calls["probabilities"] <= len(codeword)
         retried += calls["distances"] > len(codeword)
     assert retried >= 10
+
+
+def test_channel_seeds_one_generator_per_batch(monkeypatch):
+    """``inject_errors`` builds one ``default_rng`` per call, for its error
+    positions, and ``per_glyph_accuracy`` none: their observations come from
+    seeded streams."""
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(*args):
+        built.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    rng = default_rng(18)
+    for codeword, block, count, params in _fixture_blocks(rng, 30):
+        built.clear()
+        channel.inject_errors(codeword, block, count, params)
+        assert len(built) <= 1
+    outlines = fixtures.chain_outlines("g", 4)
+    built.clear()
+    channel.per_glyph_accuracy(outlines, channel.ChannelParams(trials=120))
+    assert built == []
 
 
 def test_inject_errors_memory_is_bounded():

@@ -143,6 +143,19 @@ def test_partition_trailing_uncoded():
     assert covered == set(range(10))  # letters 10, 11 carry no payload
 
 
+def test_partition_refuses_capacities_that_are_not_integers():
+    """Float capacities on a hand-built letter record are refused, both
+    before and after the equal int capacities fill the layout memo."""
+    floats = _seq((5.0, 7.0, 9.0, 11.0, 13.0) * 3)
+    with pytest.raises(ContractViolation, match="capacities must be integers"):
+        partition_blocks(floats)
+    assert len(partition_blocks(_seq((5, 7, 9, 11, 13) * 3))) == 3
+    with pytest.raises(ContractViolation, match="capacities must be integers"):
+        partition_blocks(floats)
+    numpy_ints = _seq(tuple(np.array([2, 3, 5, 7, 11])))
+    assert partition_blocks(numpy_ints) == partition_blocks(_seq((2, 3, 5, 7, 11)))
+
+
 def test_frame_and_unframe():
     framed = frame_message("", 40)
     assert framed == "0" * 40
